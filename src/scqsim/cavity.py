@@ -127,7 +127,6 @@ def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
         rho0 = DensityMatrix(np.outer(psi0, psi0.conj()))
         rhos = evolve_lindblad(h_rot, chans, rho0, t_grid, verify=False)
         pop = np.array([rho.expectation(proj_e) for rho in rhos])
-    pop = np.clip(pop, 0.0, 1.0)
     return ExperimentResult(
         time_grid=t_grid,
         population=pop,

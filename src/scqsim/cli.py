@@ -7,7 +7,8 @@ fully resolved configuration, and the seed; data rows carry 15
 significant digits.  Identical config + seed produce byte-identical
 output at any thread count (sweep points are computed independently).
 
-Exit codes: 0 success, 1 config error, 2 numerical non-convergence.
+Exit codes: 0 success, 1 config error, 2 numerical non-convergence or a
+failed fit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .cavity import JaynesCummingsParams, strong_coupling_check, vacuum_rabi
 from .charge import CpbParams, cpb_hamiltonian, reduced_two_level, spectrum_vs_ng
 from .core import ConvergenceError, ValidationError, basis_state, evolve_unitary
 from .coupled import CoupledParams, DrivePulse, pi_pulse_duration, simulate_cnot
-from .experiments import DecoherenceParams, quality_factor, rabi, ramsey, t1_decay
+from .experiments import DecoherenceParams, FitError, quality_factor, rabi, ramsey, t1_decay
 from .flux import (
     RfSquidParams,
     ThreeJunctionParams,
@@ -171,6 +172,9 @@ def _parse_sections(text: str, errors: list[str]) -> dict:
                 values[key] = conv(raw)
             except ValueError:
                 errors.append(f"key '{key}' in [{name}]: cannot parse {raw!r} as {conv.__name__}")
+                continue
+            if conv is float and not math.isfinite(values[key]):
+                errors.append(f"key '{key}' in [{name}]: {raw!r} is not a finite number")
         for key, (_, required) in schema.items():
             if required and key not in values:
                 errors.append(f"missing required key '{key}' in [{name}]")
@@ -226,17 +230,24 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
                 errors.append(f"section [{name}] is not used by '{command}'")
 
     if "sweep" in sections and circuit_kind is not None and "parameter" in sections["sweep"]:
-        param = sections["sweep"]["parameter"]
-        numeric = {
-            k for k, (conv, _) in _CIRCUIT_SCHEMAS[circuit_kind].items() if conv in (float, int)
-        }
+        sweep = sections["sweep"]
+        param = sweep["parameter"]
+        schema = _CIRCUIT_SCHEMAS[circuit_kind]
+        numeric = {k for k, (conv, _) in schema.items() if conv in (float, int)}
         if param not in numeric:
             errors.append(
                 f"sweep parameter '{param}' does not exist on [{circuit_kind}] "
                 f"(choose from {sorted(numeric)})"
             )
-        if sections["sweep"].get("points", 1) < 1:
+        if sweep.get("points", 1) < 1:
             errors.append("sweep points must be >= 1")
+        elif param in numeric and schema[param][0] is int and {"start", "stop"} <= sweep.keys():
+            grid = np.linspace(sweep["start"], sweep["stop"], sweep.get("points", 1))
+            if np.any(grid != np.round(grid)):
+                errors.append(
+                    f"sweep parameter '{param}' is an integer, but start, stop and "
+                    f"points give non-integral values"
+                )
 
     if "time" in sections and sections["time"].get("points", 1) < 1:
         errors.append("time points must be >= 1")
@@ -307,20 +318,23 @@ def _write_csv(path: str, cfg: RunConfig, columns, rows, extra_comments=()):
         fh.write(buf.getvalue())
 
 
-def _sweep_values(cfg: RunConfig) -> np.ndarray:
+def _sweep_values(cfg: RunConfig) -> list:
+    """Sweep points, converted by the swept key's schema type."""
     s = cfg.sections["sweep"]
-    return np.linspace(s["start"], s["stop"], s["points"])
+    conv = _CIRCUIT_SCHEMAS[cfg.circuit_kind][s["parameter"]][0]
+    # integral grids are exact in linspace; parse_config rejects the others
+    return [conv(x) for x in np.linspace(s["start"], s["stop"], s["points"])]
 
 
 def _cpb_point(args):
     params_kw, ng, k = args
-    p = CpbParams(**{**params_kw, "ng": float(ng)})
-    return spectrum_vs_ng(p, [float(ng)], k=k).levels[0]
+    p = CpbParams(**{**params_kw, "ng": ng})
+    return spectrum_vs_ng(p, [ng], k=k).levels[0]
 
 
 def _flux_point(args):
-    params_kw, f, k = args
-    p = ThreeJunctionParams(**{**params_kw, "f": float(f)})
+    params_kw, param, x, k = args
+    p = ThreeJunctionParams(**{**params_kw, param: x})
     return solve_three_junction(p, k=k).energies
 
 
@@ -343,18 +357,17 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
 
     if cfg.circuit_kind == "cpb":
         if param == "ng":
-            base = {k_: v for k_, v in params_kw.items() if k_ != "ng"}
-            rows = _parallel_map(_cpb_point, [(base, x, k) for x in values], cfg.threads)
+            rows = _parallel_map(_cpb_point, [(params_kw, x, k) for x in values], cfg.threads)
         else:
             rows = []
             for x in values:
-                p = CpbParams(**{**params_kw, param: float(x)})
+                p = CpbParams(**{**params_kw, param: x})
                 rows.append(np.linalg.eigvalsh(cpb_hamiltonian(p).entries)[:k])
         control_name = param
     else:  # flux3
         tol = cfg.sections.get("precision", {}).get("verify_grid_tol")
         if tol is not None:
-            p_mid = ThreeJunctionParams(**{**params_kw, param: float(values[values.size // 2])})
+            p_mid = ThreeJunctionParams(**{**params_kw, param: values[len(values) // 2]})
             coarse = solve_three_junction(p_mid, k=k).energies
             fine = solve_three_junction(
                 dataclasses.replace(p_mid, grid_points=2 * p_mid.grid_points), k=k
@@ -366,8 +379,7 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
                     f"(tolerance {tol:.3e}); refine grid_points"
                 )
             comments.append(f"grid verification: levels moved {moved:.3e} GHz under doubling")
-        base = {k_: v for k_, v in params_kw.items() if k_ != param}
-        rows = _parallel_map(_flux_point, [(base, x, k) for x in values], cfg.threads)
+        rows = _parallel_map(_flux_point, [(params_kw, param, x, k) for x in values], cfg.threads)
         control_name = param
 
     columns = [control_name] + [f"E{i}" for i in range(k)]
@@ -527,7 +539,7 @@ def run(cfg: RunConfig) -> int:
     except (ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConvergenceError as exc:
+    except (ConvergenceError, FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from scqsim.charge import CpbParams, cpb_hamiltonian
 from scqsim.cli import ConfigError, parse_config
+from scqsim.flux import ThreeJunctionParams, solve_three_junction
 
 CPB_SPECTRUM = """
 [run]
@@ -288,3 +290,84 @@ points = 11
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("spectrum", "--config", str(tmp_path / "nope.ini"))
         assert proc.returncode == 1
+
+
+def assert_one_line_failure(proc, code, prefix):
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+class TestFailurePaths:
+    def test_degenerate_ramsey_fit_exits_2(self, tmp_path):
+        cfg = tmp_path / "ramsey.ini"
+        cfg.write_text(
+            "[qubit]\nnu01 = 10.0\n[decoherence]\nt1_us = 10.0\nt2_us = 1.0\n"
+            "[time]\nstop = 0\npoints = 5\n"
+        )
+        proc = run_cli("ramsey", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert_one_line_failure(proc, 2, "numerical failure: degenerate Ramsey trace")
+
+    def test_integer_sweep(self, tmp_path):
+        cfg = tmp_path / "cut.ini"
+        cfg.write_text(
+            "[cpb]\nec = 5.0\nej = 1.0\n"
+            "[sweep]\nparameter = cutoff\nstart = 2\nstop = 6\npoints = 5\nlevels = 3\n"
+        )
+        out = tmp_path / "cut.csv"
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        _, header, rows = read_csv(out)
+        assert header == ["cutoff", "E0", "E1", "E2"]
+        assert [r[0] for r in rows] == ["2", "3", "4", "5", "6"]
+        for row in rows:
+            h = cpb_hamiltonian(CpbParams(ec=5.0, ej=1.0, cutoff=int(row[0])))
+            np.testing.assert_allclose(
+                [float(x) for x in row[1:]], np.linalg.eigvalsh(h.entries)[:3], atol=1e-12
+            )
+
+    def test_non_integral_integer_sweep_rejected(self, tmp_path):
+        cfg = tmp_path / "cut.ini"
+        cfg.write_text(
+            "[cpb]\nec = 5.0\nej = 1.0\n"
+            "[sweep]\nparameter = cutoff\nstart = 4\nstop = 9\npoints = 3\n"
+        )
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert_one_line_failure(proc, 1, "config error: sweep parameter 'cutoff' is an integer")
+
+    def test_flux_sweep_sets_the_swept_parameter(self, tmp_path):
+        cfg = tmp_path / "flux.ini"
+        cfg.write_text(
+            "[flux3]\nej = 40.0\nec = 1.0\nf = 0.5\ngrid_points = 32\n"
+            "[sweep]\nparameter = alpha\nstart = 0.7\nstop = 0.8\npoints = 2\nlevels = 2\n"
+        )
+        out = tmp_path / "flux.csv"
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        _, _, rows = read_csv(out)
+        for row in rows:
+            p = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=float(row[0]), f=0.5, grid_points=32)
+            np.testing.assert_allclose(
+                [float(x) for x in row[1:]], solve_three_junction(p, k=2).energies, atol=1e-12
+            )
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("spectrum", CPB_SPECTRUM.replace("ec = 5.0", "ec = nan")),
+            (
+                "rabi",
+                "[qubit]\nnu01 = inf\n[pulse]\namplitude = 0.2\nfrequency = 10.0\n"
+                "[time]\nstop = 1.0\npoints = 3\n",
+            ),
+            ("jc", "[jc]\nnu01 = inf\nnu_c = 10.0\ng = 0.1\n[time]\nstop = 1.0\npoints = 3\n"),
+        ],
+        ids=["cpb-ec-nan", "qubit-nu01-inf", "jc-nu01-inf"],
+    )
+    def test_non_finite_values_exit_1(self, tmp_path, command, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert_one_line_failure(proc, 1, "config error:")
+        assert "not a finite number" in proc.stderr

@@ -2,15 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from scqsim.core import (
     SIGMA_X,
     SIGMA_Z,
     DIMENSION_CAP,
+    ConvergenceError,
     DensityMatrix,
     HermitianOperator,
     QuantumState,
     ValidationError,
+    _checked_states,
+    _lindblad_rhs,
+    _lindblad_step,
+    _rk4,
+    _schrodinger_rhs,
     basis_state,
     evolve_lindblad,
     evolve_unitary,
@@ -242,3 +251,97 @@ class TestLindblad:
         h = herm(np.array([[2.0, 1.0], [1.0, -2.0]]))
         u = propagator(h, 1.3)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+
+
+def random_system(seed, dim, n_channels):
+    """Random Hermitian H, channels with rates in [0, 0.5] and a density matrix."""
+    rng = np.random.default_rng(seed)
+
+    def cmat():
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    m = cmat()
+    h = 0.5 * (m + m.conj().T)
+    channels = [(cmat(), float(rng.uniform(0.0, 0.5))) for _ in range(n_channels)]
+    a = cmat()
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    return h, channels, 0.5 * (rho + rho.conj().T)
+
+
+def lindblad_superoperator(h, channels):
+    """Row-major vec(rho) generator, using vec(A X B) = (A (x) B^T) vec(X)."""
+    eye = np.eye(h.shape[0])
+    s = -2j * np.pi * (np.kron(h, eye) - np.kron(eye, h.T))
+    for L, rate in channels:
+        ldl = L.conj().T @ L
+        s += rate * (np.kron(L, L.conj()) - 0.5 * np.kron(ldl, eye) - 0.5 * np.kron(eye, ldl.T))
+    return s
+
+
+SYSTEMS = dict(
+    seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), n_channels=st.integers(0, 3)
+)
+
+
+class TestPropagatorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(**SYSTEMS)
+    def test_generator_exactly_hermitian_and_trace_free(self, seed, dim, n_channels):
+        h, channels, rho = random_system(seed, dim, n_channels)
+        d = _lindblad_rhs(lambda t: h, channels)(0.0, rho)
+        assert np.array_equal(d, d.conj().T)
+        assert abs(np.trace(d)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(**SYSTEMS)
+    def test_rk4_matches_superoperator_exponential(self, seed, dim, n_channels):
+        h, channels, rho = random_system(seed, dim, n_channels)
+        grid = [0.4, 1.3]
+        step = _lindblad_step(float(np.linalg.norm(h, 2)), channels, grid[-1])
+        states = _rk4(_lindblad_rhs(lambda t: h, channels), rho, grid, 1.0 / step)
+        gen = lindblad_superoperator(h, channels)
+        for t, state in zip(grid, states):
+            exact = (expm(gen * t) @ rho.ravel()).reshape(dim, dim)
+            # the step targets a 1e-9 run error; 10x covers the model's fitted constant
+            assert np.abs(state - exact).max() <= 1e-8
+            assert np.array_equal(state, state.conj().T)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4))
+    def test_closed_evolution_keeps_norm(self, seed, dim):
+        h0, _, _ = random_system(seed, dim, 0)
+        v, _, _ = random_system(seed + 1, dim, 0)
+        rng = np.random.default_rng(seed)
+        amp, freq = rng.uniform(0.0, 1.0), rng.uniform(0.0, 5.0)
+        psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi0 /= np.linalg.norm(psi0)
+
+        def h_of_t(t):
+            return h0 + amp * np.cos(2.0 * np.pi * freq * t) * v
+
+        # rabi's step density; RK4 shrinks the norm by up to ~2e-13 per step
+        # here, so 1 ns stays well inside 1e-9 even for the largest ||H||
+        steps_per_ns = 400.0 * max(np.linalg.norm(h0, 2) + amp, freq, 1.0)
+        states = _rk4(_schrodinger_rhs(h_of_t), psi0, np.linspace(0.0, 1.0, 5), steps_per_ns)
+        for psi in states:
+            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-9
+
+
+class TestStateChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            herm([[1.0, 0.0], [0.0, bad]])
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            np.diag([0.6, 0.5]),  # trace drift
+            np.diag([1.0 + 1e-6, -1e-6]),  # negative eigenvalue below -1e-7
+            np.diag([np.nan, 0.0]),
+        ],
+    )
+    def test_propagation_drift_is_a_convergence_error(self, rho):
+        with pytest.raises(ConvergenceError):
+            _checked_states([1.0], [rho.astype(complex)])
