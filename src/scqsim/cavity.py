@@ -25,6 +25,8 @@ from .core import (
     HermitianOperator,
     QuantumState,
     ValidationError,
+    _check_finite,
+    _checked_time_grid,
     evolve_lindblad,
     evolve_unitary,
 )
@@ -43,6 +45,7 @@ class JaynesCummingsParams:
     dec: DecoherenceParams | None = None
 
     def __post_init__(self):
+        _check_finite(self, "nu01", "nu_c", "g", "n_ph", "kappa_per_us")
         if self.nu01 <= 0 or self.nu_c <= 0:
             raise ValidationError("qubit and cavity frequencies must be > 0")
         if self.g < 0:
@@ -109,7 +112,7 @@ def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
     1/(2g) ns.  With kappa or qubit decoherence the exchange envelope
     decays.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _checked_time_grid(t_grid)
     dim_c = p.n_ph + 1
     psi0 = np.zeros(2 * dim_c, dtype=complex)
     psi0[dim_c] = 1.0  # |e> (x) |0>

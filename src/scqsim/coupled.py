@@ -29,8 +29,10 @@ from .core import (
     ConvergenceError,
     HermitianOperator,
     ValidationError,
-    _rk4,
-    _schrodinger_rhs,
+    _check_finite,
+    _checked_time_grid,
+    _rk4_driven,
+    _TWO_PI,
     tensor_product,
 )
 
@@ -47,6 +49,7 @@ class CoupledParams:
     basis: str = "product-plus-minus"  # eigenbasis ordering ++, +-, -+, --
 
     def __post_init__(self):
+        _check_finite(self, "ej1", "ej2", "chi")
         if self.ej1 <= 0 or self.ej2 <= 0:
             raise ValidationError("effective Josephson energies must be > 0")
 
@@ -62,6 +65,7 @@ class DrivePulse:
     target: str = "sigma_z"
 
     def __post_init__(self):
+        _check_finite(self, "amplitude", "frequency", "duration", "phase")
         if self.amplitude < 0:
             raise ValidationError("amplitude must be >= 0")
         if self.duration < 0:
@@ -170,12 +174,12 @@ def simulate_cnot(p: CoupledParams, pulse: DrivePulse) -> TruthTable:
     scale = max(np.linalg.norm(h0, 2) + pulse.amplitude, pulse.frequency, 1.0)
     steps_per_ns = 250.0 * scale
 
-    def h_of_t(t):
-        return h0 + pulse.amplitude * math.cos(
-            2.0 * math.pi * pulse.frequency * t + pulse.phase
-        ) * drive_op
+    def coeff(t):
+        return pulse.amplitude * np.cos(2.0 * math.pi * pulse.frequency * t + pulse.phase)
 
-    final = _rk4(_schrodinger_rhs(h_of_t), states, [pulse.duration], steps_per_ns)[-1]
+    a0, a1 = -1j * _TWO_PI * h0, -1j * _TWO_PI * drive_op
+    grid = _checked_time_grid([pulse.duration])
+    final = _rk4_driven(a0, a1, coeff, states, grid, steps_per_ns)[-1]
     pops = np.abs(states.conj().T @ final) ** 2  # [j, i] = P(j | started in i)
     pops = pops.T
     drift = np.abs(pops.sum(axis=1) - 1.0).max()

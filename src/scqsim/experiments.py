@@ -20,10 +20,13 @@ from .core import (
     DensityMatrix,
     HermitianOperator,
     ValidationError,
+    _check_finite,
     _checked_states,
-    _lindblad_rhs,
-    _rk4,
-    _schrodinger_rhs,
+    _checked_time_grid,
+    _hermitian_matrices,
+    _liouvillian,
+    _rk4_driven,
+    _TWO_PI,
     evolve_lindblad,
     hermitian_eigen,
 )
@@ -49,6 +52,7 @@ class DecoherenceParams:
     t2_us: float
 
     def __post_init__(self):
+        _check_finite(self, "t1_us", "t2_us")
         if self.t1_us <= 0:
             raise ValidationError("T1 must be > 0")
         if not 0.0 < self.t2_us <= 2.0 * self.t1_us:
@@ -127,9 +131,7 @@ def rabi(
     decoherence every state is checked as in ``evolve_lindblad`` (trace
     1e-8, positivity -1e-7); drift raises ConvergenceError.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) < 0):
-        raise ValidationError("t_grid must be ascending")
+    t_grid = _checked_time_grid(t_grid)
     nu01 = _energy_basis(qubit)
     h0 = 0.5 * nu01 * (-_SZ)  # diag(-nu01/2, +nu01/2)
     if drive.target == "sigma_x":
@@ -141,18 +143,18 @@ def rabi(
 
     steps_per_ns = 400.0 * max(nu01, drive.frequency, drive.amplitude, 1.0)
 
-    def h_of_t(t):
-        return h0 + drive.amplitude * math.cos(
-            2.0 * math.pi * drive.frequency * t + drive.phase
-        ) * drive_op
+    def coeff(t):
+        return drive.amplitude * np.cos(2.0 * math.pi * drive.frequency * t + drive.phase)
 
     if dec is None:
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        states = _rk4(_schrodinger_rhs(h_of_t), psi0, t_grid, steps_per_ns)
+        a0, a1 = -1j * _TWO_PI * h0, -1j * _TWO_PI * drive_op
+        states = _rk4_driven(a0, a1, coeff, psi0, t_grid, steps_per_ns)
         pop = np.array([abs(s[1]) ** 2 for s in states])
     else:
-        rho0 = np.diag([1.0, 0.0]).astype(complex)
-        rhos = _rk4(_lindblad_rhs(h_of_t, dec.channels()), rho0, t_grid, steps_per_ns)
+        rho0 = np.diag([1.0, 0.0]).astype(complex).ravel()
+        a0, a1 = _liouvillian(h0, dec.channels()), _liouvillian(drive_op, [])
+        rhos = _hermitian_matrices(_rk4_driven(a0, a1, coeff, rho0, t_grid, steps_per_ns), 2)
         pop = np.array([r.population(1) for r in _checked_states(t_grid, rhos)])
     visibility = float(pop.max() - pop.min())
     return ExperimentResult(

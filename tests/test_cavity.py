@@ -58,6 +58,11 @@ class TestHamiltonian:
         with pytest.raises(ValidationError):
             params(nu01=0.0)
 
+    @pytest.mark.parametrize("field", ["nu01", "nu_c", "g", "kappa_per_us"])
+    def test_non_finite_rejected(self, field):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            params(**{field: math.inf})
+
 
 class TestVacuumRabi:
     def test_closed_resonant_cosine(self):
@@ -113,6 +118,11 @@ class TestVacuumRabi:
         rates = np.array([fitted_rate(g) for g in gs])
         slope = np.polyfit(gs, rates, 1)[0]
         assert slope == pytest.approx(2.0, rel=5e-3)
+
+
+    def test_non_finite_time_rejected(self):
+        with pytest.raises(ValidationError, match="time grid"):
+            vacuum_rabi(params(), [0.0, math.nan, 1.0])
 
 
 class TestStrongCoupling:

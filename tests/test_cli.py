@@ -352,6 +352,17 @@ class TestFailurePaths:
                 [float(x) for x in row[1:]], solve_three_junction(p, k=2).energies, atol=1e-12
             )
 
+    def test_negative_start_time_exits_1(self, tmp_path):
+        cfg = tmp_path / "rabi.ini"
+        cfg.write_text(
+            "[qubit]\nnu01 = 10.0\n[pulse]\namplitude = 0.2\nfrequency = 10.0\n"
+            "[time]\nstart = -1\nstop = 1.0\npoints = 3\n"
+        )
+        out = tmp_path / "o.csv"
+        proc = run_cli("rabi", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 1, "error: time grid must be ascending and non-negative")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, text",
         [

@@ -15,11 +15,14 @@ from scqsim.core import (
     HermitianOperator,
     QuantumState,
     ValidationError,
+    _CHUNK_STEPS,
+    _LIOUVILLE_DIMENSION_CAP,
     _checked_states,
+    _liouvillian,
     _lindblad_rhs,
     _lindblad_step,
     _rk4,
-    _schrodinger_rhs,
+    _rk4_driven,
     basis_state,
     evolve_lindblad,
     evolve_unitary,
@@ -317,15 +320,92 @@ class TestPropagatorProperties:
         psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi0 /= np.linalg.norm(psi0)
 
-        def h_of_t(t):
-            return h0 + amp * np.cos(2.0 * np.pi * freq * t) * v
+        def coeff(t):
+            return amp * np.cos(2.0 * np.pi * freq * t)
 
         # rabi's step density; RK4 shrinks the norm by up to ~2e-13 per step
         # here, so 1 ns stays well inside 1e-9 even for the largest ||H||
         steps_per_ns = 400.0 * max(np.linalg.norm(h0, 2) + amp, freq, 1.0)
-        states = _rk4(_schrodinger_rhs(h_of_t), psi0, np.linspace(0.0, 1.0, 5), steps_per_ns)
+        a0, a1 = -2j * np.pi * h0, -2j * np.pi * v
+        states = _rk4_driven(a0, a1, coeff, psi0, np.linspace(0.0, 1.0, 5), steps_per_ns)
         for psi in states:
             assert abs(np.linalg.norm(psi) - 1.0) <= 1e-9
+
+
+def random_drive(seed):
+    """Drive coefficient amp cos(2 pi nu t + phi) with amp, nu in [0, 1) and phi in [0, 2 pi)."""
+    amp, freq, phase = np.random.default_rng(seed).uniform(0.0, 1.0, 3) * [1.0, 1.0, 2.0 * np.pi]
+    return lambda t: amp * np.cos(2.0 * np.pi * freq * t + phase)
+
+
+# the last span takes more than _CHUNK_STEPS steps; the repeated time is a zero span
+DRIVEN_GRID = [0.2, 0.2, 0.55, 3.0]
+DRIVEN_DENSITY = 500.0  # steps per ns: 1225 steps in the last span, in several chunks
+
+
+class TestStepMatrixPropagator:
+    """The step-matrix propagators against the RK4 stage loop they replace."""
+
+    def test_grid_covers_a_chunk_boundary(self):
+        assert (DRIVEN_GRID[-1] - DRIVEN_GRID[-2]) * DRIVEN_DENSITY > _CHUNK_STEPS
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), columns=st.integers(1, 4))
+    def test_driven_schrodinger_matches_stage_loop(self, seed, dim, columns):
+        h0, _, _ = random_system(seed, dim, 0)
+        v, _, _ = random_system(seed + 1, dim, 0)
+        coeff = random_drive(seed)
+        rng = np.random.default_rng(seed)
+        y0 = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
+        a0, a1 = -2j * np.pi * h0, -2j * np.pi * v
+
+        def rhs(t, y):
+            return (a0 + coeff(t) * a1) @ y
+
+        ref = _rk4(rhs, y0, DRIVEN_GRID, DRIVEN_DENSITY)
+        got = _rk4_driven(a0, a1, coeff, y0, DRIVEN_GRID, DRIVEN_DENSITY)
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), n_channels=st.integers(0, 3))
+    def test_driven_lindblad_matches_stage_loop(self, seed, dim, n_channels):
+        h0, channels, rho = random_system(seed, dim, n_channels)
+        v, _, _ = random_system(seed + 1, dim, 0)
+        coeff = random_drive(seed)
+        ref = _rk4(
+            _lindblad_rhs(lambda t: h0 + coeff(t) * v, channels), rho, DRIVEN_GRID, DRIVEN_DENSITY
+        )
+        a0, a1 = _liouvillian(h0, channels), _liouvillian(v, [])
+        got = _rk4_driven(a0, a1, coeff, rho.ravel(), DRIVEN_GRID, DRIVEN_DENSITY)
+        for a, b in zip(got, ref):
+            assert np.abs(a.reshape(dim, dim) - b).max() <= 1e-12
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([_LIOUVILLE_DIMENSION_CAP, _LIOUVILLE_DIMENSION_CAP + 1]),
+        n_channels=st.integers(0, 2),
+    )
+    def test_evolve_lindblad_at_the_liouville_cap(self, seed, dim, n_channels):
+        h, channels, rho = random_system(seed, dim, n_channels)
+        grid = [0.4, 1.3]
+        rhos = evolve_lindblad(HermitianOperator(h), channels, DensityMatrix(rho), grid)
+        gen = lindblad_superoperator(h, channels)
+        for t, state in zip(grid, rhos):
+            exact = (expm(gen * t) @ rho.ravel()).reshape(dim, dim)
+            assert np.abs(state.entries - exact).max() <= 1e-8
+            assert np.array_equal(state.entries, state.entries.conj().T)
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize(
+        "grid", [[-1.0, 0.0], [0.0, np.nan, 1.0], [0.0, np.inf], [1.0, 0.5], [[0.0, 1.0]]]
+    )
+    def test_bad_grids_rejected(self, grid):
+        rho0 = DensityMatrix(np.diag([1.0, 0.0]))
+        with pytest.raises(ValidationError, match="time grid"):
+            evolve_lindblad(herm(SIGMA_Z), [], rho0, grid)
 
 
 class TestStateChecks:

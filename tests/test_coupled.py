@@ -1,5 +1,7 @@
 """Coupled charge-qubit pair and CNOT pulse tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,19 @@ class TestCnot:
             DrivePulse(amplitude=-0.1, frequency=1.0, duration=1.0)
         with pytest.raises(ValidationError):
             pi_pulse_duration(0.0)
+
+    @pytest.mark.parametrize("field", ["amplitude", "frequency", "duration", "phase"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_pulse_non_finite_rejected(self, field, bad):
+        kw = dict(amplitude=0.1, frequency=1.0, duration=1.0, phase=0.0)
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            DrivePulse(**{**kw, field: bad})
+
+    @pytest.mark.parametrize("field", ["ej1", "ej2", "chi"])
+    def test_params_non_finite_rejected(self, field):
+        kw = dict(ej1=5.0, ej2=4.0, chi=0.2)
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            CoupledParams(**{**kw, field: math.nan})
 
 
 class TestCapacitive:

@@ -43,6 +43,11 @@ class TestDecoherenceParams:
         with pytest.raises(ValidationError):
             DecoherenceParams(t1_us=-1.0, t2_us=0.5)
 
+    @pytest.mark.parametrize("kw", [dict(t1_us=math.inf, t2_us=1.0), dict(t1_us=1.0, t2_us=math.nan)])
+    def test_non_finite_times_rejected(self, kw):
+        with pytest.raises(ValidationError, match="must be finite"):
+            DecoherenceParams(**kw)
+
 
 class TestRabi:
     def test_resonant_matches_rotating_frame_formula(self):
@@ -105,6 +110,13 @@ class TestRabi:
         grid = np.array([10.0, 30.0])
         res = rabi(qubit_h(), drive(amp), dec, grid)
         assert res.population[0] > res.population[1]
+
+    @pytest.mark.parametrize(
+        "grid", [[-1.0, 0.0, 1.0], [0.0, math.nan, 1.0], [0.0, math.inf], [1.0, 0.5]]
+    )
+    def test_bad_time_grid_rejected(self, grid):
+        with pytest.raises(ValidationError, match="time grid"):
+            rabi(qubit_h(), drive(0.1), None, grid)
 
     def test_unknown_target_rejected(self):
         bad = DrivePulse(amplitude=0.1, frequency=NU01, duration=0.0, target="sigma_q")
