@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianOperator, QuantumState, ValidationError
+from .core import HermitianOperator, QuantumState, ValidationError, _check_finite
 
 
 def tunable_ej(ej0: float, flux_ratio: float) -> float:
@@ -48,6 +48,8 @@ class CpbParams:
     cutoff: int = 10
 
     def __post_init__(self):
+        optional = ("ej", "ej0", "flux_ratio")
+        _check_finite(self, "ec", "ng", *(n for n in optional if getattr(self, n) is not None))
         if self.ec <= 0:
             raise ValidationError("Ec must be > 0")
         if self.cutoff < 2:

@@ -96,6 +96,8 @@ class ExperimentResult:
         pop = np.asarray(self.population, dtype=float)
         if pop.shape != t.shape:
             raise ValidationError("population and time grid sizes differ")
+        if not (np.isfinite(t).all() and np.isfinite(pop).all()):
+            raise ValidationError("time grid and populations must be finite")
         if pop.min() < -1e-9 or pop.max() > 1.0 + 1e-9:
             raise ValidationError("populations must lie within [0, 1] (1e-9 slack)")
         object.__setattr__(self, "time_grid", t)

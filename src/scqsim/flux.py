@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize_scalar
 
-from .core import ConvergenceError, ValidationError
+from .core import ConvergenceError, ValidationError, _check_finite
 
 # 8th-order central second-derivative weights (center, then offsets 1..4)
 _FD8 = np.array([-205.0 / 72.0, 8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0])
@@ -45,6 +45,7 @@ class RfSquidParams:
     phi_ext: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self, "ej", "ec", "inductive_scale", "phi_ext")
         if self.ej <= 0 or self.ec <= 0 or self.inductive_scale <= 0:
             raise ValidationError("all rf-SQUID energy scales must be > 0")
 
@@ -60,6 +61,7 @@ class ThreeJunctionParams:
     grid_points: int = 48
 
     def __post_init__(self):
+        _check_finite(self, "ej", "ec", "alpha", "f")
         if self.ej <= 0 or self.ec <= 0:
             raise ValidationError("Ej and Ec must be > 0")
         if not 0.5 < self.alpha < 1.0:

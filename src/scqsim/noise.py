@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import welch
 
-from .core import ValidationError
+from .core import ValidationError, _check_finite
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ class FluctuatorEnsemble:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self, "gamma_min", "gamma_max")
         if self.count < 1:
             raise ValidationError("count must be >= 1")
         if self.gamma_min <= 0 or self.gamma_max <= 0:
@@ -53,6 +54,8 @@ class FluctuatorEnsemble:
             object.__setattr__(self, "coupling", tuple(float(v) for v in self.coupling))
             if len(self.coupling) != self.count:
                 raise ValidationError("need one coupling per fluctuator")
+        if not np.isfinite(self.coupling).all():
+            raise ValidationError("couplings must be finite")
 
     @classmethod
     def single(cls, gamma: float, coupling: float, seed: int = 0) -> "FluctuatorEnsemble":

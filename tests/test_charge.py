@@ -5,6 +5,8 @@ Frozen reference numbers were computed with an independent oracle
 the same oracle runs live here for the sweep cross-checks.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -148,6 +150,21 @@ class TestTunableEj:
             CpbParams(ec=-1.0, ej=1.0)
         with pytest.raises(ValidationError):
             CpbParams(ec=1.0, ej=1.0, cutoff=1)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(ec=math.nan, ej=1.0),
+            dict(ec=math.inf, ej=1.0),
+            dict(ec=1.0, ej=math.nan),
+            dict(ec=1.0, ej=1.0, ng=math.inf),
+            dict(ec=1.0, ej0=math.inf, flux_ratio=0.5),
+            dict(ec=1.0, ej0=1.0, flux_ratio=math.nan),
+        ],
+    )
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(ValidationError, match="must be finite"):
+            CpbParams(**kw)
 
 
 class TestSpectrum:

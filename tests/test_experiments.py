@@ -11,7 +11,9 @@ from scqsim.core import ValidationError
 from scqsim.coupled import DrivePulse
 from scqsim.experiments import (
     DecoherenceParams,
+    ExperimentResult,
     FitError,
+    FittedMetrics,
     quality_factor,
     rabi,
     ramsey,
@@ -175,6 +177,25 @@ class TestT1Decay:
         dec = DecoherenceParams(t1_us=2.0, t2_us=2.0)
         res = t1_decay(dec, np.linspace(0.0, 6000.0, 61))
         assert res.fitted.t1_us == pytest.approx(2.0, rel=0.01)
+
+
+class TestExperimentResult:
+    def test_accepts_a_valid_trace(self):
+        r = ExperimentResult(time_grid=[0.0, 1.0], population=[0.0, 1.0], fitted=FittedMetrics())
+        assert r.population.dtype == float
+
+    @pytest.mark.parametrize(
+        "t, pop",
+        [
+            ([0.0, 1.0], [math.nan, 0.5]),
+            ([0.0, 1.0], [0.5, math.nan]),
+            ([0.0, math.nan], [0.5, 0.5]),
+            ([0.0, math.inf], [0.5, 0.5]),
+        ],
+    )
+    def test_non_finite_rejected(self, t, pop):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ExperimentResult(time_grid=t, population=pop, fitted=FittedMetrics())
 
 
 class TestQualityFactor:

@@ -48,6 +48,12 @@ class TestRfSquidPotential:
         with pytest.raises(ValidationError):
             RfSquidParams(ej=0.0, ec=1.0, inductive_scale=1.0)
 
+    @pytest.mark.parametrize("field", ["ej", "ec", "inductive_scale", "phi_ext"])
+    def test_non_finite_rejected(self, field):
+        fields = {"ej": 4.0, "ec": 1.0, "inductive_scale": 0.5, field: math.nan}
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            RfSquidParams(**fields)
+
 
 class TestSolve1D:
     def test_harmonic_oracle(self):
@@ -98,6 +104,13 @@ class TestSolve1D:
 
 
 class TestThreeJunctionPotential:
+    @pytest.mark.parametrize("field", ["ej", "ec", "alpha", "f"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        fields = {"ej": 3.0, "ec": 1.0, "alpha": 0.8, "f": 0.5, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            ThreeJunctionParams(**fields)
+
     def test_point_value(self):
         p = ThreeJunctionParams(ej=3.0, ec=1.0, alpha=0.8, f=0.5)
         assert three_junction_potential(0.0, 0.0, p) == pytest.approx(1.6 * 3.0, abs=1e-12)

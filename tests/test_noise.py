@@ -36,6 +36,20 @@ class TestEnsemble:
         with pytest.raises(ValidationError):
             FluctuatorEnsemble(count=3, gamma_min=0.1, gamma_max=1.0, coupling=(1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(gamma_min=math.nan),
+            dict(gamma_max=math.inf),
+            dict(coupling=math.nan),
+            dict(coupling=(1.0, math.inf, 1.0)),
+        ],
+    )
+    def test_non_finite_rejected(self, kw):
+        fields = {"count": 3, "gamma_min": 0.1, "gamma_max": 1.0, **kw}
+        with pytest.raises(ValidationError, match="must be finite"):
+            FluctuatorEnsemble(**fields)
+
     def test_under_resolved_grid_rejected(self):
         ens = FluctuatorEnsemble.single(10.0, 1.0)
         with pytest.raises(ValidationError):

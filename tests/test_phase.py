@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from scqsim.core import ValidationError
+from scqsim.core import ConvergenceError, ValidationError
 from scqsim.phase import (
     PhaseQubitParams,
     bound_state_count,
@@ -15,6 +16,7 @@ from scqsim.phase import (
     well_domain,
     well_levels,
 )
+from scqsim.phase import _tridiag
 
 EJ = 10.0
 
@@ -45,6 +47,13 @@ class TestPotential:
     def test_regime_warning(self):
         with pytest.warns(UserWarning):
             PhaseQubitParams(ej=1.0, ec=0.5, s=0.0)
+
+    @pytest.mark.parametrize("field", ["ej", "ec", "s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        fields = {"ej": EJ, "ec": EJ / 1e4, "s": 0.2, field: value}
+        with pytest.raises(ValidationError, match=field):
+            PhaseQubitParams(**fields)
 
     def test_domain_brackets_minimum(self):
         p = params(s=0.4)
@@ -80,6 +89,8 @@ class TestWellLevels:
         counts = [bound_state_count(params(s=float(s))) for s in np.arange(0.0, 0.91, 0.1)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert counts[0] > counts[-1] > 0
+        # pinned: the Sturm-count path does not use the level extrapolation
+        assert counts == [180, 144, 119, 97, 77, 60, 44, 29, 17, 6]
 
     def test_truncated_flag_and_exact_count(self):
         p = params(s=0.9)
@@ -97,6 +108,22 @@ class TestWellLevels:
         assert np.all(wl.energies < wl.barrier_top)
         assert np.all(np.diff(wl.energies) > 0)
         assert wl.well_minimum < wl.energies[0]
+
+    @pytest.mark.parametrize("s", [0.2, 0.8])
+    def test_extrapolation_matches_fine_plain_grid(self, s):
+        # the plain 2nd-order stencil on 2^19 points is within ~3e-8
+        # spacings of the continuum limit at Ej/Ec = 1e4 (truncation and
+        # rounding alike)
+        p = params(s=s)
+        diag, off = _tridiag(p, 1 << 19)[1:]
+        fine = sla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 4))
+        wl = well_levels(p, k=5)
+        assert np.abs(wl.energies - fine).max() <= 1e-7 * plasma_spacing(p)
+
+    def test_coarse_user_grid_fails_verification(self):
+        # the extrapolants of grids 512/1024 and 1024/2048 disagree by > tol
+        with pytest.raises(ConvergenceError, match="grid 512"):
+            well_levels(params(s=0.2), k=5, grid=512)
 
     def test_grid_refinement_converged(self):
         p = params(s=0.3)
