@@ -26,11 +26,10 @@ from .core import (
     QuantumState,
     ValidationError,
     _check_finite,
-    _checked_time_grid,
     evolve_lindblad,
     evolve_unitary,
 )
-from .experiments import US_TO_NS, DecoherenceParams, ExperimentResult, FittedMetrics
+from .experiments import US_TO_NS, DecoherenceParams, ExperimentResult, FittedMetrics, _trace_grid
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
     1/(2g) ns.  With kappa or qubit decoherence the exchange envelope
     decays.
     """
-    t_grid = _checked_time_grid(t_grid)
+    t_grid = _trace_grid(t_grid)
     dim_c = p.n_ph + 1
     psi0 = np.zeros(2 * dim_c, dtype=complex)
     psi0[dim_c] = 1.0  # |e> (x) |0>

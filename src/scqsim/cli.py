@@ -20,7 +20,6 @@ import io
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,6 +342,8 @@ def _parallel_map(func, items, threads: int):
         threads = os.cpu_count() or 1
     if threads == 1 or len(items) < 2:
         return [func(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(func, items, chunksize=max(1, len(items) // (4 * threads))))
 

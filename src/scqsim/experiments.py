@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .core import (
     DensityMatrix,
@@ -96,6 +95,8 @@ class ExperimentResult:
         pop = np.asarray(self.population, dtype=float)
         if pop.shape != t.shape:
             raise ValidationError("population and time grid sizes differ")
+        if pop.size == 0:
+            raise ValidationError("an experiment trace needs at least one time point")
         if not (np.isfinite(t).all() and np.isfinite(pop).all()):
             raise ValidationError("time grid and populations must be finite")
         if pop.min() < -1e-9 or pop.max() > 1.0 + 1e-9:
@@ -109,6 +110,14 @@ def quality_factor(t2_us: float, nu01_ghz: float) -> float:
     if t2_us <= 0 or nu01_ghz <= 0:
         raise ValidationError("T2 and nu01 must be > 0")
     return math.pi * t2_us * US_TO_NS * nu01_ghz
+
+
+def _trace_grid(t_grid) -> np.ndarray:
+    """A checked time grid (see ``_checked_time_grid``) with at least one time."""
+    t_grid = _checked_time_grid(t_grid)
+    if t_grid.size == 0:
+        raise ValidationError("time grid must hold at least one time")
+    return t_grid
 
 
 def _energy_basis(qubit: HermitianOperator):
@@ -133,7 +142,7 @@ def rabi(
     decoherence every state is checked as in ``evolve_lindblad`` (trace
     1e-8, positivity -1e-7); drift raises ConvergenceError.
     """
-    t_grid = _checked_time_grid(t_grid)
+    t_grid = _trace_grid(t_grid)
     nu01 = _energy_basis(qubit)
     h0 = 0.5 * nu01 * (-_SZ)  # diag(-nu01/2, +nu01/2)
     if drive.target == "sigma_x":
@@ -180,9 +189,11 @@ def ramsey(
     The fringe is P_e(tau) = (1 + exp(-tau/T2) cos(2 pi delta tau)) / 2;
     a least-squares fit returns the extracted T2 and detuning.
     """
+    from scipy.optimize import curve_fit
+
     if nu01 <= 0:
         raise ValidationError("nu01 must be > 0")
-    delay_grid = np.asarray(delay_grid, dtype=float)
+    delay_grid = _trace_grid(delay_grid)
     h_rot = HermitianOperator(-0.5 * detuning * _SZ)
     psi = _RX90 @ np.array([1.0, 0.0], dtype=complex)
     rho0 = DensityMatrix(np.outer(psi, psi.conj()))
@@ -226,7 +237,9 @@ def ramsey(
 
 def t1_decay(dec: DecoherenceParams, t_grid) -> ExperimentResult:
     """Free decay of the excited state; fits T1 from the trace."""
-    t_grid = np.asarray(t_grid, dtype=float)
+    from scipy.optimize import curve_fit
+
+    t_grid = _trace_grid(t_grid)
     h0 = HermitianOperator(np.zeros((2, 2)))
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     rhos = evolve_lindblad(h0, dec.channels(), rho0, t_grid, verify=False)

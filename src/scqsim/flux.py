@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.optimize import minimize_scalar
 
 from .core import ConvergenceError, ValidationError, _check_finite
 
@@ -107,6 +105,8 @@ def _rf_squid_slope(phi, p: RfSquidParams):
 
 def rf_squid_minima(p: RfSquidParams, span: float = 3.0 * math.pi, samples: int = 2001):
     """Local minima of the rf-SQUID potential around phi_ext (ascending)."""
+    from scipy.optimize import minimize_scalar
+
     phi = np.linspace(p.phi_ext - span, p.phi_ext + span, samples)
     u = rf_squid_potential(phi, p)
     mins = []
@@ -193,6 +193,8 @@ def _circulant_d2(g: int) -> np.ndarray:
 
 
 def _solve_1d_once(potential, ec, phi_lo, phi_hi, grid, k, boundary):
+    import scipy.linalg as sla
+
     if boundary == "box":
         # interior points; the truncated stencil imposes psi = 0 at the walls
         phi = np.linspace(phi_lo, phi_hi, grid + 2)[1:-1]
@@ -315,6 +317,8 @@ def solve_three_junction(
     p: ThreeJunctionParams, k: int = 6, want_states: bool = False
 ) -> Levels2D:
     """Lowest k levels of the periodic 2D three-junction Hamiltonian."""
+    import scipy.linalg as sla
+
     if k < 1:
         raise ValidationError("k must be >= 1")
     g = p.grid_points

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import welch
 
 from .core import ValidationError, _check_finite
 
@@ -146,17 +145,43 @@ def psd_welch(
     n_trajectories: int,
     nperseg: int | None = None,
 ):
-    """Hann-windowed Welch PSD averaged over independent trajectories."""
+    """Hann-windowed Welch PSD averaged over independent trajectories.
+
+    ``nperseg`` (segment length, >= 2) defaults to and is clamped to
+    ``n_samples``.
+    """
     if n_trajectories < 1:
         raise ValidationError("need at least one trajectory")
+    if nperseg is not None and nperseg < 2:
+        raise ValidationError("nperseg must be >= 2")
     t_grid = np.arange(n_samples) * dt
-    nperseg = nperseg or n_samples
+    nperseg = n_samples if nperseg is None else min(nperseg, n_samples)
     acc = None
     for m in range(n_trajectories):
         xi = rtn_trajectory(ens, t_grid, trajectory=m)
-        f, p = welch(xi, fs=1.0 / dt, window="hann", nperseg=nperseg)
+        f, p = _welch(xi, 1.0 / dt, nperseg)
         acc = p if acc is None else acc + p
     return f, acc / n_trajectories
+
+
+def _welch(x: np.ndarray, fs: float, nperseg: int):
+    """One-sided Welch PSD: periodic Hann window, half-overlapping segments.
+
+    Each segment loses its mean before windowing.  The operations and
+    their order follow ``scipy.signal.welch`` (scipy 1.17, density
+    scaling), so the two agree to rounding without importing scipy.
+    """
+    fac = np.linspace(-math.pi, math.pi, nperseg + 1)
+    win = (0.5 + 0.5 * np.cos(fac))[:-1]
+    # density scaling; the squares are summed in order, not pairwise
+    win = win * (1 / np.sqrt(np.cumsum(win * win)[-1] / (1 / fs)))
+    hop = nperseg - nperseg // 2
+    count = (x.size - nperseg // 2) // hop
+    seg = np.lib.stride_tricks.sliding_window_view(x, nperseg)[: count * hop : hop]
+    spec = np.fft.rfft((seg - seg.mean(axis=-1, keepdims=True)) * win)
+    p = spec.real**2 + spec.imag**2
+    p[:, 1 : None if nperseg % 2 else -1] *= 2
+    return np.fft.rfftfreq(nperseg, 1 / fs), np.ascontiguousarray(p.T).mean(axis=-1)
 
 
 def fit_loglog_slope(freq, psd, band: tuple[float, float]) -> float:

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import ConvergenceError, ValidationError, _check_finite
 from .flux import _tridiagonal_hamiltonian, sturm_count_below
@@ -125,6 +124,8 @@ def well_levels(p: PhaseQubitParams, k: int = 3, grid: int | None = None) -> Wel
     an error-model estimate; ``grid`` overrides it for both the levels
     (extrapolated from grid, 2 grid and 4 grid) and the count.
     """
+    import scipy.linalg as sla
+
     if k < 1:
         raise ValidationError("k must be >= 1")
     a = math.asin(p.s)

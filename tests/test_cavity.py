@@ -119,6 +119,10 @@ class TestVacuumRabi:
         slope = np.polyfit(gs, rates, 1)[0]
         assert slope == pytest.approx(2.0, rel=5e-3)
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.01], ids=["closed", "open"])
+    def test_empty_time_grid_rejected(self, kappa):
+        with pytest.raises(ValidationError, match="at least one time"):
+            vacuum_rabi(params(kappa_per_us=kappa), [])
 
     def test_non_finite_time_rejected(self):
         with pytest.raises(ValidationError, match="time grid"):

@@ -382,3 +382,29 @@ class TestFailurePaths:
         proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
         assert_one_line_failure(proc, 1, "config error:")
         assert "not a finite number" in proc.stderr
+
+    @pytest.mark.parametrize("nperseg", [-4, 1])
+    def test_short_welch_segment_exits_1(self, tmp_path, nperseg):
+        cfg = tmp_path / "psd.ini"
+        cfg.write_text(
+            "[noise]\ncount = 4\ngamma_min = 1e-2\ngamma_max = 1.0\ncoupling = 1e-3\n"
+            f"dt = 0.05\nsamples = 1000\ntrajectories = 2\nnperseg = {nperseg}\n"
+        )
+        out = tmp_path / "o.csv"
+        proc = run_cli("noise-psd", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 1, "error: nperseg must be >= 2")
+        assert not out.exists()
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy_and_no_process_pool(self):
+        # scipy and the process pool load where they are called, so a
+        # command that needs neither starts on numpy alone
+        probe = (
+            "import sys, scqsim, scqsim.cli\n"
+            "print(' '.join(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+            " or m == 'concurrent.futures.process')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from scqsim.charge import CpbParams, reduced_two_level
-from scqsim.core import ValidationError
+from scqsim.core import DensityMatrix, HermitianOperator, ValidationError, evolve_lindblad
 from scqsim.coupled import DrivePulse
 from scqsim.experiments import (
     DecoherenceParams,
@@ -120,6 +120,10 @@ class TestRabi:
         with pytest.raises(ValidationError, match="time grid"):
             rabi(qubit_h(), drive(0.1), None, grid)
 
+    def test_empty_time_grid_rejected(self):
+        with pytest.raises(ValidationError, match="at least one time"):
+            rabi(qubit_h(), drive(0.1), DecoherenceParams(t1_us=1.0, t2_us=1.0), [])
+
     def test_unknown_target_rejected(self):
         bad = DrivePulse(amplitude=0.1, frequency=NU01, duration=0.0, target="sigma_q")
         with pytest.raises(ValidationError):
@@ -155,6 +159,11 @@ class TestRamsey:
         assert res.population.max() > 0.999
         assert res.population.min() < 0.001
 
+    def test_empty_delay_grid_rejected(self):
+        dec = DecoherenceParams(t1_us=10.0, t2_us=1.0)
+        with pytest.raises(ValidationError, match="at least one time"):
+            ramsey(5.0, 0.002, dec, [])
+
     def test_degenerate_trace_reported(self):
         dec = DecoherenceParams(t1_us=5e4, t2_us=1e5)
         with pytest.raises(FitError):
@@ -178,6 +187,15 @@ class TestT1Decay:
         res = t1_decay(dec, np.linspace(0.0, 6000.0, 61))
         assert res.fitted.t1_us == pytest.approx(2.0, rel=0.01)
 
+    def test_empty_time_grid_rejected(self):
+        dec = DecoherenceParams(t1_us=2.0, t2_us=2.0)
+        with pytest.raises(ValidationError, match="at least one time"):
+            t1_decay(dec, [])
+        # the propagator itself still maps an empty grid to no states
+        h0 = HermitianOperator(np.zeros((2, 2)))
+        rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
+        assert evolve_lindblad(h0, dec.channels(), rho0, []) == []
+
 
 class TestExperimentResult:
     def test_accepts_a_valid_trace(self):
@@ -196,6 +214,10 @@ class TestExperimentResult:
     def test_non_finite_rejected(self, t, pop):
         with pytest.raises(ValidationError, match="must be finite"):
             ExperimentResult(time_grid=t, population=pop, fitted=FittedMetrics())
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValidationError, match="at least one time point"):
+            ExperimentResult(time_grid=[], population=[], fitted=FittedMetrics())
 
 
 class TestQualityFactor:

@@ -1,6 +1,7 @@
 """Telegraph-noise generator and 1/f dephasing tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import stats
 from scqsim.core import ValidationError
 from scqsim.noise import (
     FluctuatorEnsemble,
+    _welch,
     dephasing_under_rtn,
     fit_loglog_slope,
     fluctuator_states,
@@ -137,6 +139,56 @@ class TestPsd:
     def test_slope_fit_needs_points(self):
         with pytest.raises(ValidationError):
             fit_loglog_slope(np.array([1.0, 2.0]), np.array([1.0, 0.5]), (1.0, 2.0))
+
+    def test_long_segment_clamped_to_the_trace(self):
+        ens = FluctuatorEnsemble(count=4, gamma_min=1e-2, gamma_max=1.0, coupling=1e-3, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f_long, p_long = psd_welch(ens, dt=0.05, n_samples=1000, n_trajectories=2, nperseg=5000)
+        f, p = psd_welch(ens, dt=0.05, n_samples=1000, n_trajectories=2, nperseg=1000)
+        assert np.array_equal(f_long, f) and np.array_equal(p_long, p)
+
+    @pytest.mark.parametrize("nperseg", [-4, 0, 1])
+    def test_segment_shorter_than_two_rejected(self, nperseg):
+        ens = FluctuatorEnsemble(count=4, gamma_min=1e-2, gamma_max=1.0, coupling=1e-3, seed=2)
+        with pytest.raises(ValidationError, match="nperseg must be >= 2"):
+            psd_welch(ens, dt=0.05, n_samples=1000, n_trajectories=2, nperseg=nperseg)
+
+
+# (samples, nperseg): whole trace, half-overlapping pairs, a remainder that
+# fits no segment, odd lengths, and many short segments
+WELCH_CASES = [(65536, 32768), (65536, 65536), (4096, 1024), (5000, 1000), (3001, 777), (40000, 512)]
+
+
+class TestWelch:
+    """The numpy Welch estimate against scipy.signal.welch (Hann, density)."""
+
+    @pytest.mark.parametrize("n, nperseg", WELCH_CASES)
+    def test_matches_scipy(self, n, nperseg):
+        from scipy.signal import welch
+
+        rng = np.random.default_rng(n + nperseg)
+        for offset in (-0.3, 0.0, 0.3, 1.0):  # the segment means must not leak
+            x = offset + 1e-3 * rng.standard_normal(n)
+            f_ref, p_ref = welch(x, fs=1.0 / 0.01, window="hann", nperseg=nperseg)
+            f, p = _welch(x, 1.0 / 0.01, nperseg)
+            np.testing.assert_allclose(f, f_ref, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(p, p_ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n, nperseg", WELCH_CASES)
+    def test_psd_welch_matches_scipy_average(self, n, nperseg):
+        from scipy.signal import welch
+
+        ens = FluctuatorEnsemble(count=5, gamma_min=1e-3, gamma_max=1.0, coupling=1e-3, seed=n)
+        t_grid = np.arange(n) * 0.01
+        refs = [
+            welch(rtn_trajectory(ens, t_grid, trajectory=m), fs=1.0 / 0.01, window="hann",
+                  nperseg=nperseg)
+            for m in range(4)
+        ]
+        f, p = psd_welch(ens, dt=0.01, n_samples=n, n_trajectories=4, nperseg=nperseg)
+        np.testing.assert_allclose(f, refs[0][0], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(p, sum(r[1] for r in refs) / 4, rtol=1e-13, atol=0.0)
 
 
 class TestDephasing:
