@@ -64,7 +64,7 @@ _CIRCUIT_SCHEMAS = {
         "ec": (float, True),
         "alpha": (float, False),
         "f": (float, False),
-        "grid_points": (int, False),
+        "cutoff": (int, False),
     },
     "rf-squid": {
         "ej": (float, True),
@@ -72,7 +72,6 @@ _CIRCUIT_SCHEMAS = {
         "inductive_scale": (float, True),
         "phi_ext": (float, False),
     },
-    "phase": {"ej": (float, True), "ec": (float, True), "s": (float, False)},
     "coupled": {
         "ej1": (float, True),
         "ej2": (float, True),
@@ -267,23 +266,13 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
 def _build_circuit(cfg: RunConfig):
     values = dict(cfg.sections[cfg.circuit_kind])
     values.pop("margin", None)  # jc: consumed by the report, not the params
-    builders = {
-        "cpb": CpbParams,
-        "flux3": ThreeJunctionParams,
-        "rf-squid": RfSquidParams,
-        "phase": None,
-        "coupled": CoupledParams,
-        "noise": None,
-        "qubit": None,
-        "jc": None,
-    }
     if cfg.circuit_kind == "jc":
         dec = None
         if "decoherence" in cfg.sections:
             dec = DecoherenceParams(**cfg.sections["decoherence"])
         return JaynesCummingsParams(dec=dec, **values)
-    builder = builders[cfg.circuit_kind]
-    return builder(**values) if builder else values
+    builders = {"cpb": CpbParams, "rf-squid": RfSquidParams, "coupled": CoupledParams}
+    return builders[cfg.circuit_kind](**values)
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
@@ -369,17 +358,18 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
         tol = cfg.sections.get("precision", {}).get("verify_grid_tol")
         if tol is not None:
             p_mid = ThreeJunctionParams(**{**params_kw, param: values[len(values) // 2]})
+            # built before any solve, so a cutoff + 4 above the dense cap fails at once
+            p_fine = dataclasses.replace(p_mid, cutoff=p_mid.cutoff + 4)
             coarse = solve_three_junction(p_mid, k=k).energies
-            fine = solve_three_junction(
-                dataclasses.replace(p_mid, grid_points=2 * p_mid.grid_points), k=k
-            ).energies
+            fine = solve_three_junction(p_fine, k=k).energies
             moved = float(np.abs(coarse - fine).max())
+            change = f"from cutoff {p_mid.cutoff} to {p_fine.cutoff}"
             if moved > tol:
                 raise ConvergenceError(
-                    f"flux levels moved {moved:.3e} GHz under grid doubling "
-                    f"(tolerance {tol:.3e}); refine grid_points"
+                    f"flux levels moved {moved:.3e} GHz {change} "
+                    f"(tolerance {tol:.3e}); raise cutoff"
                 )
-            comments.append(f"grid verification: levels moved {moved:.3e} GHz under doubling")
+            comments.append(f"grid verification: levels moved {moved:.3e} GHz {change}")
         rows = _parallel_map(_flux_point, [(params_kw, param, x, k) for x in values], cfg.threads)
         control_name = param
 

@@ -1,32 +1,28 @@
-"""Flux qubits: rf-SQUID and three-junction models in the phase basis.
+"""Flux qubits: the rf-SQUID in the phase basis, the three-junction loop
+in the charge basis.
 
-The 1D/2D Schrodinger problems ``H = Ec n^2 + U(phi)`` (``n = -i d/dphi``)
-are discretized with central finite differences: the 2nd-order tridiagonal
-stencil with hard walls on clipped intervals (tridiagonal LAPACK solvers
-stay fast at very large grids), and an 8th-order circulant stencil on
-periodic domains where dense solvers are used anyway.  The three-junction
-potential is
+The rf-SQUID problem ``H = Ec n^2 + U(phi)`` (``n = -i d/dphi``) is
+discretized with the 2nd-order central-difference tridiagonal stencil
+and hard walls on a clipped interval (tridiagonal LAPACK solvers stay
+fast at very large grids).  The three-junction loop has the potential
 
     U(p1, p2) = Ej [2 + a - cos p1 - cos p2 - a cos(2 pi f + p1 - p2)]
 
-with both kinetic axes scaled by the same effective Ec.  The potential is
-invariant under (p1, p2) -> (-p2, -p1); the 2D stencil is block-diagonalized
-in the even/odd sectors of that exchange, which quarters diagonalization
-cost without any approximation.
+with both kinetic axes scaled by the same effective Ec.  It is periodic,
+so it is solved in the charge basis ``|n1, n2>``, ``n = -N..N``
+(Orlando et al., PRB 60, 15398 (1999)), like the Cooper-pair box:
+``H = Ec (n1^2 + n2^2) + U`` where each cosine shifts the charges by one,
+``e^{i p1}|n1, n2> = |n1 + 1, n2>``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .core import ConvergenceError, ValidationError, _check_finite
-
-# 8th-order central second-derivative weights (center, then offsets 1..4)
-_FD8 = np.array([-205.0 / 72.0, 8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0])
+from .core import DIMENSION_CAP, ConvergenceError, ValidationError, _check_finite
 
 
 @dataclass(frozen=True)
@@ -50,13 +46,17 @@ class RfSquidParams:
 
 @dataclass(frozen=True)
 class ThreeJunctionParams:
-    """Three-junction flux qubit; ``alpha`` is the third-junction ratio."""
+    """Three-junction flux qubit; ``alpha`` is the third-junction ratio.
+
+    ``cutoff`` N truncates each island charge to -N..N, a dense matrix of
+    (2N + 1)^2 states.
+    """
 
     ej: float
     ec: float
     alpha: float = 0.8
     f: float = 0.5
-    grid_points: int = 48
+    cutoff: int = 10
 
     def __post_init__(self):
         _check_finite(self, "ej", "ec", "alpha", "f")
@@ -64,8 +64,13 @@ class ThreeJunctionParams:
             raise ValidationError("Ej and Ec must be > 0")
         if not 0.5 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0.5, 1) for a double-well regime")
-        if self.grid_points < 32:
-            raise ValidationError("grid_points must be >= 32")
+        if self.cutoff < 2:
+            raise ValidationError("charge cutoff N must be >= 2")
+        if (2 * self.cutoff + 1) ** 2 > DIMENSION_CAP:
+            raise ValidationError(
+                f"charge cutoff {self.cutoff} gives {(2 * self.cutoff + 1) ** 2} states, "
+                f"above the dense-storage cap {DIMENSION_CAP}"
+            )
 
 
 @dataclass(frozen=True)
@@ -87,10 +92,9 @@ class Levels1D:
 
 @dataclass(frozen=True)
 class Levels2D:
-    phi: np.ndarray  # 1D axis, shared by both directions
     energies: np.ndarray
-    states: np.ndarray | None  # columns of length grid^2 (row-major p1, p2)
-    grid_points: int
+    states: np.ndarray | None  # columns of length (2N + 1)^2 (row-major n1, n2)
+    cutoff: int
 
 
 def rf_squid_potential(phi, p: RfSquidParams):
@@ -181,35 +185,14 @@ def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     return count
 
 
-def _circulant_d2(g: int) -> np.ndarray:
-    h = 2.0 * math.pi / g
-    d = np.zeros((g, g))
-    idx = np.arange(g)
-    d[idx, idx] = _FD8[0] / h**2
-    for k in range(1, 5):
-        d[idx, (idx + k) % g] = _FD8[k] / h**2
-        d[idx, (idx - k) % g] = _FD8[k] / h**2
-    return d
-
-
-def _solve_1d_once(potential, ec, phi_lo, phi_hi, grid, k, boundary):
+def _solve_1d_once(potential, ec, phi_lo, phi_hi, grid, k):
     import scipy.linalg as sla
 
-    if boundary == "box":
-        # interior points; the truncated stencil imposes psi = 0 at the walls
-        phi = np.linspace(phi_lo, phi_hi, grid + 2)[1:-1]
-        h = phi[1] - phi[0]
-        diag, off = _tridiagonal_hamiltonian(np.asarray(potential(phi), dtype=float), ec, h)
-        w, v = sla.eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    elif boundary == "ring":
-        phi = phi_lo + (phi_hi - phi_lo) * np.arange(grid) / grid
-        if abs((phi_hi - phi_lo) - 2.0 * math.pi) > 1e-12:
-            raise ValidationError("ring boundary requires a 2*pi domain")
-        mat = -ec * _circulant_d2(grid) + np.diag(np.asarray(potential(phi), dtype=float))
-        w, v = np.linalg.eigh(mat)
-        w, v = w[:k], v[:, :k]
-    else:
-        raise ValidationError(f"unknown boundary {boundary!r}")
+    # interior points; the truncated stencil imposes psi = 0 at the walls
+    phi = np.linspace(phi_lo, phi_hi, grid + 2)[1:-1]
+    h = phi[1] - phi[0]
+    diag, off = _tridiagonal_hamiltonian(np.asarray(potential(phi), dtype=float), ec, h)
+    w, v = sla.eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
     return Levels1D(phi=phi, energies=np.asarray(w, float), states=v, grid_points=grid)
 
 
@@ -220,16 +203,14 @@ def solve_levels_1d(
     phi_hi: float,
     grid: int = 1024,
     k: int = 4,
-    boundary: str = "box",
     tol: float = 1e-6,
     max_grid: int = 1 << 19,
 ) -> Levels1D:
     """Lowest k levels of ``H = Ec n^2 + U(phi)`` on [phi_lo, phi_hi].
 
-    The grid is doubled until the k lowest eigenvalues move by less than
-    ``tol`` GHz; non-convergence at ``max_grid`` raises ConvergenceError.
-    ``boundary="box"`` clips with hard walls, ``boundary="ring"`` requires
-    a 2*pi domain and treats phi_hi as identified with phi_lo.
+    The interval is clipped with hard walls.  The grid is doubled until
+    the k lowest eigenvalues move by less than ``tol`` GHz;
+    non-convergence at ``max_grid`` raises ConvergenceError.
     """
     if grid < 128:
         raise ValidationError("grid must be >= 128")
@@ -237,10 +218,10 @@ def solve_levels_1d(
         raise ValidationError("empty phase interval")
     if ec <= 0:
         raise ValidationError("Ec must be > 0")
-    prev = _solve_1d_once(potential, ec, phi_lo, phi_hi, grid, k, boundary)
+    prev = _solve_1d_once(potential, ec, phi_lo, phi_hi, grid, k)
     g = grid
     while 2 * g <= max_grid:
-        cur = _solve_1d_once(potential, ec, phi_lo, phi_hi, 2 * g, k, boundary)
+        cur = _solve_1d_once(potential, ec, phi_lo, phi_hi, 2 * g, k)
         if np.abs(cur.energies - prev.energies).max() <= tol:
             return cur
         prev, g = cur, 2 * g
@@ -262,101 +243,42 @@ def three_junction_potential(phi1, phi2, p: ThreeJunctionParams):
     )
 
 
-@lru_cache(maxsize=4)
-def _symmetry_blocks(g: int):
-    """Exchange-negation symmetry data for the g x g periodic grid.
-
-    Permutation (i, j) -> ((g - j) % g, (g - i) % g); returns orbit
-    representatives, partners, and the unit-Ec kinetic blocks in the
-    even/odd sectors.
-    """
-    n = g * g
-    i, j = np.divmod(np.arange(n), g)
-    perm = ((g - j) % g) * g + ((g - i) % g)
-
-    reps, partners = [], []
-    seen = np.zeros(n, dtype=bool)
-    for x in range(n):
-        if seen[x]:
-            continue
-        px = int(perm[x])
-        seen[x] = seen[px] = True
-        reps.append(x)
-        partners.append(px)
-    reps = np.array(reps)
-    partners = np.array(partners)
-    paired = reps != partners
-
-    d2 = _circulant_d2(g)
-    kin = -(np.kron(d2, np.eye(g)) + np.kron(np.eye(g), d2))
-
-    m_e = reps.size
-    m_o = int(paired.sum())
-    s = 1.0 / math.sqrt(2.0)
-    be = np.zeros((n, m_e))
-    bo = np.zeros((n, m_o))
-    be[reps[~paired], np.nonzero(~paired)[0]] = 1.0
-    be[reps[paired], np.nonzero(paired)[0]] = s
-    be[partners[paired], np.nonzero(paired)[0]] = s
-    bo[reps[paired], np.arange(m_o)] = s
-    bo[partners[paired], np.arange(m_o)] = -s
-
-    ke = be.T @ kin @ be
-    ko = bo.T @ kin @ bo
-    return perm, reps, partners, paired, ke, ko
-
-
-def _potential_grid(p: ThreeJunctionParams) -> np.ndarray:
-    g = p.grid_points
-    phi = -math.pi + 2.0 * math.pi * np.arange(g) / g
-    p1, p2 = np.meshgrid(phi, phi, indexing="ij")
-    return three_junction_potential(p1, p2, p).ravel()
+def _three_junction_hamiltonian(p: ThreeJunctionParams) -> np.ndarray:
+    """Dense charge-basis Hamiltonian on |n1, n2>, row-major in (n1, n2)."""
+    m = 2 * p.cutoff + 1
+    n = np.arange(-p.cutoff, p.cutoff + 1)
+    idx = np.arange(m * m).reshape(m, m)
+    h = np.zeros((m * m, m * m), dtype=complex)
+    h[idx, idx] = p.ec * (n[:, None] ** 2 + n[None, :] ** 2) + p.ej * (2.0 + p.alpha)
+    for up, down in ((idx[1:, :], idx[:-1, :]), (idx[:, 1:], idx[:, :-1])):  # cos p1, cos p2
+        h[up, down] = h[down, up] = -0.5 * p.ej
+    # cos(2 pi f + p1 - p2): e^{i(p1 - p2)} takes |n1, n2> to |n1 + 1, n2 - 1>
+    hop = -0.5 * p.alpha * p.ej * np.exp(2j * math.pi * p.f)
+    h[idx[1:, :-1], idx[:-1, 1:]] = hop
+    h[idx[:-1, 1:], idx[1:, :-1]] = np.conj(hop)
+    return h
 
 
 def solve_three_junction(
     p: ThreeJunctionParams, k: int = 6, want_states: bool = False
 ) -> Levels2D:
-    """Lowest k levels of the periodic 2D three-junction Hamiltonian."""
-    import scipy.linalg as sla
+    """Lowest k levels of the three-junction Hamiltonian in the charge basis.
 
+    Each state column is phased so that ``c(-n) = conj(c(n))``: its
+    phase-space wavefunction ``sum_n c(n) e^{i n.phi}`` is then real, and
+    the sum and difference of the two lowest levels are the localized
+    circulating-current states.
+    """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    g = p.grid_points
-    perm, reps, partners, paired, ke, ko = _symmetry_blocks(g)
-    u = _potential_grid(p)
-    u = 0.5 * (u + u[perm])  # enforce the exact exchange symmetry at roundoff
-
-    he = p.ec * ke + np.diag(u[reps])
-    ho = p.ec * ko + np.diag(u[reps[paired]])
-
-    phi = -math.pi + 2.0 * math.pi * np.arange(g) / g
+    h = _three_junction_hamiltonian(p)
     if not want_states:
-        we = sla.eigh(he, eigvals_only=True, subset_by_index=(0, min(k, he.shape[0]) - 1))
-        wo = sla.eigh(ho, eigvals_only=True, subset_by_index=(0, min(k, ho.shape[0]) - 1))
-        w = np.sort(np.concatenate([we, wo]))[:k]
-        return Levels2D(phi=phi, energies=w, states=None, grid_points=g)
-
-    we, ve = sla.eigh(he, subset_by_index=(0, min(k, he.shape[0]) - 1))
-    wo, vo = sla.eigh(ho, subset_by_index=(0, min(k, ho.shape[0]) - 1))
-    s = 1.0 / math.sqrt(2.0)
-    n = g * g
-    cols = []
-    for idx in range(we.size):
-        full = np.zeros(n)
-        full[reps[~paired]] = ve[~paired, idx]
-        full[reps[paired]] = s * ve[paired, idx]
-        full[partners[paired]] += s * ve[paired, idx]
-        cols.append((we[idx], full))
-    for idx in range(wo.size):
-        full = np.zeros(n)
-        full[reps[paired]] = s * vo[:, idx]
-        full[partners[paired]] -= s * vo[:, idx]
-        cols.append((wo[idx], full))
-    cols.sort(key=lambda t: t[0])
-    cols = cols[:k]
-    w = np.array([c[0] for c in cols])
-    v = np.stack([c[1] for c in cols], axis=1)
-    return Levels2D(phi=phi, energies=w, states=v, grid_points=g)
+        return Levels2D(energies=np.linalg.eigvalsh(h)[:k], states=None, cutoff=p.cutoff)
+    w, v = np.linalg.eigh(h)
+    v = v[:, :k]
+    # n -> -n reverses the row-major index; make sum_n c(n) c(-n) real and positive
+    v = v * np.exp(-0.5j * np.angle(np.sum(v * v[::-1], axis=0)))
+    return Levels2D(energies=w[:k], states=v, cutoff=p.cutoff)
 
 
 def flux_spectrum_vs_f(p: ThreeJunctionParams, f_grid, k: int = 6):
@@ -373,22 +295,19 @@ def flux_spectrum_vs_f(p: ThreeJunctionParams, f_grid, k: int = 6):
 
 
 def persistent_current(state: np.ndarray, p: ThreeJunctionParams) -> float:
-    """Circulating-current expectation of a 2D eigenstate, in units of Ej.
+    """Circulating-current expectation of a charge-basis state, in units of Ej.
 
-    Implemented as -<dH/d(2 pi f)>/Ej = -alpha <sin(2 pi f + p1 - p2)>;
+    Implemented as -<dH/d(2 pi f)>/Ej = -alpha Im(e^{2 pi i f} <e^{i(p1 - p2)}>);
     the sign makes the counterclockwise state |up> (the ground state for
     f > 1/2) positive.
     """
-    g = p.grid_points
-    psi = np.asarray(state, dtype=complex).ravel()
-    if psi.size != g * g:
-        raise ValidationError("state length does not match the parameter grid")
-    phi = -math.pi + 2.0 * math.pi * np.arange(g) / g
-    p1, p2 = np.meshgrid(phi, phi, indexing="ij")
-    op = np.sin(2.0 * math.pi * p.f + p1 - p2).ravel()
-    weight = np.abs(psi) ** 2
-    weight = weight / weight.sum()
-    return float(-p.alpha * np.sum(op * weight))
+    m = 2 * p.cutoff + 1
+    c = np.asarray(state, dtype=complex).ravel()
+    if c.size != m * m:
+        raise ValidationError("state length does not match the charge cutoff")
+    c = c.reshape(m, m)
+    shift = np.vdot(c[1:, :-1], c[:-1, 1:])  # <e^{i(p1 - p2)}>, unnormalized
+    return float(-p.alpha * np.imag(np.exp(2j * math.pi * p.f) * shift) / np.vdot(c, c).real)
 
 
 def ground_state_current_vs_f(p: ThreeJunctionParams, f_grid) -> np.ndarray:

@@ -109,7 +109,7 @@ def test_criterion_2_tunable_coupling_endpoints():
 
 def test_criterion_3_flux_spectrum_structure():
     with Budget("3 (flux-qubit spectrum structure)", 120.0):
-        p = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=0.8, grid_points=48)
+        p = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=0.8, cutoff=10)
         f_grid = np.linspace(0.45, 0.55, 201)
         table = flux_spectrum_vs_f(p, f_grid, k=6)
 

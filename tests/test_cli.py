@@ -168,7 +168,7 @@ class TestCliRuns:
 ej = 40.0
 ec = 1.0
 alpha = 0.8
-grid_points = 32
+cutoff = 8
 
 [sweep]
 parameter = f
@@ -183,7 +183,7 @@ verify_grid_tol = 1e-14
         )
         proc = run_cli("spectrum", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
         assert proc.returncode == 2
-        assert "grid doubling" in proc.stderr
+        assert "from cutoff 8 to 12" in proc.stderr
 
     def test_cnot_csv(self, tmp_path):
         cfg = tmp_path / "cnot.ini"
@@ -339,7 +339,7 @@ class TestFailurePaths:
     def test_flux_sweep_sets_the_swept_parameter(self, tmp_path):
         cfg = tmp_path / "flux.ini"
         cfg.write_text(
-            "[flux3]\nej = 40.0\nec = 1.0\nf = 0.5\ngrid_points = 32\n"
+            "[flux3]\nej = 40.0\nec = 1.0\nf = 0.5\ncutoff = 8\n"
             "[sweep]\nparameter = alpha\nstart = 0.7\nstop = 0.8\npoints = 2\nlevels = 2\n"
         )
         out = tmp_path / "flux.csv"
@@ -347,10 +347,43 @@ class TestFailurePaths:
         assert proc.returncode == 0, proc.stderr
         _, _, rows = read_csv(out)
         for row in rows:
-            p = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=float(row[0]), f=0.5, grid_points=32)
+            p = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=float(row[0]), f=0.5, cutoff=8)
             np.testing.assert_allclose(
                 [float(x) for x in row[1:]], solve_three_junction(p, k=2).energies, atol=1e-12
             )
+
+    def test_flux_cutoff_above_dense_cap_exits_1(self, tmp_path):
+        cfg = tmp_path / "flux.ini"
+        cfg.write_text(
+            "[flux3]\nej = 40.0\nec = 1.0\ncutoff = 32\n"
+            "[sweep]\nparameter = f\nstart = 0.49\nstop = 0.51\npoints = 2\nlevels = 2\n"
+        )
+        out = tmp_path / "o.csv"
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 1, "error: charge cutoff 32 gives 4225 states")
+        assert not out.exists()
+
+    def test_precision_cutoff_above_dense_cap_exits_1(self, tmp_path):
+        # cutoff 28 (3249 states) fits the cap; its check at cutoff 32 does not
+        cfg = tmp_path / "flux.ini"
+        cfg.write_text(
+            "[flux3]\nej = 40.0\nec = 1.0\ncutoff = 28\n"
+            "[sweep]\nparameter = f\nstart = 0.49\nstop = 0.51\npoints = 2\nlevels = 2\n"
+            "[precision]\nverify_grid_tol = 1e-3\n"
+        )
+        out = tmp_path / "o.csv"
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 1, "error: charge cutoff 32 gives 4225 states")
+        assert not out.exists()
+
+    def test_phase_block_is_unknown(self, tmp_path):
+        cfg = tmp_path / "phase.ini"
+        cfg.write_text(
+            "[phase]\nej = 10.0\nec = 0.001\n"
+            "[decoherence]\nt1_us = 1.0\nt2_us = 1.0\n[time]\nstop = 10.0\npoints = 3\n"
+        )
+        proc = run_cli("t1", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert_one_line_failure(proc, 1, "config error: unknown section [phase]")
 
     def test_negative_start_time_exits_1(self, tmp_path):
         cfg = tmp_path / "rabi.ini"
@@ -408,3 +441,25 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    def test_flux3_solves_load_no_scipy_linalg(self, tmp_path):
+        # the three-junction path runs on numpy alone, in the CLI's pool too
+        cfg = tmp_path / "flux.ini"
+        cfg.write_text(
+            "[flux3]\nej = 40.0\nec = 1.0\ncutoff = 6\n"
+            "[sweep]\nparameter = f\nstart = 0.49\nstop = 0.51\npoints = 3\nlevels = 2\n"
+            "[precision]\nverify_grid_tol = 1e-3\n"
+        )
+        probe = (
+            "import sys\n"
+            "from scqsim.cli import main\n"
+            "from scqsim.flux import ThreeJunctionParams, persistent_current, solve_three_junction\n"
+            "p = ThreeJunctionParams(ej=40.0, ec=1.0, f=0.52, cutoff=6)\n"
+            "persistent_current(solve_three_junction(p, k=2, want_states=True).states[:, 0], p)\n"
+            f"code = main(['spectrum', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o.csv')!r},"
+            " '--threads', '2'])\n"
+            "print(code, 'scipy.linalg' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]

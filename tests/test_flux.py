@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from scqsim.core import ConvergenceError, ValidationError
+from scqsim.core import DIMENSION_CAP, ConvergenceError, ValidationError
 from scqsim.flux import (
     FluxoidRecord,
-    Levels2D,
     RfSquidParams,
     ThreeJunctionParams,
     classify_fluxoid,
@@ -23,6 +24,7 @@ from scqsim.flux import (
     solve_levels_1d,
     solve_three_junction,
     three_junction_potential,
+    _three_junction_hamiltonian,
 )
 
 
@@ -64,13 +66,6 @@ class TestSolve1D:
         expected = 2.0 * math.sqrt(ec * spring / 2.0)
         assert np.abs(spacing / expected - 1.0).max() < 1e-3
 
-    def test_free_particle_on_ring(self):
-        ec = 0.7
-        lv = solve_levels_1d(
-            lambda x: np.zeros_like(x), ec, -np.pi, np.pi, grid=256, k=5, boundary="ring"
-        )
-        np.testing.assert_allclose(lv.energies, ec * np.array([0, 1, 1, 4, 4]), atol=1e-6)
-
     def test_double_well_parity_and_splitting(self):
         p = RfSquidParams(ej=2.0, ec=0.4, inductive_scale=0.35, phi_ext=np.pi)
         lv = solve_levels_1d(
@@ -97,10 +92,6 @@ class TestSolve1D:
             solve_levels_1d(
                 lambda x: 0.5 * x**2, 1.0, -10.0, 10.0, grid=128, k=2, tol=1e-16, max_grid=256
             )
-
-    def test_ring_needs_full_period(self):
-        with pytest.raises(ValidationError):
-            solve_levels_1d(lambda x: x * 0.0, 1.0, -1.0, 1.0, grid=128, k=2, boundary="ring")
 
 
 class TestThreeJunctionPotential:
@@ -141,55 +132,103 @@ class TestThreeJunctionPotential:
         with pytest.raises(ValidationError):
             ThreeJunctionParams(ej=1.0, ec=1.0, alpha=0.4)
         with pytest.raises(ValidationError):
-            ThreeJunctionParams(ej=1.0, ec=1.0, grid_points=16)
+            ThreeJunctionParams(ej=1.0, ec=1.0, cutoff=1)
+
+    def test_dense_cap_enforced(self):
+        largest = (math.isqrt(DIMENSION_CAP) - 1) // 2  # (2N + 1)^2 <= cap
+        assert ThreeJunctionParams(ej=1.0, ec=1.0, cutoff=largest).cutoff == largest
+        with pytest.raises(ValidationError, match="dense-storage cap"):
+            ThreeJunctionParams(ej=1.0, ec=1.0, cutoff=largest + 1)
+
+
+# Lowest six levels at Ej = 40, Ec = 1, alpha = 0.8 from the phase-grid
+# solver this charge-basis solver replaced: 8th-order circulant finite
+# differences on a 96 x 96 grid (commit 8dab80c, grid_points = 96), whose
+# own error is about 3e-8 GHz.
+FD96_LEVELS = {
+    0.47: [57.42590678107332, 64.41934259297068, 65.73205115731294,
+           67.88591201345504, 70.97751825681077, 72.06355509444317],
+    0.5: [62.5547257856003, 62.73070854298541, 68.67485484179613,
+          69.45483135299037, 69.53359378894652, 70.95427120798647],
+}
 
 
 class TestSolve2D:
-    def test_blocked_matches_direct_dense(self):
-        # independent assembly: explicit kron of the same stencil
-        from scqsim.flux import _circulant_d2
-
-        p = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=0.8, f=0.47, grid_points=32)
-        g = p.grid_points
-        d2 = _circulant_d2(g)
-        kin = -p.ec * (np.kron(d2, np.eye(g)) + np.kron(np.eye(g), d2))
-        phi = -np.pi + 2 * np.pi * np.arange(g) / g
-        pp1, pp2 = np.meshgrid(phi, phi, indexing="ij")
-        dense = kin + np.diag(three_junction_potential(pp1, pp2, p).ravel())
-        w_direct = np.linalg.eigvalsh(dense)[:6]
-        w_blocked = solve_three_junction(p, k=6).energies
-        np.testing.assert_allclose(w_blocked, w_direct, atol=1e-9)
+    @pytest.mark.parametrize("f", sorted(FD96_LEVELS))
+    def test_matches_phase_grid_reference(self, f):
+        p = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=0.8, f=f)
+        w = solve_three_junction(p, k=6).energies
+        np.testing.assert_allclose(w, FD96_LEVELS[f], rtol=0, atol=1e-6)
 
     def test_states_are_eigenvectors(self):
-        from scqsim.flux import _circulant_d2
-
-        p = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=0.8, f=0.5, grid_points=32)
-        sol = solve_three_junction(p, k=2, want_states=True)
-        g = p.grid_points
-        d2 = _circulant_d2(g)
-        kin = -p.ec * (np.kron(d2, np.eye(g)) + np.kron(np.eye(g), d2))
-        phi = -np.pi + 2 * np.pi * np.arange(g) / g
-        pp1, pp2 = np.meshgrid(phi, phi, indexing="ij")
-        dense = kin + np.diag(three_junction_potential(pp1, pp2, p).ravel())
-        for idx in range(2):
+        p = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=0.8, f=0.47)
+        sol = solve_three_junction(p, k=4, want_states=True)
+        h = _three_junction_hamiltonian(p)
+        assert h.shape == ((2 * p.cutoff + 1) ** 2,) * 2
+        for idx in range(4):
             v = sol.states[:, idx]
-            residual = np.linalg.norm(dense @ v - sol.energies[idx] * v)
-            assert residual < 1e-8 * np.linalg.norm(dense, 2)
+            residual = np.linalg.norm(h @ v - sol.energies[idx] * v)
+            assert residual < 1e-12 * np.linalg.norm(h, 2)
+        np.testing.assert_allclose(sol.energies, solve_three_junction(p, k=4).energies, atol=1e-10)
 
-    def test_grid_doubling_2d(self):
-        # documented default grid is 48; doubling moves levels < 1e-4 GHz
-        p48 = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=0.8, f=0.5, grid_points=48)
-        p96 = replace(p48, grid_points=96)
-        w48 = solve_three_junction(p48, k=6).energies
-        w96 = solve_three_junction(p96, k=6).energies
-        assert np.abs(w48 - w96).max() <= 1e-4
+    @pytest.mark.parametrize("f", [0.47, 0.5, 0.52])
+    def test_states_real_in_phase_space(self, f):
+        # c(-n) = conj(c(n)); n -> -n reverses the row-major (n1, n2) index
+        p = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=0.8, f=f)
+        states = solve_three_junction(p, k=4, want_states=True).states
+        assert np.abs(states[::-1] - states.conj()).max() <= 1e-12
+
+    def test_cutoff_convergence(self):
+        # the default cutoff is 10; four more charges move levels < 1e-6 GHz
+        for f in (0.47, 0.5):
+            p10 = ThreeJunctionParams(ej=40.0, ec=1.0, alpha=0.8, f=f, cutoff=10)
+            w10 = solve_three_junction(p10, k=6).energies
+            w14 = solve_three_junction(replace(p10, cutoff=14), k=6).energies
+            assert np.abs(w10 - w14).max() <= 1e-6
+
+
+CHARGE_BASIS = dict(
+    ej=st.floats(0.5, 60.0),
+    ec=st.floats(0.1, 5.0),
+    alpha=st.floats(0.51, 0.99),
+    f=st.floats(-1.0, 2.0),
+    cutoff=st.integers(2, 4),
+)
+
+
+class TestChargeBasisProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(**CHARGE_BASIS)
+    def test_hamiltonian_exactly_hermitian(self, ej, ec, alpha, f, cutoff):
+        h = _three_junction_hamiltonian(ThreeJunctionParams(ej, ec, alpha, f, cutoff))
+        assert np.array_equal(h, h.conj().T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**CHARGE_BASIS)
+    def test_spectrum_symmetric_and_periodic_in_f(self, ej, ec, alpha, f, cutoff):
+        p = ThreeJunctionParams(ej, ec, alpha, f, cutoff)
+        w = solve_three_junction(p, k=6).energies
+        for other in (1.0 - f, f + 1.0):
+            np.testing.assert_allclose(
+                solve_three_junction(replace(p, f=other), k=6).energies, w, rtol=0, atol=1e-9
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(**CHARGE_BASIS)
+    def test_exchange_commutes(self, ej, ec, alpha, f, cutoff):
+        # (n1, n2) -> (-n2, -n1) maps array indices (a, b) -> (m-1-b, m-1-a)
+        h = _three_junction_hamiltonian(ThreeJunctionParams(ej, ec, alpha, f, cutoff))
+        m = 2 * cutoff + 1
+        a, b = np.divmod(np.arange(m * m), m)
+        perm = (m - 1 - b) * m + (m - 1 - a)
+        assert np.array_equal(h[np.ix_(perm, perm)], h)
 
 
 class TestFluxSweep:
-    GRID = 32  # coarse for unit tests; the acceptance suite runs the default 48
+    CUTOFF = 8  # coarse for unit tests; the acceptance suite runs the default 10
 
     def params(self, **kw):
-        return ThreeJunctionParams(ej=40.0, ec=1.0, alpha=0.8, grid_points=self.GRID, **kw)
+        return ThreeJunctionParams(ej=40.0, ec=1.0, alpha=0.8, cutoff=self.CUTOFF, **kw)
 
     def test_symmetry_and_min_gap(self):
         fg = np.linspace(0.45, 0.55, 11)
