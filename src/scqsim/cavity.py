@@ -26,6 +26,7 @@ from .core import (
     QuantumState,
     ValidationError,
     _check_finite,
+    _check_integral,
     evolve_lindblad,
     evolve_unitary,
 )
@@ -45,6 +46,7 @@ class JaynesCummingsParams:
 
     def __post_init__(self):
         _check_finite(self, "nu01", "nu_c", "g", "n_ph", "kappa_per_us")
+        _check_integral(n_ph=self.n_ph)
         if self.nu01 <= 0 or self.nu_c <= 0:
             raise ValidationError("qubit and cavity frequencies must be > 0")
         if self.g < 0:

@@ -13,6 +13,7 @@ With these units the propagator carries an explicit 2*pi:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, InitVar
 
 import numpy as np
@@ -54,6 +55,13 @@ def _check_finite(obj, *names: str) -> None:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def _check_integral(**values) -> None:
+    """Raise ValidationError naming the first of the given counts that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _checked_time_grid(t_grid) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DIMENSION_CAP, ConvergenceError, ValidationError, _check_finite
+from .core import DIMENSION_CAP, ConvergenceError, ValidationError, _check_finite, _check_integral
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ class ThreeJunctionParams:
 
     def __post_init__(self):
         _check_finite(self, "ej", "ec", "alpha", "f")
+        _check_integral(cutoff=self.cutoff)
         if self.ej <= 0 or self.ec <= 0:
             raise ValidationError("Ej and Ec must be > 0")
         if not 0.5 < self.alpha < 1.0:

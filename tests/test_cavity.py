@@ -63,6 +63,10 @@ class TestHamiltonian:
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             params(**{field: math.inf})
 
+    def test_non_integral_photon_cutoff_rejected(self):
+        with pytest.raises(ValidationError, match="n_ph must be an integer"):
+            params(n_ph=4.5)
+
 
 class TestVacuumRabi:
     def test_closed_resonant_cosine(self):

@@ -166,6 +166,10 @@ class TestTunableEj:
         with pytest.raises(ValidationError, match="must be finite"):
             CpbParams(**kw)
 
+    def test_non_integral_cutoff_rejected(self):
+        with pytest.raises(ValidationError, match="cutoff must be an integer"):
+            CpbParams(ec=1.0, ej=1.0, cutoff=4.5)
+
 
 class TestSpectrum:
     def test_separation_ratios(self):

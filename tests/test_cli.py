@@ -428,6 +428,27 @@ class TestFailurePaths:
         assert_one_line_failure(proc, 1, "error: nperseg must be >= 2")
         assert not out.exists()
 
+    def test_overflowing_noise_grid_exits_1(self, tmp_path):
+        # samples * dt overflows to inf: the grid is rejected, not sampled
+        cfg = tmp_path / "psd.ini"
+        cfg.write_text(
+            "[noise]\ncount = 4\ngamma_min = 1e-2\ngamma_max = 1.0\ncoupling = 1e-3\n"
+            "dt = 1e308\nsamples = 1000\ntrajectories = 2\n"
+        )
+        out = tmp_path / "o.csv"
+        proc = run_cli("noise-psd", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 1, "error: time grid has non-finite times")
+        assert not out.exists()
+
+    def test_negative_noise_seed_exits_1(self, tmp_path):
+        cfg = tmp_path / "psd.ini"
+        cfg.write_text(
+            "[run]\nseed = -1\n[noise]\ncount = 4\ngamma_min = 1e-2\ngamma_max = 1.0\ncoupling = 1e-3\n"
+            "dt = 0.05\nsamples = 1000\ntrajectories = 2\n"
+        )
+        proc = run_cli("noise-psd", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert_one_line_failure(proc, 1, "error: seed must be >= 0")
+
 
 class TestColdStart:
     def test_import_loads_no_scipy_and_no_process_pool(self):

@@ -102,6 +102,10 @@ class TestThreeJunctionPotential:
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             ThreeJunctionParams(**fields)
 
+    def test_non_integral_cutoff_rejected(self):
+        with pytest.raises(ValidationError, match="cutoff must be an integer"):
+            ThreeJunctionParams(ej=40.0, ec=1.0, cutoff=4.5)
+
     def test_point_value(self):
         p = ThreeJunctionParams(ej=3.0, ec=1.0, alpha=0.8, f=0.5)
         assert three_junction_potential(0.0, 0.0, p) == pytest.approx(1.6 * 3.0, abs=1e-12)

@@ -2,9 +2,12 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from scqsim.core import ValidationError
@@ -52,10 +55,28 @@ class TestEnsemble:
         with pytest.raises(ValidationError, match="must be finite"):
             FluctuatorEnsemble(**fields)
 
+    @pytest.mark.parametrize("kw", [dict(count=2.5), dict(seed=1.5)])
+    def test_non_integral_count_rejected(self, kw):
+        fields = {"count": 3, "gamma_min": 0.1, "gamma_max": 1.0, **kw}
+        with pytest.raises(ValidationError, match="must be an integer"):
+            FluctuatorEnsemble(**fields)
+
+    def test_negative_seed_rejected(self):
+        # numpy's seed sequence would raise a bare ValueError at the first draw
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            FluctuatorEnsemble(count=3, gamma_min=0.1, gamma_max=1.0, seed=-1)
+
     def test_under_resolved_grid_rejected(self):
         ens = FluctuatorEnsemble.single(10.0, 1.0)
         with pytest.raises(ValidationError):
             rtn_trajectory(ens, np.arange(0.0, 5.0, 0.5))
+
+    @pytest.mark.parametrize("sampler", [rtn_trajectory, fluctuator_states])
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, 0.5, math.inf]])
+    def test_non_finite_grid_rejected(self, sampler, grid):
+        ens = FluctuatorEnsemble.single(0.1, 0.5)
+        with pytest.raises(ValidationError, match="non-finite"):
+            sampler(ens, grid)
 
 
 class TestTrajectories:
@@ -154,6 +175,18 @@ class TestPsd:
         with pytest.raises(ValidationError, match="nperseg must be >= 2"):
             psd_welch(ens, dt=0.05, n_samples=1000, n_trajectories=2, nperseg=nperseg)
 
+    @pytest.mark.parametrize("kw", [dict(n_trajectories=2.5), dict(n_samples=1000.5), dict(nperseg=100.5)])
+    def test_non_integral_counts_rejected(self, kw):
+        ens = FluctuatorEnsemble(count=4, gamma_min=1e-2, gamma_max=1.0, coupling=1e-3, seed=2)
+        args = {"dt": 0.05, "n_samples": 1000, "n_trajectories": 2, **kw}
+        with pytest.raises(ValidationError, match="must be an integer"):
+            psd_welch(ens, **args)
+
+    def test_non_finite_step_rejected(self):
+        ens = FluctuatorEnsemble(count=4, gamma_min=1e-2, gamma_max=1.0, coupling=1e-3, seed=2)
+        with pytest.raises(ValidationError, match="non-finite"):
+            psd_welch(ens, math.nan, 1000, 2)
+
 
 # (samples, nperseg): whole trace, half-overlapping pairs, a remainder that
 # fits no segment, odd lengths, and many short segments
@@ -230,3 +263,77 @@ class TestDephasing:
         ens = FluctuatorEnsemble.single(0.1, 0.01)
         with pytest.raises(ValidationError):
             dephasing_under_rtn(10.0, ens, 50, np.arange(0.0, 1.1, 0.1))
+
+    def test_non_integral_trajectory_count_rejected(self):
+        ens = FluctuatorEnsemble.single(0.1, 0.01)
+        with pytest.raises(ValidationError, match="n_trajectories must be an integer"):
+            dephasing_under_rtn(10.0, ens, 150.5, np.arange(0.0, 1.1, 0.1))
+
+    @pytest.mark.parametrize(
+        "nu01, grid", [(math.nan, [0.0, 0.5, 1.0]), (10.0, [0.0, math.nan, 1.0])], ids=["nu01", "grid"]
+    )
+    def test_non_finite_input_rejected(self, nu01, grid):
+        ens = FluctuatorEnsemble.single(0.1, 0.01)
+        with pytest.raises(ValidationError, match="finite"):
+            dephasing_under_rtn(nu01, ens, 100, grid)
+
+
+def _uneven_grid(short, long, pairs):
+    """Grid whose steps alternate between ``short`` and ``long`` ns."""
+    return np.concatenate([[0.0], np.cumsum(np.tile([short, long], pairs))])
+
+
+class TestEventSampler:
+    """Statistics of the event-driven sampler on non-uniform grids."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=st.floats(0.0, 100.0),
+        n_steps=st.integers(20, 400),
+        couplings=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.1, -0.3]), st.floats(-2.0, 2.0)), min_size=1, max_size=6
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        trajectory=st.integers(0, 1000),
+    )
+    def test_trace_is_coupling_weighted_sum_of_states(self, start, n_steps, couplings, seed, trajectory):
+        steps = np.random.default_rng(seed).uniform(1e-3, 0.1, n_steps)
+        grid = start + np.concatenate([[0.0], np.cumsum(steps)])
+        gamma_max = 0.1 / steps.max()  # the fastest rate the grid resolves: many flips
+        n = len(couplings)
+        ens = FluctuatorEnsemble(count=n, gamma_min=gamma_max / (20.0 if n > 1 else 1.0),
+                                 gamma_max=gamma_max, coupling=tuple(couplings), seed=seed)
+        states = fluctuator_states(ens, grid, trajectory)
+        assert np.all(np.abs(states) == 1.0)
+        v = ens.couplings
+        xi = rtn_trajectory(ens, grid, trajectory)
+        assert np.all(np.abs(xi - v @ states) <= 4.0 * np.spacing(np.abs(v).sum()))
+        # one coupling for all: v times an exact integer sum of the states
+        scalar = replace(ens, coupling=couplings[0])
+        assert np.array_equal(rtn_trajectory(scalar, grid, trajectory), couplings[0] * states.sum(axis=0))
+
+    def test_stationary_variance(self):
+        # mean(xi^2) over trajectories at fixed times equals sum v^2, 5 sigma
+        v = np.array([0.3, -0.2, 0.5, 0.1, 0.0, 0.25])
+        ens = FluctuatorEnsemble(count=6, gamma_min=0.02, gamma_max=2.0, coupling=tuple(v), seed=31)
+        grid = _uneven_grid(0.01, 0.05, 100)
+        m = 2000
+        xi = np.stack([rtn_trajectory(ens, grid, trajectory=i) for i in range(m)])
+        exact = float(np.sum(v**2))
+        sigma = math.sqrt(2.0 * (exact**2 - float(np.sum(v**4))) / m)
+        for j in (0, grid.size // 2, grid.size - 1):
+            assert abs(float(np.mean(xi[:, j] ** 2)) - exact) <= 5.0 * sigma
+
+    def test_autocorrelation_on_uneven_grid(self):
+        # exp(-2 gamma tau) from the first sample, 3 sigma; a flip landing one
+        # grid point early or late would show at the short lags
+        gamma = 0.2
+        ens = FluctuatorEnsemble.single(gamma, 1.0, seed=17)
+        grid = _uneven_grid(0.02, 0.3, 8)
+        m = 10000
+        paths = np.stack([rtn_trajectory(ens, grid, trajectory=i) for i in range(m)])
+        for lag in (1, 2, 5, 11, 16):
+            est = float(np.mean(paths[:, 0] * paths[:, lag]))
+            exact = math.exp(-2.0 * gamma * (grid[lag] - grid[0]))
+            sigma = math.sqrt((1.0 - exact**2) / m)
+            assert abs(est - exact) <= 3.0 * sigma
