@@ -8,8 +8,10 @@ CNOT; Lindblad open-system protocols (Rabi, Ramsey, T1); spin-fluctuator
 Units: h = 1, energies in GHz, time in ns, rates in 1/ns; the propagator
 is exp(-i 2 pi H t).
 
-Importing scqsim loads numpy only: scipy is imported inside the functions
-that call it, so a CLI command that needs none of it starts fast.
+Importing scqsim loads numpy only.  scipy is used only by the tridiagonal
+eigensolvers (``phase.well_levels`` and the rf-SQUID grid solver in
+``flux``) and is imported inside them; fits and potential minima are numpy
+code, so a CLI command that needs no tridiagonal solve starts fast.
 """
 
 __version__ = "0.1.0"

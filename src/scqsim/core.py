@@ -34,6 +34,10 @@ class ConvergenceError(RuntimeError):
     """A numerical routine failed to reach its accuracy target."""
 
 
+class FitError(RuntimeError):
+    """Least-squares extraction failed or the trace is degenerate."""
+
+
 def _complex_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -74,6 +78,49 @@ def _checked_time_grid(t_grid) -> np.ndarray:
     if t.size and (t[0] < 0 or np.any(np.diff(t) < 0)):
         raise ValidationError("time grid must be ascending and non-negative")
     return t
+
+
+_FIT_MAX_ITER = 200
+_FIT_XTOL = 1e-12
+
+
+def _least_squares(model, y, p0, what: str = "least-squares fit") -> np.ndarray:
+    """Levenberg-Marquardt parameters p minimizing ||model(p) - y||^2.
+
+    ``model(p)`` returns ``(values, jacobian)``.  Each iteration solves
+    ``(A + lam diag(A)) s = -J^T r`` with ``A = J^T J``; a step that does
+    not raise the squared residual is taken and lam shrinks tenfold, else
+    lam grows tenfold.  Stops once ``||D s|| <= 1e-12 ||D p||`` with
+    ``D = sqrt(diag(A))`` (MINPACK's scaled step test).  FitError, naming
+    ``what``: no stop in 200 iterations, a non-finite parameter or model
+    value, or a singular normal matrix.
+    """
+    p = np.array(p0, dtype=float)
+    values, jac = model(p)
+    r = values - y
+    cost, lam = r @ r, 1e-3
+    for _ in range(_FIT_MAX_ITER):
+        a = jac.T @ jac
+        scale = np.sqrt(np.diag(a))
+        try:
+            step = np.linalg.solve(a + lam * np.diag(np.diag(a)), -(jac.T @ r))
+        except np.linalg.LinAlgError:
+            raise FitError(f"{what} failed: singular normal matrix") from None
+        trial = p + step
+        if not np.isfinite(trial).all():
+            raise FitError(f"{what} failed: non-finite parameters {trial}")
+        values, trial_jac = model(trial)
+        trial_r = values - y
+        if not (np.isfinite(trial_r).all() and np.isfinite(trial_jac).all()):
+            raise FitError(f"{what} failed: non-finite model at parameters {trial}")
+        trial_cost = trial_r @ trial_r
+        if trial_cost <= cost:
+            p, r, jac, cost, lam = trial, trial_r, trial_jac, trial_cost, 0.1 * lam
+        else:
+            lam *= 10.0
+        if np.linalg.norm(scale * step) <= _FIT_XTOL * np.linalg.norm(scale * p):
+            return p
+    raise FitError(f"{what} did not converge in {_FIT_MAX_ITER} iterations")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

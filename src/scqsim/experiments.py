@@ -17,12 +17,14 @@ import numpy as np
 
 from .core import (
     DensityMatrix,
+    FitError,
     HermitianOperator,
     ValidationError,
     _check_finite,
     _checked_states,
     _checked_time_grid,
     _hermitian_matrices,
+    _least_squares,
     _liouvillian,
     _rk4_driven,
     _TWO_PI,
@@ -37,10 +39,6 @@ US_TO_NS = 1000.0
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-
-
-class FitError(RuntimeError):
-    """Least-squares extraction failed or the trace is degenerate."""
 
 
 @dataclass(frozen=True)
@@ -178,6 +176,28 @@ def rabi(
 _RX90 = (np.eye(2, dtype=complex) - 1j * _SX) / math.sqrt(2.0)
 
 
+def _fit_ramsey(tau: np.ndarray, pop: np.ndarray, t2_ns: float, delta: float) -> np.ndarray:
+    """(T2 in ns, delta) fitted to P_e = (1 + exp(-tau/T2) cos(2 pi delta tau)) / 2."""
+
+    def model(q):
+        decay, phase = np.exp(-tau / q[0]), _TWO_PI * q[1] * tau
+        d_t2 = 0.5 * decay * np.cos(phase) * tau / q[0] ** 2
+        d_delta = -math.pi * decay * np.sin(phase) * tau
+        return 0.5 * (1.0 + decay * np.cos(phase)), np.column_stack([d_t2, d_delta])
+
+    return _least_squares(model, pop, (t2_ns, delta), "Ramsey fringe fit")
+
+
+def _fit_t1(t: np.ndarray, pop: np.ndarray, t1_ns: float) -> float:
+    """T1 in ns fitted to P_e = exp(-t/T1)."""
+
+    def model(q):
+        decay = np.exp(-t / q[0])
+        return decay, (decay * t / q[0] ** 2)[:, None]
+
+    return float(_least_squares(model, pop, (t1_ns,), "T1 decay fit")[0])
+
+
 def ramsey(
     nu01: float,
     detuning: float,
@@ -187,10 +207,9 @@ def ramsey(
     """Two ideal pi/2 pulses separated by free evolution in the drive frame.
 
     The fringe is P_e(tau) = (1 + exp(-tau/T2) cos(2 pi delta tau)) / 2;
-    a least-squares fit returns the extracted T2 and detuning.
+    a least-squares fit returns the extracted T2 and detuning (FitError
+    if the trace has no contrast or the fit fails).
     """
-    from scipy.optimize import curve_fit
-
     if nu01 <= 0:
         raise ValidationError("nu01 must be > 0")
     delay_grid = _trace_grid(delay_grid)
@@ -205,22 +224,9 @@ def ramsey(
 
     if np.ptp(pop) < 1e-6:
         raise FitError("degenerate Ramsey trace (no fringe contrast); cannot fit")
-
-    def model(tau, t2_ns, delta):
-        return 0.5 * (1.0 + np.exp(-tau / t2_ns) * np.cos(2.0 * math.pi * delta * tau))
-
-    try:
-        popt, _ = curve_fit(
-            model,
-            delay_grid,
-            pop,
-            p0=(dec.t2_us * US_TO_NS, max(abs(detuning), 1e-6)),
-            maxfev=10000,
-        )
-    except RuntimeError as exc:
-        raise FitError(f"Ramsey fringe fit failed: {exc}") from exc
-    t2_fit = abs(float(popt[0])) / US_TO_NS
-    delta_fit = abs(float(popt[1]))
+    t2_ns, delta = _fit_ramsey(delay_grid, pop, dec.t2_us * US_TO_NS, max(abs(detuning), 1e-6))
+    t2_fit = abs(float(t2_ns)) / US_TO_NS
+    delta_fit = abs(float(delta))
     visibility = float(pop.max() - pop.min())
     return ExperimentResult(
         time_grid=delay_grid,
@@ -236,22 +242,16 @@ def ramsey(
 
 
 def t1_decay(dec: DecoherenceParams, t_grid) -> ExperimentResult:
-    """Free decay of the excited state; fits T1 from the trace."""
-    from scipy.optimize import curve_fit
-
+    """Free decay of the excited state; fits T1 from the trace (FitError if the fit fails)."""
     t_grid = _trace_grid(t_grid)
     h0 = HermitianOperator(np.zeros((2, 2)))
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     rhos = evolve_lindblad(h0, dec.channels(), rho0, t_grid, verify=False)
     pop = np.array([r.entries[1, 1].real for r in rhos])
 
-    def model(t, t1_ns):
-        return np.exp(-t / t1_ns)
-
     t1_fit = None
     if t_grid.size >= 3:  # a 1-2 point trace cannot support a fit
-        popt, _ = curve_fit(model, t_grid, pop, p0=(dec.t1_us * US_TO_NS,), maxfev=10000)
-        t1_fit = abs(float(popt[0])) / US_TO_NS
+        t1_fit = abs(_fit_t1(t_grid, pop, dec.t1_us * US_TO_NS)) / US_TO_NS
     return ExperimentResult(
         time_grid=t_grid,
         population=pop,

@@ -22,7 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DIMENSION_CAP, ConvergenceError, ValidationError, _check_finite, _check_integral
+from .core import (
+    DIMENSION_CAP,
+    ConvergenceError,
+    ValidationError,
+    _check_finite,
+    _check_integral,
+    _least_squares,
+)
 
 
 @dataclass(frozen=True)
@@ -109,29 +116,27 @@ def _rf_squid_slope(phi, p: RfSquidParams):
 
 
 def rf_squid_minima(p: RfSquidParams, span: float = 3.0 * math.pi, samples: int = 2001):
-    """Local minima of the rf-SQUID potential around phi_ext (ascending)."""
-    from scipy.optimize import minimize_scalar
+    """Local minima of the rf-SQUID potential around phi_ext (ascending).
 
+    Each grid minimum phi[i] starts a Newton iteration on U' that stays in
+    the bracket [phi[i-1], phi[i+1]]: a step that leaves it, or one taken
+    where the curvature is not positive, is replaced by bisection.  The
+    iteration stops once |U'| < 1e-13 Ej.
+    """
     phi = np.linspace(p.phi_ext - span, p.phi_ext + span, samples)
     u = rf_squid_potential(phi, p)
     mins = []
-    for i in range(1, samples - 1):
-        if u[i] < u[i - 1] and u[i] < u[i + 1]:
-            res = minimize_scalar(
-                lambda x: float(rf_squid_potential(x, p)),
-                bounds=(phi[i - 1], phi[i + 1]),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
-            x = float(res.x)
-            # Newton-polish on U' so stationarity holds to roundoff
-            for _ in range(30):
-                slope = float(_rf_squid_slope(x, p))
-                curv = p.ej * math.cos(x) + 2.0 * p.inductive_scale
-                if abs(slope) < 1e-13 * p.ej or curv <= 0:
-                    break
-                x -= slope / curv
-            mins.append(x)
+    for i in np.flatnonzero((u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])) + 1:
+        lo, x, hi = (float(v) for v in phi[i - 1 : i + 2])
+        for _ in range(100):
+            slope = float(_rf_squid_slope(x, p))
+            if abs(slope) < 1e-13 * p.ej:
+                break
+            lo, hi = (lo, x) if slope > 0 else (x, hi)  # U' < 0 < U' across the minimum
+            curv = p.ej * math.cos(x) + 2.0 * p.inductive_scale
+            newton = x - slope / curv if curv > 0 else math.nan  # nan fails the bracket test
+            x = newton if lo < newton < hi else 0.5 * (lo + hi)
+        mins.append(x)
     return mins
 
 
@@ -324,18 +329,20 @@ def fit_two_level_gap(f_grid, gaps):
     """Fit E1 - E0 to sqrt(Delta^2 + (c (f - 1/2))^2) near f = 1/2.
 
     Returns (delta, slope c, max relative residual).  Delta realizes the
-    tunneling splitting between the circulating-current states.
+    tunneling splitting between the circulating-current states.  The
+    squared gap is linear in (Delta^2, c^2); that linear fit starts a
+    least-squares polish of the gap itself (FitError if it fails).
     """
-    from scipy.optimize import curve_fit
-
     f_grid = np.asarray(f_grid, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
+    x = (f_grid - 0.5) ** 2
+    start = np.linalg.lstsq(np.column_stack([np.ones_like(x), x]), gaps**2, rcond=None)[0]
 
-    def model(f, delta, c):
-        return np.sqrt(delta**2 + (c * (f - 0.5)) ** 2)
+    def model(q):
+        g = np.sqrt(q[0] ** 2 + q[1] ** 2 * x)
+        return g, np.column_stack([q[0] / g, q[1] * x / g])
 
-    p0 = (float(gaps.min()), max((gaps.max() - gaps.min()) / max(abs(f_grid - 0.5).max(), 1e-9), 1.0))
-    popt, _ = curve_fit(model, f_grid, gaps, p0=p0)
-    delta, c = float(abs(popt[0])), float(abs(popt[1]))
-    rel = np.abs(model(f_grid, delta, c) - gaps) / gaps
+    q = _least_squares(model, gaps, np.sqrt(np.abs(start)), "two-level gap fit")
+    delta, c = float(abs(q[0])), float(abs(q[1]))
+    rel = np.abs(model((delta, c))[0] - gaps) / gaps
     return delta, c, float(rel.max())

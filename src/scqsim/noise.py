@@ -79,6 +79,8 @@ class FluctuatorEnsemble:
 
 
 def _check_grid(ens: FluctuatorEnsemble, t_grid: np.ndarray) -> np.ndarray:
+    if t_grid.ndim != 1:
+        raise ValidationError(f"time grid must be one-dimensional, got shape {t_grid.shape}")
     if not np.isfinite(t_grid).all():
         raise ValidationError("time grid has non-finite times")
     dt = np.diff(t_grid)

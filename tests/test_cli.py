@@ -309,6 +309,15 @@ class TestFailurePaths:
         proc = run_cli("ramsey", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
         assert_one_line_failure(proc, 2, "numerical failure: degenerate Ramsey trace")
 
+    def test_unfittable_t1_trace_exits_2(self, tmp_path):
+        # five samples at t = 0 cannot fix T1: the fit's normal matrix is singular
+        cfg = tmp_path / "t1.ini"
+        cfg.write_text("[decoherence]\nt1_us = 10.0\nt2_us = 1.0\n[time]\nstop = 0\npoints = 5\n")
+        out = tmp_path / "o.csv"
+        proc = run_cli("t1", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 2, "numerical failure: T1 decay fit failed: singular")
+        assert not out.exists()
+
     def test_integer_sweep(self, tmp_path):
         cfg = tmp_path / "cut.ini"
         cfg.write_text(
@@ -462,6 +471,34 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    def test_fits_and_minima_load_no_scipy_optimize(self, tmp_path):
+        # the Ramsey and T1 fits, the fluxoid minima and the two-level gap
+        # fit run on numpy's least squares, so scipy.optimize never loads
+        configs = {
+            "ramsey": "[qubit]\nnu01 = 10.0\ndetuning = 0.002\n"
+            "[decoherence]\nt1_us = 10.0\nt2_us = 1.0\n[time]\nstop = 2500.0\npoints = 101\n",
+            "t1": "[decoherence]\nt1_us = 2.0\nt2_us = 2.0\n[time]\nstop = 6000.0\npoints = 61\n",
+            "fluxoid": "[rf-squid]\nej = 5.0\nec = 0.15\ninductive_scale = 0.5\n"
+            "phi_ext = 3.14159\n",
+        }
+        calls = []
+        for command, text in configs.items():
+            cfg = tmp_path / f"{command}.ini"
+            cfg.write_text(text)
+            out = tmp_path / f"{command}.csv"
+            calls.append(f"main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}])")
+        probe = (
+            "import sys\n"
+            "from scqsim.cli import main\n"
+            "from scqsim.flux import fit_two_level_gap\n"
+            f"codes = [{', '.join(calls)}]\n"
+            "fit_two_level_gap([0.49, 0.5, 0.51], [0.51, 0.1, 0.51])\n"
+            "print(*codes, any(m.split('.')[:2] == ['scipy', 'optimize'] for m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0", "0", "False"]
 
     def test_flux3_solves_load_no_scipy_linalg(self, tmp_path):
         # the three-junction path runs on numpy alone, in the CLI's pool too

@@ -12,12 +12,14 @@ from scqsim.core import (
     DIMENSION_CAP,
     ConvergenceError,
     DensityMatrix,
+    FitError,
     HermitianOperator,
     QuantumState,
     ValidationError,
     _CHUNK_STEPS,
     _LIOUVILLE_DIMENSION_CAP,
     _checked_states,
+    _least_squares,
     _liouvillian,
     _lindblad_rhs,
     _lindblad_step,
@@ -425,3 +427,48 @@ class TestStateChecks:
     def test_propagation_drift_is_a_convergence_error(self, rho):
         with pytest.raises(ConvergenceError):
             _checked_states([1.0], [rho.astype(complex)])
+
+
+class TestLeastSquares:
+    X = np.linspace(0.0, 1.0, 7)
+
+    def test_linear_model_matches_lstsq(self):
+        rng = np.random.default_rng(5)
+        a = np.column_stack([np.ones_like(self.X), self.X, self.X**2])
+        y = a @ [1.0, -2.0, 0.5] + rng.normal(0.0, 0.1, self.X.size)
+        p = _least_squares(lambda q: (a @ q, a), y, [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(p, np.linalg.lstsq(a, y, rcond=None)[0], rtol=1e-12, atol=1e-12)
+
+    def test_iteration_cap(self):
+        # exp(-q) fitted to zeros: the minimum lies at q = inf, and each step
+        # adds about 1 to q without ever becoming small relative to q
+        def decay(q):
+            e = np.full(self.X.size, np.exp(-q[0]))
+            return e, -e[:, None]
+
+        with pytest.raises(FitError, match="did not converge in 200 iterations"):
+            _least_squares(decay, np.zeros(self.X.size), [0.0])
+
+    def test_non_finite_parameter(self):
+        # a slope of 1e-160 needs a parameter beyond the float range to reach y
+        x = 1e-160 * self.X
+        with pytest.raises(FitError, match="non-finite"):
+            _least_squares(lambda q: (q[0] * x, x[:, None]), 1e150 * self.X, [1.0])
+
+    def test_non_finite_model_value(self):
+        def root(q):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                v = np.sqrt(q[0])
+                return np.full(self.X.size, v), np.full((self.X.size, 1), 0.5 / v)
+
+        # the first step lands at a negative q, where the model is nan
+        with pytest.raises(FitError, match="non-finite"):
+            _least_squares(root, np.full(self.X.size, -1.0), [1.0])
+
+    def test_singular_normal_matrix(self):
+        # the second parameter does not enter the model: a zero Jacobian column
+        def model(q):
+            return q[0] * self.X, np.column_stack([self.X, np.zeros_like(self.X)])
+
+        with pytest.raises(FitError, match="singular"):
+            _least_squares(model, 2.0 * self.X, [1.0, 1.0])

@@ -14,6 +14,8 @@ from scqsim.experiments import (
     ExperimentResult,
     FitError,
     FittedMetrics,
+    _fit_ramsey,
+    _fit_t1,
     quality_factor,
     rabi,
     ramsey,
@@ -195,6 +197,59 @@ class TestT1Decay:
         h0 = HermitianOperator(np.zeros((2, 2)))
         rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
         assert evolve_lindblad(h0, dec.channels(), rho0, []) == []
+
+    def test_zero_span_trace_cannot_be_fitted(self):
+        # three samples at t = 0 carry no information about T1
+        with pytest.raises(FitError, match="T1 decay fit failed: singular"):
+            t1_decay(DecoherenceParams(t1_us=2.0, t2_us=2.0), [0.0, 0.0, 0.0])
+
+
+def ramsey_fringe(tau, t2_ns, delta):
+    return 0.5 * (1.0 + np.exp(-tau / t2_ns) * np.cos(2.0 * math.pi * delta * tau))
+
+
+def t1_curve(t, t1_ns):
+    return np.exp(-t / t1_ns)
+
+
+class TestFitOracles:
+    """The numpy fits against exact model data and against scipy's curve_fit."""
+
+    TAU = np.linspace(0.0, 2500.0, 101)
+    T = np.linspace(0.0, 6000.0, 61)
+
+    @pytest.mark.parametrize("t2_ns, delta", [(1000.0, 0.002), (600.0, 0.0035), (2800.0, 0.0012)])
+    def test_ramsey_recovers_exact_parameters(self, t2_ns, delta):
+        p = _fit_ramsey(self.TAU, ramsey_fringe(self.TAU, t2_ns, delta), 1.2 * t2_ns, 1.05 * delta)
+        np.testing.assert_allclose(p, [t2_ns, delta], rtol=1e-10)
+
+    @pytest.mark.parametrize("t1_ns", [500.0, 2000.0, 4800.0])
+    def test_t1_recovers_exact_parameter(self, t1_ns):
+        fit = _fit_t1(self.T, t1_curve(self.T, t1_ns), 0.7 * t1_ns)
+        assert fit == pytest.approx(t1_ns, rel=1e-10)
+
+    # at its default ftol = 1.5e-8 curve_fit can stop 1e-8 or more from the
+    # least-squares minimum (1.6e-8 in T2 for seed 0); tightened, it is a
+    # converged reference
+    TIGHT = dict(maxfev=10000, ftol=1e-15, xtol=1e-15, gtol=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ramsey_matches_curve_fit_on_noisy_data(self, seed):
+        from scipy.optimize import curve_fit
+
+        rng = np.random.default_rng(seed)
+        y = ramsey_fringe(self.TAU, 1000.0, 0.002) + rng.normal(0.0, 0.01, self.TAU.size)
+        ref = curve_fit(ramsey_fringe, self.TAU, y, p0=(1000.0, 0.002), **self.TIGHT)[0]
+        np.testing.assert_allclose(_fit_ramsey(self.TAU, y, 1000.0, 0.002), ref, rtol=1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_t1_matches_curve_fit_on_noisy_data(self, seed):
+        from scipy.optimize import curve_fit
+
+        rng = np.random.default_rng(seed)
+        y = t1_curve(self.T, 2000.0) + rng.normal(0.0, 0.01, self.T.size)
+        ref = curve_fit(t1_curve, self.T, y, p0=(2000.0,), **self.TIGHT)[0][0]
+        assert _fit_t1(self.T, y, 2000.0) == pytest.approx(ref, rel=1e-8)
 
 
 class TestExperimentResult:

@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from scqsim.core import DIMENSION_CAP, ConvergenceError, ValidationError
+from scqsim.core import DIMENSION_CAP, ConvergenceError, FitError, ValidationError
 from scqsim.flux import (
     FluxoidRecord,
     RfSquidParams,
@@ -296,6 +296,19 @@ class TestFluxSweep:
         assert resid <= 0.02
         assert delta > 0 and slope > 0
 
+    @pytest.mark.parametrize("delta, c", [(0.01, 50.0), (0.2, 300.0), (0.5, 10.0)])
+    def test_two_level_fit_recovers_exact_hyperbola(self, delta, c):
+        fg = np.linspace(0.49, 0.51, 9)
+        fit_delta, fit_c, resid = fit_two_level_gap(fg, np.sqrt(delta**2 + (c * (fg - 0.5)) ** 2))
+        assert fit_delta == pytest.approx(delta, rel=1e-12)
+        assert fit_c == pytest.approx(c, rel=1e-12)
+        assert resid <= 1e-12
+
+    def test_two_level_fit_needs_points_off_half(self):
+        # at f = 1/2 alone the slope does not enter the model
+        with pytest.raises(FitError, match="singular"):
+            fit_two_level_gap([0.5, 0.5, 0.5], [0.1, 0.1, 0.1])
+
     def test_state_grid_mismatch(self):
         pf = self.params(f=0.5)
         with pytest.raises(ValidationError):
@@ -303,6 +316,64 @@ class TestFluxSweep:
 
 
 class TestFluxoid:
+    @staticmethod
+    def slope(p, x):  # U'(x), written out independently of scqsim.flux
+        return p.ej * np.sin(x) + 2.0 * p.inductive_scale * (x - p.phi_ext)
+
+    @staticmethod
+    def curvature(p, x):
+        return p.ej * np.cos(x) + 2.0 * p.inductive_scale
+
+    @staticmethod
+    def grid_minima(p, samples):
+        phi = np.linspace(p.phi_ext - 3.0 * math.pi, p.phi_ext + 3.0 * math.pi, samples)
+        u = rf_squid_potential(phi, p)
+        return phi, np.flatnonzero((u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])) + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ej=st.floats(0.5, 20.0),
+        ratio=st.floats(0.02, 5.0),  # inductive_scale / Ej
+        phi_ext=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    )
+    def test_minima_are_bracketed_stationary_and_counted(self, ej, ratio, phi_ext):
+        p = RfSquidParams(ej=ej, ec=1.0, inductive_scale=ratio * ej, phi_ext=phi_ext)
+        phi, grid_minima = self.grid_minima(p, 2001)
+        fine = np.linspace(phi[0], phi[-1], 4 * 2000 + 1)
+        sign_changes = np.diff(np.sign(self.slope(p, fine)))
+        # every stationary point well inside the span and apart from the next
+        # one, so the 2001-point grid resolves each of them
+        turns = np.concatenate([[fine[0]], fine[np.flatnonzero(sign_changes)], [fine[-1]]])
+        assume(np.all(np.diff(turns) > 4 * (phi[1] - phi[0])))
+        minima = rf_squid_minima(p)
+        # one minimum per - to + sign change of U' on the 4x finer grid
+        assert len(minima) == np.count_nonzero(sign_changes > 0) == grid_minima.size
+        for i, x in zip(grid_minima, minima):
+            assert phi[i - 1] <= x <= phi[i + 1]
+            assert abs(self.slope(p, x)) <= 1e-13 * ej
+            assert self.curvature(p, x) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ej=st.floats(0.5, 20.0),
+        ratio=st.floats(0.02, 2.0),
+        phi_ext=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+        samples=st.integers(9, 101),
+    )
+    # 9 samples put the grid minimum on the barrier top between two wells,
+    # where U'' < 0 and an unguarded Newton step has no meaning
+    @example(ej=8.0, ratio=0.375, phi_ext=3.5, samples=9)
+    def test_coarse_grid_minima_stay_in_their_brackets(self, ej, ratio, phi_ext, samples):
+        p = RfSquidParams(ej=ej, ec=1.0, inductive_scale=ratio * ej, phi_ext=phi_ext)
+        phi, grid_minima = self.grid_minima(p, samples)
+        minima = rf_squid_minima(p, samples=samples)
+        assert len(minima) == grid_minima.size
+        for i, x in zip(grid_minima, minima):
+            assert phi[i - 1] <= x <= phi[i + 1]
+            if self.slope(p, phi[i - 1]) < 0 < self.slope(p, phi[i + 1]):  # U' changes sign inside
+                assert abs(self.slope(p, x)) <= 1e-13 * ej
+                assert self.curvature(p, x) > 0
+
     def test_aligned_zero(self):
         p = RfSquidParams(ej=5.0, ec=0.15, inductive_scale=0.5, phi_ext=0.0)
         rec = classify_fluxoid(p, 0.0)

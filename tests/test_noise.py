@@ -72,6 +72,31 @@ class TestEnsemble:
             rtn_trajectory(ens, np.arange(0.0, 5.0, 0.5))
 
     @pytest.mark.parametrize("sampler", [rtn_trajectory, fluctuator_states])
+    def test_two_dimensional_grid_rejected(self, sampler):
+        ens = FluctuatorEnsemble.single(0.1, 0.5)
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            sampler(ens, [[0.0, 0.5], [1.0, 1.5]])
+
+    def test_two_dimensional_grid_is_a_cli_config_error(self, tmp_path, monkeypatch, capsys):
+        # the CLI builds 1-D grids itself, so a grid error reaches it only
+        # from a library call; it must leave as exit 1 with one line
+        from scqsim import cli
+
+        def psd_on_2d_grid(ens, **_):
+            rtn_trajectory(ens, [[0.0, 0.5], [1.0, 1.5]])
+
+        monkeypatch.setattr(cli, "psd_welch", psd_on_2d_grid)
+        cfg = tmp_path / "noise.ini"
+        cfg.write_text(
+            "[noise]\ncount = 1\ngamma_min = 0.1\ngamma_max = 0.1\ncoupling = 0.5\n"
+            "dt = 0.5\nsamples = 4\ntrajectories = 1\n"
+        )
+        code = cli.main(["noise-psd", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: time grid must be one-dimensional")
+
+    @pytest.mark.parametrize("sampler", [rtn_trajectory, fluctuator_states])
     @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, 0.5, math.inf]])
     def test_non_finite_grid_rejected(self, sampler, grid):
         ens = FluctuatorEnsemble.single(0.1, 0.5)
