@@ -5,7 +5,8 @@ Config files are flat INI text (``key = value`` under one level of
 Every CSV starts with ``#`` comment lines recording the tool version, the
 fully resolved configuration, and the seed; data rows carry 15
 significant digits.  Identical config + seed produce byte-identical
-output at any thread count (sweep points are computed independently).
+output.  Sweeps run in one process: ``--threads`` and ``[run] threads``
+are validated and otherwise ignored.
 
 Exit codes: 0 success, 1 config error, 2 numerical non-convergence or a
 failed fit.
@@ -18,7 +19,6 @@ import configparser
 import dataclasses
 import io
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -29,12 +29,11 @@ from .cavity import JaynesCummingsParams, strong_coupling_check, vacuum_rabi
 from .charge import CpbParams, cpb_hamiltonian, reduced_two_level, spectrum_vs_ng
 from .core import ConvergenceError, ValidationError, basis_state, evolve_unitary
 from .coupled import CoupledParams, DrivePulse, pi_pulse_duration, simulate_cnot
-from .experiments import DecoherenceParams, FitError, quality_factor, rabi, ramsey, t1_decay
+from .experiments import DecoherenceParams, FitError, rabi, ramsey, t1_decay
 from .flux import (
     RfSquidParams,
     ThreeJunctionParams,
     classify_fluxoid,
-    flux_spectrum_vs_f,
     rf_squid_minima,
     solve_three_junction,
 )
@@ -49,52 +48,48 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+def _fields_schema(cls, omit=(), **extra) -> dict:
+    """``{key: (converter, required)}`` for the fields of a parameter dataclass.
+
+    ``int`` fields parse as int, ``float`` ones (also ``float | None``) as
+    float; a field without a default is required.  Any other annotation
+    raises, so a new non-numeric field cannot silently parse as a float.
+    """
+    schema = {}
+    for f in dataclasses.fields(cls):
+        if f.name in omit:
+            continue
+        head = getattr(f.type, "__name__", str(f.type)).split("|")[0].strip()
+        if head not in ("int", "float"):
+            raise TypeError(f"{cls.__name__}.{f.name}: no config converter for {f.type!r}")
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        schema[f.name] = (int if head == "int" else float, required)
+    return {**schema, **extra}
+
+
+# block -> (parameter dataclass, fields the config does not set, extra keys
+# the command reads); the block's other keys are the dataclass fields
+_PARAM_BLOCKS = {
+    "cpb": (CpbParams, (), {}),
+    "flux3": (ThreeJunctionParams, (), {}),
+    "rf-squid": (RfSquidParams, (), {}),
+    "coupled": (CoupledParams, ("basis",), {}),
+    "jc": (JaynesCummingsParams, ("dec",), {"margin": (float, False)}),
+    "noise": (
+        FluctuatorEnsemble,
+        ("seed",),  # from [run] seed
+        {"dt": (float, True), "samples": (int, True), "trajectories": (int, True),
+         "nperseg": (int, False)},
+    ),
+    "decoherence": (DecoherenceParams, (), {}),
+}
+_SCHEMAS = {
+    name: _fields_schema(cls, omit, **extra) for name, (cls, omit, extra) in _PARAM_BLOCKS.items()
+}
+
 # section -> key -> (converter, required)
 _CIRCUIT_SCHEMAS = {
-    "cpb": {
-        "ec": (float, True),
-        "ej": (float, False),
-        "ej0": (float, False),
-        "flux_ratio": (float, False),
-        "ng": (float, False),
-        "cutoff": (int, False),
-    },
-    "flux3": {
-        "ej": (float, True),
-        "ec": (float, True),
-        "alpha": (float, False),
-        "f": (float, False),
-        "cutoff": (int, False),
-    },
-    "rf-squid": {
-        "ej": (float, True),
-        "ec": (float, True),
-        "inductive_scale": (float, True),
-        "phi_ext": (float, False),
-    },
-    "coupled": {
-        "ej1": (float, True),
-        "ej2": (float, True),
-        "chi": (float, False),
-    },
-    "jc": {
-        "nu01": (float, True),
-        "nu_c": (float, True),
-        "g": (float, True),
-        "n_ph": (int, False),
-        "kappa_per_us": (float, False),
-        "margin": (float, False),
-    },
-    "noise": {
-        "count": (int, True),
-        "gamma_min": (float, True),
-        "gamma_max": (float, True),
-        "coupling": (float, True),
-        "dt": (float, True),
-        "samples": (int, True),
-        "trajectories": (int, True),
-        "nperseg": (int, False),
-    },
+    **{name: _SCHEMAS[name] for name in ("cpb", "flux3", "rf-squid", "coupled", "jc", "noise")},
     "qubit": {"nu01": (float, True), "detuning": (float, False)},
 }
 
@@ -103,7 +98,7 @@ _OTHER_SCHEMAS = {
         "command": (str, False),
         "out": (str, False),
         "seed": (int, False),
-        "threads": (int, False),
+        "threads": (int, False),  # accepted and validated; sweeps run in one process
     },
     "sweep": {
         "parameter": (str, True),
@@ -112,13 +107,14 @@ _OTHER_SCHEMAS = {
         "points": (int, True),
         "levels": (int, False),
     },
+    # duration's default depends on the command: 0 for rabi, the pi pulse for cnot
     "pulse": {
         "amplitude": (float, True),
         "frequency": (float, True),
         "duration": (float, False),
         "phase": (float, False),
     },
-    "decoherence": {"t1_us": (float, True), "t2_us": (float, True)},
+    "decoherence": _SCHEMAS["decoherence"],
     "time": {"start": (float, False), "stop": (float, True), "points": (int, True)},
     "precision": {"verify_grid_tol": (float, False)},
 }
@@ -143,7 +139,6 @@ class RunConfig:
     sections: dict  # section name -> {key: parsed value}
     out: str
     seed: int
-    threads: int
 
 
 def _parse_sections(text: str, errors: list[str]) -> dict:
@@ -230,16 +225,15 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     if "sweep" in sections and circuit_kind is not None and "parameter" in sections["sweep"]:
         sweep = sections["sweep"]
         param = sweep["parameter"]
-        schema = _CIRCUIT_SCHEMAS[circuit_kind]
-        numeric = {k for k, (conv, _) in schema.items() if conv in (float, int)}
-        if param not in numeric:
+        schema = _CIRCUIT_SCHEMAS[circuit_kind]  # every circuit key is numeric
+        if param not in schema:
             errors.append(
                 f"sweep parameter '{param}' does not exist on [{circuit_kind}] "
-                f"(choose from {sorted(numeric)})"
+                f"(choose from {sorted(schema)})"
             )
         if sweep.get("points", 1) < 1:
             errors.append("sweep points must be >= 1")
-        elif param in numeric and schema[param][0] is int and {"start", "stop"} <= sweep.keys():
+        elif param in schema and schema[param][0] is int and {"start", "stop"} <= sweep.keys():
             grid = np.linspace(sweep["start"], sweep["stop"], sweep.get("points", 1))
             if np.any(grid != np.round(grid)):
                 errors.append(
@@ -247,8 +241,12 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
                     f"points give non-integral values"
                 )
 
+    if "sweep" in sections and sections["sweep"].get("levels", 1) < 1:
+        errors.append("sweep levels must be >= 1")
     if "time" in sections and sections["time"].get("points", 1) < 1:
         errors.append("time points must be >= 1")
+    if run.get("threads", 0) < 0:
+        errors.append(f"threads must be >= 0, got {run['threads']}")
 
     if errors:
         raise ConfigError(errors)
@@ -259,20 +257,19 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         sections=sections,
         out=run.get("out", "out.csv"),
         seed=run.get("seed", 0),
-        threads=run.get("threads", 1),
     )
 
 
-def _build_circuit(cfg: RunConfig):
-    values = dict(cfg.sections[cfg.circuit_kind])
-    values.pop("margin", None)  # jc: consumed by the report, not the params
-    if cfg.circuit_kind == "jc":
-        dec = None
-        if "decoherence" in cfg.sections:
-            dec = DecoherenceParams(**cfg.sections["decoherence"])
-        return JaynesCummingsParams(dec=dec, **values)
-    builders = {"cpb": CpbParams, "rf-squid": RfSquidParams, "coupled": CoupledParams}
-    return builders[cfg.circuit_kind](**values)
+def _params(cfg: RunConfig, block: str, **overrides):
+    """The parameter object of a block; its extra keys stay with the command."""
+    cls = _PARAM_BLOCKS[block][0]
+    names = {f.name for f in dataclasses.fields(cls)}
+    values = {k: v for k, v in cfg.sections[block].items() if k in names}
+    return cls(**{**values, **overrides})
+
+
+def _decoherence(cfg: RunConfig):
+    return _params(cfg, "decoherence") if "decoherence" in cfg.sections else None
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
@@ -288,8 +285,6 @@ def _format(x) -> str:
 
 def _write_csv(path: str, cfg: RunConfig, columns, rows, extra_comments=()):
     buf = io.StringIO()
-    # the worker count is deliberately not recorded: output bytes must be
-    # identical at any thread count for the same config + seed
     buf.write(f"# scqsim {__version__}\n")
     buf.write(f"# command = {cfg.command}\n")
     buf.write(f"# seed = {cfg.seed}\n")
@@ -314,72 +309,49 @@ def _sweep_values(cfg: RunConfig) -> list:
     return [conv(x) for x in np.linspace(s["start"], s["stop"], s["points"])]
 
 
-def _cpb_point(args):
-    params_kw, ng, k = args
-    p = CpbParams(**{**params_kw, "ng": ng})
-    return spectrum_vs_ng(p, [ng], k=k).levels[0]
-
-
-def _flux_point(args):
-    params_kw, param, x, k = args
-    p = ThreeJunctionParams(**{**params_kw, param: x})
-    return solve_three_junction(p, k=k).energies
-
-
-def _parallel_map(func, items, threads: int):
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads == 1 or len(items) < 2:
-        return [func(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items, chunksize=max(1, len(items) // (4 * threads))))
-
-
 def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
     sweep = cfg.sections["sweep"]
     k = sweep.get("levels", 5)
-    values = _sweep_values(cfg)
-    params_kw = dict(cfg.sections[cfg.circuit_kind])
     param = sweep["parameter"]
+    kind = cfg.circuit_kind
+    values = _sweep_values(cfg)
     comments = []
 
-    if cfg.circuit_kind == "cpb":
-        if param == "ng":
-            rows = _parallel_map(_cpb_point, [(params_kw, x, k) for x in values], cfg.threads)
+    def levels(p):
+        if kind == "flux3":
+            row = solve_three_junction(p, k=k).energies
+        elif param == "ng":
+            row = spectrum_vs_ng(p, [p.ng], k=k).levels[0]
         else:
-            rows = []
-            for x in values:
-                p = CpbParams(**{**params_kw, param: x})
-                rows.append(np.linalg.eigvalsh(cpb_hamiltonian(p).entries)[:k])
-        control_name = param
-    else:  # flux3
-        tol = cfg.sections.get("precision", {}).get("verify_grid_tol")
-        if tol is not None:
-            p_mid = ThreeJunctionParams(**{**params_kw, param: values[len(values) // 2]})
-            # built before any solve, so a cutoff + 4 above the dense cap fails at once
-            p_fine = dataclasses.replace(p_mid, cutoff=p_mid.cutoff + 4)
-            coarse = solve_three_junction(p_mid, k=k).energies
-            fine = solve_three_junction(p_fine, k=k).energies
-            moved = float(np.abs(coarse - fine).max())
-            change = f"from cutoff {p_mid.cutoff} to {p_fine.cutoff}"
-            if moved > tol:
-                raise ConvergenceError(
-                    f"flux levels moved {moved:.3e} GHz {change} "
-                    f"(tolerance {tol:.3e}); raise cutoff"
-                )
-            comments.append(f"grid verification: levels moved {moved:.3e} GHz {change}")
-        rows = _parallel_map(_flux_point, [(params_kw, param, x, k) for x in values], cfg.threads)
-        control_name = param
+            row = np.linalg.eigvalsh(cpb_hamiltonian(p).entries)[:k]
+        if len(row) < k:
+            raise ValidationError(
+                f"cutoff {p.cutoff} gives {len(row)} levels, fewer than levels = {k}; "
+                f"raise cutoff or lower levels"
+            )
+        return row
 
-    columns = [control_name] + [f"E{i}" for i in range(k)]
-    data = [[v, *row] for v, row in zip(values, rows)]
+    tol = cfg.sections.get("precision", {}).get("verify_grid_tol")
+    if kind == "flux3" and tol is not None:
+        p_mid = _params(cfg, kind, **{param: values[len(values) // 2]})
+        # built before any solve, so a cutoff + 4 above the dense cap fails at once
+        p_fine = dataclasses.replace(p_mid, cutoff=p_mid.cutoff + 4)
+        moved = float(np.abs(levels(p_mid) - levels(p_fine)).max())
+        change = f"from cutoff {p_mid.cutoff} to {p_fine.cutoff}"
+        if moved > tol:
+            raise ConvergenceError(
+                f"flux levels moved {moved:.3e} GHz {change} "
+                f"(tolerance {tol:.3e}); raise cutoff"
+            )
+        comments.append(f"grid verification: levels moved {moved:.3e} GHz {change}")
+
+    columns = [param] + [f"E{i}" for i in range(k)]
+    data = [[x, *levels(_params(cfg, kind, **{param: x}))] for x in values]
     return columns, data, comments
 
 
 def _cmd_evolve(cfg: RunConfig):
-    p = _build_circuit(cfg)
+    p = _params(cfg, "cpb")
     h = reduced_two_level(p)
     grid = _time_grid(cfg)
     psi0 = basis_state(2, 0)
@@ -400,13 +372,10 @@ def _cmd_rabi(cfg: RunConfig):
         phase=pulse_kw.get("phase", 0.0),
         target="sigma_x",
     )
-    dec = None
-    if "decoherence" in cfg.sections:
-        dec = DecoherenceParams(**cfg.sections["decoherence"])
     nu01 = q["nu01"]
     h = reduced_two_level(CpbParams(ec=1.0, ej=nu01, ng=0.5))
     grid = _time_grid(cfg)
-    result = rabi(h, pulse, dec, grid)
+    result = rabi(h, pulse, _decoherence(cfg), grid)
     comments = [f"visibility = {_format(result.fitted.visibility)}"]
     rows = [[t, p] for t, p in zip(result.time_grid, result.population)]
     return ["t_ns", "p_excited"], rows, comments
@@ -414,7 +383,7 @@ def _cmd_rabi(cfg: RunConfig):
 
 def _cmd_ramsey(cfg: RunConfig):
     q = cfg.sections["qubit"]
-    dec = DecoherenceParams(**cfg.sections["decoherence"])
+    dec = _params(cfg, "decoherence")
     result = ramsey(q["nu01"], q.get("detuning", 0.0), dec, _time_grid(cfg))
     comments = [
         f"fitted_t2_us = {_format(result.fitted.t2_us)}",
@@ -426,15 +395,14 @@ def _cmd_ramsey(cfg: RunConfig):
 
 
 def _cmd_t1(cfg: RunConfig):
-    dec = DecoherenceParams(**cfg.sections["decoherence"])
-    result = t1_decay(dec, _time_grid(cfg))
+    result = t1_decay(_params(cfg, "decoherence"), _time_grid(cfg))
     comments = [f"fitted_t1_us = {_format(result.fitted.t1_us)}"]
     rows = [[t, p] for t, p in zip(result.time_grid, result.population)]
     return ["t_ns", "p_excited"], rows, comments
 
 
 def _cmd_cnot(cfg: RunConfig):
-    p = _build_circuit(cfg)
+    p = _params(cfg, "coupled")
     pk = cfg.sections["pulse"]
     duration = pk.get("duration")
     if duration is None:
@@ -458,13 +426,7 @@ def _cmd_cnot(cfg: RunConfig):
 
 def _cmd_noise_psd(cfg: RunConfig):
     n = cfg.sections["noise"]
-    ens = FluctuatorEnsemble(
-        count=n["count"],
-        gamma_min=n["gamma_min"],
-        gamma_max=n["gamma_max"],
-        coupling=n["coupling"],
-        seed=cfg.seed,
-    )
+    ens = _params(cfg, "noise", seed=cfg.seed)
     freq, psd = psd_welch(
         ens,
         dt=n["dt"],
@@ -484,7 +446,7 @@ def _cmd_noise_psd(cfg: RunConfig):
 
 
 def _cmd_jc(cfg: RunConfig):
-    p = _build_circuit(cfg)
+    p = _params(cfg, "jc", dec=_decoherence(cfg))
     result = vacuum_rabi(p, _time_grid(cfg))
     margin = cfg.sections["jc"].get("margin", 10.0)
     comments = []
@@ -500,7 +462,7 @@ def _cmd_jc(cfg: RunConfig):
 
 
 def _cmd_fluxoid(cfg: RunConfig):
-    p = _build_circuit(cfg)
+    p = _params(cfg, "rf-squid")
     minima = rf_squid_minima(p)
     rows = []
     for phi_star in minima:
@@ -546,7 +508,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output CSV path (overrides [run] out)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (overrides [run] seed)")
     parser.add_argument(
-        "--threads", type=int, default=None, help="sweep workers; 0 = auto (overrides [run])"
+        "--threads", type=int, default=None, help="accepted and ignored: sweeps run in one process"
     )
     parser.add_argument(
         "--circuit", default=None, help="assert which circuit block the config must carry"
@@ -565,6 +527,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(text, command=args.command)
+        if args.threads is not None and args.threads < 0:
+            raise ConfigError([f"threads must be >= 0, got {args.threads}"])
         if args.circuit and cfg.circuit_kind != args.circuit:
             raise ConfigError(
                 [f"--circuit {args.circuit} does not match config block [{cfg.circuit_kind}]"]
@@ -578,8 +542,6 @@ def main(argv=None) -> int:
         cfg.out = args.out
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     try:
         return run(cfg)
     except ValidationError as exc:

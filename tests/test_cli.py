@@ -1,5 +1,6 @@
 """CLI tests: config validation, dispatch, CSV format, determinism."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from scqsim.charge import CpbParams, cpb_hamiltonian
+from scqsim import cli
 from scqsim.cli import ConfigError, parse_config
 from scqsim.flux import ThreeJunctionParams, solve_three_junction
 
@@ -93,6 +95,92 @@ class TestParseConfig:
         text = CPB_SPECTRUM + "\n[pulse]\namplitude = 1\nfrequency = 2\n"
         with pytest.raises(ConfigError, match="not used by 'spectrum'"):
             parse_config(text, command="spectrum")
+
+
+# the hand-written key tables the derived schemas replaced, kept as an oracle
+HAND_WRITTEN_SCHEMAS = {
+    "cpb": {
+        "ec": (float, True),
+        "ej": (float, False),
+        "ej0": (float, False),
+        "flux_ratio": (float, False),
+        "ng": (float, False),
+        "cutoff": (int, False),
+    },
+    "flux3": {
+        "ej": (float, True),
+        "ec": (float, True),
+        "alpha": (float, False),
+        "f": (float, False),
+        "cutoff": (int, False),
+    },
+    "rf-squid": {
+        "ej": (float, True),
+        "ec": (float, True),
+        "inductive_scale": (float, True),
+        "phi_ext": (float, False),
+    },
+    "coupled": {
+        "ej1": (float, True),
+        "ej2": (float, True),
+        "chi": (float, False),
+    },
+    "jc": {
+        "nu01": (float, True),
+        "nu_c": (float, True),
+        "g": (float, True),
+        "n_ph": (int, False),
+        "kappa_per_us": (float, False),
+        "margin": (float, False),
+    },
+    "noise": {
+        "count": (int, True),
+        "gamma_min": (float, True),
+        "gamma_max": (float, True),
+        "coupling": (float, True),
+        "dt": (float, True),
+        "samples": (int, True),
+        "trajectories": (int, True),
+        "nperseg": (int, False),
+    },
+    "decoherence": {"t1_us": (float, True), "t2_us": (float, True)},
+}
+
+
+class TestDerivedSchemas:
+    @pytest.mark.parametrize("block", sorted(HAND_WRITTEN_SCHEMAS))
+    def test_matches_hand_written_table_in_order(self, block):
+        expected = dict(HAND_WRITTEN_SCHEMAS[block])
+        if block == "noise":
+            expected["coupling"] = (float, False)  # now the dataclass default, 1e-3
+        derived = {**cli._CIRCUIT_SCHEMAS, **cli._OTHER_SCHEMAS}[block]
+        assert list(derived.items()) == list(expected.items())
+
+    def test_unmappable_annotation_raises(self):
+        @dataclasses.dataclass
+        class Labelled:
+            x: float
+            label: str = "a"
+
+        assert cli._fields_schema(Labelled, omit=("label",)) == {"x": (float, True)}
+        with pytest.raises(TypeError, match="Labelled.label"):
+            cli._fields_schema(Labelled)
+
+    def test_noise_coupling_defaults_to_1e_3(self, tmp_path):
+        block = (
+            "[noise]\ncount = 4\ngamma_min = 1e-2\ngamma_max = 1.0\n{}"
+            "dt = 0.05\nsamples = 2048\ntrajectories = 2\nnperseg = 512\n"
+        )
+        rows = []
+        for name, coupling in (("default", ""), ("explicit", "coupling = 1e-3\n")):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(block.format(coupling))
+            out = tmp_path / f"{name}.csv"
+            proc = run_cli("noise-psd", "--config", str(cfg), "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            lines = out.read_bytes().splitlines(keepends=True)
+            rows.append([line for line in lines if not line.startswith(b"#")])
+        assert len(rows[0]) > 2 and rows[0] == rows[1]
 
 
 class TestCliRuns:
@@ -459,6 +547,65 @@ class TestFailurePaths:
         assert_one_line_failure(proc, 1, "error: seed must be >= 0")
 
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_threads_exits_1(self, tmp_path, where):
+        cfg = tmp_path / "cpb.ini"
+        extra = ()
+        if where == "flag":
+            cfg.write_text(CPB_SPECTRUM)
+            extra = ("--threads", "-1")
+        else:
+            cfg.write_text(CPB_SPECTRUM.replace("seed = 42", "seed = 42\nthreads = -1"))
+        out = tmp_path / "o.csv"
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out), *extra)
+        assert_one_line_failure(proc, 1, "config error: threads must be >= 0, got -1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", [-1, 0])
+    def test_non_positive_levels_exit_1(self, tmp_path, levels):
+        cfg = tmp_path / "cpb.ini"
+        cfg.write_text(CPB_SPECTRUM.replace("levels = 5", f"levels = {levels}"))
+        out = tmp_path / "o.csv"
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 1, "config error: sweep levels must be >= 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "[cpb]\nec = 5.0\nej = 1.0\ncutoff = 2\n"
+                "[sweep]\nparameter = ej\nstart = 1.0\nstop = 2.0\npoints = 3\nlevels = 9\n",
+                "error: cutoff 2 gives 5 levels, fewer than levels = 9",
+            ),
+            (
+                "[flux3]\nej = 40.0\nec = 1.0\ncutoff = 2\n"
+                "[sweep]\nparameter = f\nstart = 0.49\nstop = 0.51\npoints = 3\nlevels = 30\n",
+                "error: cutoff 2 gives 25 levels, fewer than levels = 30",
+            ),
+            (
+                "[flux3]\nej = 40.0\nec = 1.0\ncutoff = 2\n"
+                "[sweep]\nparameter = f\nstart = 0.49\nstop = 0.51\npoints = 3\nlevels = 30\n"
+                "[precision]\nverify_grid_tol = 1e-3\n",
+                "error: cutoff 2 gives 25 levels, fewer than levels = 30",
+            ),
+            (
+                "[cpb]\nec = 5.0\nej = 1.0\ncutoff = 2\n"
+                "[sweep]\nparameter = ng\nstart = 0.0\nstop = 1.0\npoints = 3\nlevels = 9\n",
+                "error: k = 9 exceeds 2N = 4 available levels",
+            ),
+        ],
+        ids=["cpb-ej", "flux3", "flux3-precision", "cpb-ng"],
+    )
+    def test_more_levels_than_the_cutoff_gives_exit_1(self, tmp_path, text, message):
+        cfg = tmp_path / "short.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o.csv"
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 1, message)
+        assert not out.exists()
+
+
 class TestColdStart:
     def test_import_loads_no_scipy_and_no_process_pool(self):
         # scipy and the process pool load where they are called, so a
@@ -501,7 +648,7 @@ class TestColdStart:
         assert proc.stdout.split() == ["0", "0", "0", "False"]
 
     def test_flux3_solves_load_no_scipy_linalg(self, tmp_path):
-        # the three-junction path runs on numpy alone, in the CLI's pool too
+        # the three-junction path runs on numpy alone, in the CLI too
         cfg = tmp_path / "flux.ini"
         cfg.write_text(
             "[flux3]\nej = 40.0\nec = 1.0\ncutoff = 6\n"
@@ -521,3 +668,29 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
+
+    def test_sweeps_start_no_process_pool(self, tmp_path):
+        # sweep points run in one process at any --threads value
+        configs = {
+            "cpb": CPB_SPECTRUM,
+            "flux3": "[flux3]\nej = 40.0\nec = 1.0\ncutoff = 4\n"
+            "[sweep]\nparameter = f\nstart = 0.49\nstop = 0.51\npoints = 3\nlevels = 2\n",
+        }
+        calls = []
+        for name, text in configs.items():
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(text)
+            out = tmp_path / f"{name}.csv"
+            calls.append(
+                f"main(['spectrum', '--config', {str(cfg)!r}, '--out', {str(out)!r}, '--threads', '2'])"
+            )
+        probe = (
+            "import sys\n"
+            "from scqsim.cli import main\n"
+            f"codes = [{', '.join(calls)}]\n"
+            "print(*codes, *sorted(m for m in sys.modules"
+            " if m in ('concurrent.futures.process', 'multiprocessing')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]

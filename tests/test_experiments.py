@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 from scqsim.charge import CpbParams, reduced_two_level
 from scqsim.core import DensityMatrix, HermitianOperator, ValidationError, evolve_lindblad
 from scqsim.coupled import DrivePulse
+from scqsim import experiments
 from scqsim.experiments import (
     DecoherenceParams,
     ExperimentResult,
@@ -250,6 +251,64 @@ class TestFitOracles:
         y = t1_curve(self.T, 2000.0) + rng.normal(0.0, 0.01, self.T.size)
         ref = curve_fit(t1_curve, self.T, y, p0=(2000.0,), **self.TIGHT)[0][0]
         assert _fit_t1(self.T, y, 2000.0) == pytest.approx(ref, rel=1e-8)
+
+
+class TestAnalyticJacobians:
+    """Each model handed to the least-squares helper against central differences.
+
+    A fit that starts at the true parameters converges even with a wrong
+    Jacobian, so the Jacobians are checked directly: at the start point
+    and at a perturbed point, column by column, to a relative 1e-6.
+    """
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        from scqsim import core, flux
+
+        calls = []
+
+        def capture(model, y, p0, what="least-squares fit"):
+            calls.append((what, model, np.array(p0, dtype=float)))
+            return core._least_squares(model, y, p0, what)
+
+        monkeypatch.setattr(experiments, "_least_squares", capture)
+        monkeypatch.setattr(flux, "_least_squares", capture)
+        return calls
+
+    @staticmethod
+    def assert_jacobian(model, p):
+        values, jac = model(p)
+        assert jac.shape == (values.size, p.size)
+        for j in range(p.size):
+            h = 1e-6 * abs(p[j])
+            up, down = p.copy(), p.copy()
+            up[j] += h
+            down[j] -= h
+            numeric = (model(up)[0] - model(down)[0]) / (2.0 * h)
+            err = np.linalg.norm(jac[:, j] - numeric)
+            assert err <= 1e-6 * np.linalg.norm(numeric), (j, err)
+
+    def check(self, calls, what):
+        assert [c[0] for c in calls] == [what]
+        _, model, p0 = calls[0]
+        for p in (p0, p0 * np.linspace(1.1, 0.8, p0.size)):
+            self.assert_jacobian(model, p)
+
+    def test_ramsey(self, captured):
+        dec = DecoherenceParams(t1_us=10.0, t2_us=1.0)
+        ramsey(NU01, 0.002, dec, np.linspace(0.0, 2500.0, 101))
+        self.check(captured, "Ramsey fringe fit")
+
+    def test_t1(self, captured):
+        t1_decay(DecoherenceParams(t1_us=2.0, t2_us=2.0), np.linspace(0.0, 6000.0, 61))
+        self.check(captured, "T1 decay fit")
+
+    def test_two_level_gap(self, captured):
+        from scqsim.flux import fit_two_level_gap
+
+        f = np.linspace(0.48, 0.52, 9)
+        fit_two_level_gap(f, np.sqrt(0.3**2 + (25.0 * (f - 0.5)) ** 2))
+        self.check(captured, "two-level gap fit")
 
 
 class TestExperimentResult:
