@@ -8,10 +8,9 @@ CNOT; Lindblad open-system protocols (Rabi, Ramsey, T1); spin-fluctuator
 Units: h = 1, energies in GHz, time in ns, rates in 1/ns; the propagator
 is exp(-i 2 pi H t).
 
-Importing scqsim loads numpy only.  scipy is used only by the tridiagonal
-eigensolvers (``phase.well_levels`` and the rf-SQUID grid solver in
-``flux``) and is imported inside them; fits and potential minima are numpy
-code, so a CLI command that needs no tridiagonal solve starts fast.
+scqsim runs on numpy alone: every eigensolver, fit and potential minimum
+is numpy code, and scipy is not a runtime dependency (the tests and the
+benchmark use it as an independent reference).
 """
 
 __version__ = "0.1.0"

@@ -147,8 +147,10 @@ def spectrum_vs_ng(p: CpbParams, ng_grid, k: int = 5) -> SpectrumTable:
     ng_grid = np.asarray(ng_grid, dtype=float)
     if ng_grid.min() < 0.0 or ng_grid.max() > 1.0:
         raise ValidationError("ng grid must lie within [0, 1]")
-    if k > 2 * p.cutoff:
-        raise ValidationError(f"k = {k} exceeds 2N = {2 * p.cutoff} available levels")
+    if k > 2 * p.cutoff + 1:
+        raise ValidationError(
+            f"k = {k} exceeds the 2N + 1 = {2 * p.cutoff + 1} levels of cutoff {p.cutoff}"
+        )
     rows = np.empty((ng_grid.size, k))
     for i, ng in enumerate(ng_grid):
         rows[i] = _levels(CpbParams(ec=p.ec, ej=p.effective_ej, ng=float(ng), cutoff=p.cutoff), k)

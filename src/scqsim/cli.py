@@ -3,7 +3,8 @@
 Config files are flat INI text (``key = value`` under one level of
 ``[section]`` blocks).  Exactly one circuit block is allowed per config.
 Every CSV starts with ``#`` comment lines recording the tool version, the
-fully resolved configuration, and the seed; data rows carry 15
+configuration with every parameter-block default filled in (``[cpb]
+cutoff = 10`` when the file gives none), and the seed; data rows carry 15
 significant digits.  Identical config + seed produce byte-identical
 output.  Sweeps run in one process: ``--threads`` and ``[run] threads``
 are validated and otherwise ignored.
@@ -85,6 +86,16 @@ _PARAM_BLOCKS = {
 }
 _SCHEMAS = {
     name: _fields_schema(cls, omit, **extra) for name, (cls, omit, extra) in _PARAM_BLOCKS.items()
+}
+# the dataclass defaults a parameter block resolves to; a None default is an
+# unset option (the SQUID fields of [cpb]) and stays out of the config
+_DEFAULTS = {
+    name: {
+        f.name: f.default
+        for f in dataclasses.fields(cls)
+        if f.name in _SCHEMAS[name] and f.default not in (dataclasses.MISSING, None)
+    }
+    for name, (cls, _, _) in _PARAM_BLOCKS.items()
 }
 
 # section -> key -> (converter, required)
@@ -171,7 +182,7 @@ def _parse_sections(text: str, errors: list[str]) -> dict:
         for key, (_, required) in schema.items():
             if required and key not in values:
                 errors.append(f"missing required key '{key}' in [{name}]")
-        sections[name] = values
+        sections[name] = {**_DEFAULTS.get(name, {}), **values}
     return sections
 
 
@@ -318,18 +329,18 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
     comments = []
 
     def levels(p):
-        if kind == "flux3":
-            row = solve_three_junction(p, k=k).energies
-        elif param == "ng":
-            row = spectrum_vs_ng(p, [p.ng], k=k).levels[0]
-        else:
-            row = np.linalg.eigvalsh(cpb_hamiltonian(p).entries)[:k]
-        if len(row) < k:
+        # 2N + 1 charge states per island: one island for cpb, two for flux3
+        available = (2 * p.cutoff + 1) ** (2 if kind == "flux3" else 1)
+        if available < k:
             raise ValidationError(
-                f"cutoff {p.cutoff} gives {len(row)} levels, fewer than levels = {k}; "
+                f"cutoff {p.cutoff} gives {available} levels, fewer than levels = {k}; "
                 f"raise cutoff or lower levels"
             )
-        return row
+        if kind == "flux3":
+            return solve_three_junction(p, k=k).energies
+        if param == "ng":
+            return spectrum_vs_ng(p, [p.ng], k=k).levels[0]
+        return np.linalg.eigvalsh(cpb_hamiltonian(p).entries)[:k]
 
     tol = cfg.sections.get("precision", {}).get("verify_grid_tol")
     if kind == "flux3" and tol is not None:

@@ -82,6 +82,7 @@ def _checked_time_grid(t_grid) -> np.ndarray:
 
 _FIT_MAX_ITER = 200
 _FIT_XTOL = 1e-12
+_FIT_GTOL = 1e-6
 
 
 def _least_squares(model, y, p0, what: str = "least-squares fit") -> np.ndarray:
@@ -91,9 +92,13 @@ def _least_squares(model, y, p0, what: str = "least-squares fit") -> np.ndarray:
     ``(A + lam diag(A)) s = -J^T r`` with ``A = J^T J``; a step that does
     not raise the squared residual is taken and lam shrinks tenfold, else
     lam grows tenfold.  Stops once ``||D s|| <= 1e-12 ||D p||`` with
-    ``D = sqrt(diag(A))`` (MINPACK's scaled step test).  FitError, naming
-    ``what``: no stop in 200 iterations, a non-finite parameter or model
-    value, or a singular normal matrix.
+    ``D = sqrt(diag(A))`` (MINPACK's scaled step test), provided the
+    gradient ``J^T r`` vanishes there too: its Gauss-Newton step
+    ``A^-1 J^T r`` must satisfy ``||D s_gn|| <= 1e-6 ||D p||``.  A wrong
+    Jacobian stalls the damped step anywhere, so without this test it
+    would return its start value as the fit.  FitError, naming ``what``:
+    no stop in 200 iterations, a stop away from a minimum, a non-finite
+    parameter or model value, or a singular normal matrix.
     """
     p = np.array(p0, dtype=float)
     values, jac = model(p)
@@ -119,6 +124,12 @@ def _least_squares(model, y, p0, what: str = "least-squares fit") -> np.ndarray:
         else:
             lam *= 10.0
         if np.linalg.norm(scale * step) <= _FIT_XTOL * np.linalg.norm(scale * p):
+            scale = np.linalg.norm(jac, axis=0)
+            newton = np.linalg.lstsq(jac, -r, rcond=None)[0]
+            if np.linalg.norm(scale * newton) > _FIT_GTOL * np.linalg.norm(scale * p):
+                raise FitError(
+                    f"{what} failed: stalled at {p}, where the gradient does not vanish"
+                )
             return p
     raise FitError(f"{what} did not converge in {_FIT_MAX_ITER} iterations")
 

@@ -2,9 +2,10 @@
 in the charge basis.
 
 The rf-SQUID problem ``H = Ec n^2 + U(phi)`` (``n = -i d/dphi``) is
-discretized with the 2nd-order central-difference tridiagonal stencil
-and hard walls on a clipped interval (tridiagonal LAPACK solvers stay
-fast at very large grids).  The three-junction loop has the potential
+solved on a clipped interval with hard walls by the sine DVR
+(``_sine_dvr``, Colbert & Miller 1992), the one solver of the hard-walled
+1D problems: the phase qubit's washboard well uses it too.  The
+three-junction loop has the potential
 
     U(p1, p2) = Ej [2 + a - cos p1 - cos p2 - a cos(2 pi f + p1 - p2)]
 
@@ -94,7 +95,7 @@ class FluxoidRecord:
 class Levels1D:
     phi: np.ndarray
     energies: np.ndarray
-    states: np.ndarray  # columns, l2-normalized over grid points
+    states: np.ndarray  # columns, l2-normalized over the DVR points phi
     grid_points: int
 
 
@@ -164,42 +165,27 @@ def classify_fluxoid(p: RfSquidParams, phi_star: float) -> FluxoidRecord:
     return FluxoidRecord(phi_star=float(phi_star), m=m, residual=residual)
 
 
-def _tridiagonal_hamiltonian(potential_values: np.ndarray, ec: float, h: float):
-    """(diagonal, off-diagonal) of the 2nd-order FD Hamiltonian."""
-    n = potential_values.size
-    diag = 2.0 * ec / h**2 + potential_values
-    off = np.full(n - 1, -ec / h**2)
-    return diag, off
+def _sine_dvr(potential, ec: float, lo: float, hi: float, n: int):
+    """Sine DVR of ``H = Ec n^2 + U(phi)`` with hard walls at lo and hi.
 
-
-def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix strictly below x.
-
-    LDL^T Sturm-sequence count; O(n), no factorization stored.
+    The finite-interval DVR of Colbert & Miller, J. Chem. Phys. 96, 1982
+    (1992), appendix A: on the n interior points ``x_i = lo + i L/(n + 1)``
+    the box modes ``sqrt(2/L) sin(pi m (x - lo)/L)``, m = 1..n, are mapped
+    by the orthogonal, symmetric ``S_mi = sqrt(2/(n + 1)) sin(pi m i/(n + 1))``,
+    so the kinetic matrix is ``S diag(Ec (pi m/L)^2) S`` and U(x_i) sits on
+    the diagonal.  Returns ``(x, S, energies, states)``: the state columns
+    are l2-normalized over the points, and ``S @ states`` holds their
+    box-mode coefficients.
     """
-    count = 0
-    d = diag[0] - x
-    if d < 0:
-        count += 1
-    tiny = 1e-300
-    for i in range(1, diag.size):
-        if d == 0.0:
-            d = tiny
-        d = (diag[i] - x) - off[i - 1] ** 2 / d
-        if d < 0:
-            count += 1
-    return count
-
-
-def _solve_1d_once(potential, ec, phi_lo, phi_hi, grid, k):
-    import scipy.linalg as sla
-
-    # interior points; the truncated stencil imposes psi = 0 at the walls
-    phi = np.linspace(phi_lo, phi_hi, grid + 2)[1:-1]
-    h = phi[1] - phi[0]
-    diag, off = _tridiagonal_hamiltonian(np.asarray(potential(phi), dtype=float), ec, h)
-    w, v = sla.eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    return Levels1D(phi=phi, energies=np.asarray(w, float), states=v, grid_points=grid)
+    m = np.arange(1, n + 1)
+    length = hi - lo
+    x = lo + m * length / (n + 1)
+    # m i is reduced mod 2(n + 1) exactly, so S stays orthogonal to rounding
+    s = math.sqrt(2.0 / (n + 1)) * np.sin(math.pi / (n + 1) * (np.outer(m, m) % (2 * n + 2)))
+    h = (s * (ec * (math.pi * m / length) ** 2)) @ s
+    h[m - 1, m - 1] += np.asarray(potential(x), dtype=float)
+    w, v = np.linalg.eigh(h)
+    return x, s, w, v
 
 
 def solve_levels_1d(
@@ -210,27 +196,31 @@ def solve_levels_1d(
     grid: int = 1024,
     k: int = 4,
     tol: float = 1e-6,
-    max_grid: int = 1 << 19,
+    max_grid: int = DIMENSION_CAP,
 ) -> Levels1D:
     """Lowest k levels of ``H = Ec n^2 + U(phi)`` on [phi_lo, phi_hi].
 
-    The interval is clipped with hard walls.  The grid is doubled until
-    the k lowest eigenvalues move by less than ``tol`` GHz;
-    non-convergence at ``max_grid`` raises ConvergenceError.
+    The interval is clipped with hard walls and solved by the sine DVR on
+    ``grid`` points, grown about 1.5x until the k lowest eigenvalues move
+    by less than ``tol`` GHz; the finer solution is returned.
+    Non-convergence at ``max_grid`` (at most DIMENSION_CAP) raises
+    ConvergenceError.
     """
-    if grid < 128:
-        raise ValidationError("grid must be >= 128")
     if phi_hi <= phi_lo:
         raise ValidationError("empty phase interval")
     if ec <= 0:
         raise ValidationError("Ec must be > 0")
-    prev = _solve_1d_once(potential, ec, phi_lo, phi_hi, grid, k)
-    g = grid
-    while 2 * g <= max_grid:
-        cur = _solve_1d_once(potential, ec, phi_lo, phi_hi, 2 * g, k)
-        if np.abs(cur.energies - prev.energies).max() <= tol:
-            return cur
-        prev, g = cur, 2 * g
+    if not 1 <= k <= grid <= max_grid <= DIMENSION_CAP:
+        raise ValidationError(
+            f"need 1 <= k <= grid <= max_grid <= {DIMENSION_CAP}, "
+            f"got k = {k}, grid = {grid}, max_grid = {max_grid}"
+        )
+    _, _, w, _ = _sine_dvr(potential, ec, phi_lo, phi_hi, grid)
+    while (3 * grid + 1) // 2 <= max_grid:
+        grid, prev = (3 * grid + 1) // 2, w[:k]
+        x, _, w, v = _sine_dvr(potential, ec, phi_lo, phi_hi, grid)
+        if np.abs(w[:k] - prev).max() <= tol:
+            return Levels1D(phi=x, energies=w[:k], states=v[:, :k], grid_points=grid)
     raise ConvergenceError(
         f"1D eigenvalues not converged to {tol} GHz at max grid {max_grid}"
     )

@@ -4,15 +4,21 @@
 are solved on the single well containing ``phi = arcsin(s)``, hard-clipped
 at the two adjacent barrier maxima.  A level counts as bound when it lies
 below the (lower, right-hand) barrier top and at least 99% of its
-probability sits in the classically allowed well region at that energy.
+probability sits in the well region, where U lies below that barrier top.
 Tunneling escape is out of scope; readout is represented by the
 |1> -> |2> transition frequency.
 
-Levels use the 2nd-order tridiagonal stencil.  The lowest few come from
-grids g, 2g and 4g: the stencil's error is a series in h^2, so each
-adjacent pair is Richardson-extrapolated, and the two extrapolants must
-agree within 5e-6 plasma spacings.  Bound counts come from Sturm counts
-on a grid verified by one doubling.
+Levels come from the sine DVR shared with the rf-SQUID
+(``flux._sine_dvr``).  To resolve the levels below an energy E_top it takes
+``n = ceil(1.4 L k_max / pi) + 32`` points on the well's width L, where
+``k_max = sqrt((E_top - U_min)/Ec)`` is the largest classical momentum:
+1.4 box modes per momentum quantum, plus 32 for the momentum tails of
+shallow wells, whose few levels are far from the semiclassical limit.  One
+refinement to about 1.5 n must reproduce the returned energies within
+5e-6 plasma spacings and the bound/unbound verdict of every level.  The
+in-well probability is exact in the basis: ``c^T S_well c``, with c the
+box-mode coefficients and ``S_well`` the closed-form overlap of the box
+modes over the well region.
 """
 
 from __future__ import annotations
@@ -23,8 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, ValidationError, _check_finite
-from .flux import _tridiagonal_hamiltonian, sturm_count_below
+from .core import DIMENSION_CAP, ConvergenceError, ValidationError, _check_finite
+from .flux import _sine_dvr
+
+_POINT_FACTOR = 1.4  # box modes per classical momentum quantum pi/L at E_top
+_POINT_MARGIN = 32  # extra modes for the momentum tails of shallow wells
 
 
 @dataclass(frozen=True)
@@ -82,124 +91,88 @@ def plasma_spacing(p: PhaseQubitParams) -> float:
     return (1.0 - p.s**2) ** 0.25 * math.sqrt(2.0 * p.ec * p.ej)
 
 
-def _auto_grid(span: float, e_top: float, u_min: float, ec: float, err: float) -> int:
-    # 2nd-order FD eigenvalue error ~ Ec k^4 h^2 / 12 at momentum k
-    k4 = (max(e_top - u_min, 1e-12) / ec) ** 2
-    h = math.sqrt(12.0 * err / (ec * k4))
-    g = 1 << max(int(math.ceil(math.log2(max(span / h, 2.0)))), 10)
-    return min(g, 1 << 19)
+def _well_overlap(p: PhaseQubitParams, n: int) -> np.ndarray:
+    """``S_mn = integral of phi_m phi_n`` over the well region, n box modes.
 
-
-def _tridiag(p: PhaseQubitParams, grid: int):
-    lo, hi = well_domain(p)
-    phi = np.linspace(lo, hi, grid + 2)[1:-1]
-    h = phi[1] - phi[0]
-    diag, off = _tridiagonal_hamiltonian(
-        np.asarray(washboard_potential(phi, p)), p.ec, h
-    )
-    return phi, diag, off
-
-
-def _richardson(coarse, fine, g: int):
-    """Eigenvalues on g and 2g interior points, extrapolated to h -> 0.
-
-    The stencil's error is a series in h^2 with h = span / (grid + 1), so
-    the step ratio of the two grids is (2g + 1) / (g + 1), close to 2.
+    The region runs from the left turning point at the barrier-top energy
+    to the right wall.  With ``theta = pi x / L`` from the left wall,
+    ``phi_m phi_n = (cos((m - n) theta) - cos((m + n) theta)) / L``, so
+    ``S_mn = (F(m - n) - F(m + n)) / pi`` with ``F(j)`` the integral of
+    ``cos(j theta)`` from the turning point to pi.
     """
-    q = ((2 * g + 1) / (g + 1)) ** 2
-    return fine + (fine - coarse) / (q - 1.0)
+    lo, hi = well_domain(p)
+    barrier = float(washboard_potential(hi, p))
+    left, right = lo, math.asin(p.s)  # U falls from the left wall to the minimum
+    for _ in range(60):
+        mid = 0.5 * (left + right)
+        left, right = (mid, right) if washboard_potential(mid, p) > barrier else (left, mid)
+    theta = math.pi * (left - lo) / (hi - lo)
+    j = np.arange(1, 2 * n + 1)
+    f = np.concatenate(([math.pi - theta], -np.sin(j * theta) / j))
+    m = np.arange(1, n + 1)
+    return (f[np.abs(m[:, None] - m)] - f[m[:, None] + m]) / math.pi
 
 
-def _well_filter(phi, states, p: PhaseQubitParams, barrier: float) -> np.ndarray:
-    """Fraction of probability in the region where U(phi) <= barrier."""
-    inside = np.asarray(washboard_potential(phi, p)) <= barrier
-    return np.sum(np.abs(states[inside, :]) ** 2, axis=0)
-
-
-def well_levels(p: PhaseQubitParams, k: int = 3, grid: int | None = None) -> WellLevels:
+def well_levels(p: PhaseQubitParams, k: int = 3) -> WellLevels:
     """Lowest k bound levels of the washboard well.
 
     Requesting more states than are bound is not an error: the result then
-    carries the exact total with ``truncated`` set.  The grid defaults to
-    an error-model estimate; ``grid`` overrides it for both the levels
-    (extrapolated from grid, 2 grid and 4 grid) and the count.
+    carries the exact total with ``truncated`` set.  The levels below
+    ``U_min + (k + 4)`` plasma spacings are classified first; only if fewer
+    than k of them are bound is everything below the barrier top solved.
+    ConvergenceError if the refinement to 1.5 n points moves a returned
+    level by more than 5e-6 plasma spacings or changes any level's
+    bound/unbound verdict.  ValidationError if that refinement needs more
+    than DIMENSION_CAP points (exhaustive counts above Ej/Ec of about 4e5
+    at s = 0).
     """
-    import scipy.linalg as sla
-
     if k < 1:
         raise ValidationError("k must be >= 1")
-    a = math.asin(p.s)
     lo, hi = well_domain(p)
-    span = hi - lo
-    u_min = float(washboard_potential(a, p))
+    u_min = float(washboard_potential(math.asin(p.s), p))
     barrier = float(washboard_potential(hi, p))
     spacing = plasma_spacing(p)
-    depth_estimate = int(1.3 * (barrier - u_min) / max(spacing, 1e-12)) + 4
     tol = max(0.5e-5 * spacing, 1e-10)
 
-    if k + 2 < depth_estimate:
-        # cheap path: k + 2 candidates from the bottom of the well, taken on
-        # grids g, 2g and 4g; the two extrapolants verify each other
-        e_top = min(u_min + (k + 4) * spacing, barrier)
-        g = grid or _auto_grid(span, e_top, u_min, p.ec, 1e-3 * spacing)
-        need = min(k + 2, g - 2)
-        phi, diag, off = _tridiag(p, g)
-        w, v = sla.eigh_tridiagonal(diag, off, select="i", select_range=(0, need - 1))
-        w2, w4 = (
-            sla.eigvalsh_tridiagonal(*_tridiag(p, m * g)[1:], select="i", select_range=(0, need - 1))
-            for m in (2, 4)
-        )
-        r1 = _richardson(w, w2, g)
-        r2 = _richardson(w2, w4, 2 * g)
-        if np.abs(r1 - r2).max() > tol:
+    for e_top in (min(u_min + (k + 4) * spacing, barrier), barrier):
+        modes = (hi - lo) * math.sqrt((e_top - u_min) / p.ec) / math.pi
+        n = math.ceil(_POINT_FACTOR * modes) + _POINT_MARGIN
+        sizes = (n, n + n // 2)
+        if sizes[1] > DIMENSION_CAP:
+            raise ValidationError(
+                f"the well needs {sizes[1]} DVR points to verify levels up to "
+                f"{e_top - u_min:.4g} GHz above its minimum (Ej/Ec = {p.ej / p.ec:.3g}), "
+                f"above the dense cap {DIMENSION_CAP}"
+            )
+        solved = [
+            _sine_dvr(lambda x: washboard_potential(x, p), p.ec, lo, hi, size)[1:]
+            for size in sizes
+        ]
+        m = max(int(np.count_nonzero(w < e_top)) for _, w, _ in solved)
+        levels, verdicts = [], []
+        for size, (s, w, v) in zip(sizes, solved):
+            c = s @ v[:, :m]
+            in_well = np.einsum("ij,ij->j", c, _well_overlap(p, size) @ c)
+            levels.append(w[:m])
+            verdicts.append((w[:m] < barrier) & (in_well >= 0.99))
+        if not np.array_equal(*verdicts):
             raise ConvergenceError(
-                f"well levels moved {np.abs(r1 - r2).max():.2e} GHz under grid "
-                f"doubling at grid {g} (tolerance {tol:.2e})"
+                f"bound levels of the well differ between {n} and {sizes[1]} DVR points "
+                f"({int(verdicts[0].sum())} against {int(verdicts[1].sum())})"
             )
-        probs = _well_filter(phi, v, p, barrier)
-        mask = (r2 < barrier) & (probs >= 0.99)
-        bound = r2[mask]
-        if bound.size >= k:
-            return WellLevels(
-                energies=bound[:k],
-                bound_count=k,
-                truncated=False,
-                barrier_top=barrier,
-                well_minimum=u_min,
-            )
-
-    # exhaustive path: classify everything below the barrier.  Counting
-    # accuracy only requires level positions well within one spacing.
-    g = grid or _auto_grid(span, barrier, u_min, p.ec, 0.05 * spacing)
-    phi, diag, off = _tridiag(p, g)
-    n_below = sturm_count_below(diag, off, barrier)
-    _, diag2, off2 = _tridiag(p, 2 * g)
-    n_check = sturm_count_below(diag2, off2, barrier)
-    if n_below != n_check:
-        g *= 2
-        phi, diag, off = _tridiag(p, g)
-        n_below = n_check
-        _, diag2, off2 = _tridiag(p, 2 * g)
-        n_check = sturm_count_below(diag2, off2, barrier)
-        if n_below != n_check:
+        bound = verdicts[1]
+        moved = np.abs(levels[1] - levels[0])[bound][:k].max(initial=0.0)
+        if moved > tol:
             raise ConvergenceError(
-                f"below-barrier level count did not stabilize at grid {g}"
+                f"well levels moved {moved:.2e} GHz between {n} and {sizes[1]} DVR points "
+                f"(tolerance {tol:.2e})"
             )
-    if n_below == 0:
-        return WellLevels(
-            energies=np.empty(0),
-            bound_count=0,
-            truncated=True,
-            barrier_top=barrier,
-            well_minimum=u_min,
-        )
-    w, v = sla.eigh_tridiagonal(diag, off, select="i", select_range=(0, n_below - 1))
-    probs = _well_filter(phi, v, p, barrier)
-    mask = (w < barrier) & (probs >= 0.99)
-    bound = w[mask]
-    count = int(bound.size)
+        energies = levels[1][bound]
+        if energies.size >= k or e_top == barrier:
+            break
+    count = energies.size if e_top == barrier else k
     return WellLevels(
-        energies=bound[: min(k, count)],
+        energies=energies[:k],
         bound_count=count,
         truncated=count < k,
         barrier_top=barrier,
@@ -207,14 +180,14 @@ def well_levels(p: PhaseQubitParams, k: int = 3, grid: int | None = None) -> Wel
     )
 
 
-def bound_state_count(p: PhaseQubitParams, grid: int | None = None) -> int:
+def bound_state_count(p: PhaseQubitParams) -> int:
     """Total number of bound states in the well."""
-    return well_levels(p, k=1 << 20, grid=grid).bound_count
+    return well_levels(p, k=1 << 20).bound_count
 
 
-def readout_transitions(p: PhaseQubitParams, grid: int | None = None) -> tuple[float, float]:
+def readout_transitions(p: PhaseQubitParams) -> tuple[float, float]:
     """(nu01, nu12) of the well; needs at least three bound states."""
-    wl = well_levels(p, k=3, grid=grid)
+    wl = well_levels(p, k=3)
     if wl.energies.size < 3:
         raise ValidationError(
             f"only {wl.bound_count} bound state(s); readout needs |0>, |1>, |2>"

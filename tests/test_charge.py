@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from scqsim.charge import (
@@ -171,6 +173,37 @@ class TestTunableEj:
             CpbParams(ec=1.0, ej=1.0, cutoff=4.5)
 
 
+# random boxes whose three lowest levels stay far from the charge cutoff
+BOXES = dict(
+    ec=st.floats(0.2, 10.0),
+    ratio=st.floats(0.0, 4.0),  # Ej/Ec
+    cutoff=st.integers(10, 25),
+    ng=st.floats(0.0, 1.0),
+)
+
+
+def lowest_levels(ec, ej, ng, cutoff, k=3):
+    p = CpbParams(ec=ec, ej=ej, ng=ng, cutoff=cutoff)
+    return np.linalg.eigvalsh(cpb_hamiltonian(p).entries)[:k]
+
+
+class TestOffsetChargeSymmetries:
+    """E(ng) = E(ng + 1) = E(-ng): one Cooper pair shifts n, and n -> -n reflects."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**BOXES)
+    def test_period_one(self, ec, ratio, cutoff, ng):
+        here = lowest_levels(ec, ratio * ec, ng, cutoff)
+        there = lowest_levels(ec, ratio * ec, ng + 1.0, cutoff)
+        assert np.abs(here - there).max() <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(**BOXES)
+    def test_reflection(self, ec, ratio, cutoff, ng):
+        here = lowest_levels(ec, ratio * ec, ng, cutoff)
+        mirrored = lowest_levels(ec, ratio * ec, -ng, cutoff)
+        assert np.abs(here - mirrored).max() <= 1e-9
+
 class TestSpectrum:
     def test_separation_ratios(self):
         charge = spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=20), [0.5], k=3).levels[0]
@@ -203,8 +236,15 @@ class TestSpectrum:
         assert np.all(np.diff(table.levels, axis=1) >= 0)
 
     def test_k_too_large(self):
-        with pytest.raises(ValidationError):
-            spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=2), [0.5], k=5)
+        with pytest.raises(ValidationError, match="exceeds the 2N \\+ 1 = 5 levels"):
+            spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=2), [0.5], k=6)
+
+    def test_every_level_of_the_box(self):
+        # k = 2N + 1 returns the whole spectrum of the 2N + 1 charge states
+        p = CpbParams(ec=5.0, ej=1.0, cutoff=2)
+        for ng in (0.0, 0.3, 0.5):
+            row = spectrum_vs_ng(p, [ng], k=5).levels[0]
+            np.testing.assert_allclose(row, oracle_levels(5.0, 1.0, ng, 2, k=5), atol=1e-12)
 
     def test_grid_bounds(self):
         with pytest.raises(ValidationError):

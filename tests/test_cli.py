@@ -167,20 +167,31 @@ class TestDerivedSchemas:
             cli._fields_schema(Labelled)
 
     def test_noise_coupling_defaults_to_1e_3(self, tmp_path):
+        # the header records the resolved value, so the files are identical
         block = (
             "[noise]\ncount = 4\ngamma_min = 1e-2\ngamma_max = 1.0\n{}"
             "dt = 0.05\nsamples = 2048\ntrajectories = 2\nnperseg = 512\n"
         )
-        rows = []
+        files = []
         for name, coupling in (("default", ""), ("explicit", "coupling = 1e-3\n")):
             cfg = tmp_path / f"{name}.ini"
             cfg.write_text(block.format(coupling))
             out = tmp_path / f"{name}.csv"
             proc = run_cli("noise-psd", "--config", str(cfg), "--out", str(out))
             assert proc.returncode == 0, proc.stderr
-            lines = out.read_bytes().splitlines(keepends=True)
-            rows.append([line for line in lines if not line.startswith(b"#")])
-        assert len(rows[0]) > 2 and rows[0] == rows[1]
+            files.append(out.read_bytes())
+        rows = [line for line in files[0].splitlines() if not line.startswith(b"#")]
+        assert len(rows) > 2 and files[0] == files[1]
+        assert b"# [noise]\n# count = 4\n# coupling = 0.001\n" in files[0]
+
+    def test_cpb_header_records_cutoff_and_ng(self, tmp_path):
+        cfg = tmp_path / "cpb.ini"
+        cfg.write_text(CPB_SPECTRUM.replace("cutoff = 10\n", ""))
+        out = tmp_path / "cpb.csv"
+        assert run_cli("spectrum", "--config", str(cfg), "--out", str(out)).returncode == 0
+        comments, _, _ = read_csv(out)
+        block = comments[comments.index("# [cpb]") + 1 : comments.index("# [run]")]
+        assert block == ["# cutoff = 10", "# ec = 5", "# ej = 1", "# ng = 0"]
 
 
 class TestCliRuns:
@@ -208,6 +219,23 @@ class TestCliRuns:
                 select_range=(0, 4),
             )
             np.testing.assert_allclose(levels, oracle, atol=1e-9)
+
+    def test_every_level_of_the_box_on_ng_and_ej_sweeps(self, tmp_path):
+        # levels = 2N + 1 at cutoff 2: an ng sweep and an ej sweep through
+        # the same box (ng = 0.3, ej = 1) give the same five levels
+        box = "[cpb]\nec = 5.0\nej = 1.0\nng = 0.3\ncutoff = 2\n"
+        rows = {}
+        for param, value in (("ng", 0.3), ("ej", 1.0)):
+            cfg = tmp_path / f"{param}.ini"
+            cfg.write_text(
+                box + f"[sweep]\nparameter = {param}\nstart = {value}\nstop = {value}\n"
+                "points = 1\nlevels = 5\n"
+            )
+            out = tmp_path / f"{param}.csv"
+            proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            rows[param] = read_csv(out)[2][0][1:]
+        assert len(rows["ng"]) == 5 and rows["ng"] == rows["ej"]
 
     def test_fifteen_significant_digits(self, tmp_path):
         cfg = tmp_path / "cpb.ini"
@@ -592,7 +620,7 @@ class TestFailurePaths:
             (
                 "[cpb]\nec = 5.0\nej = 1.0\ncutoff = 2\n"
                 "[sweep]\nparameter = ng\nstart = 0.0\nstop = 1.0\npoints = 3\nlevels = 9\n",
-                "error: k = 9 exceeds 2N = 4 available levels",
+                "error: cutoff 2 gives 5 levels, fewer than levels = 9",
             ),
         ],
         ids=["cpb-ej", "flux3", "flux3-precision", "cpb-ng"],
@@ -668,6 +696,23 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
+
+    def test_1d_solvers_load_no_scipy(self):
+        # the phase-qubit well and the rf-SQUID levels share a numpy sine DVR
+        probe = (
+            "import sys, scqsim\n"
+            "from scqsim.flux import RfSquidParams, rf_squid_potential, solve_levels_1d\n"
+            "from scqsim.phase import PhaseQubitParams, bound_state_count, well_levels\n"
+            "p = PhaseQubitParams(ej=10.0, ec=1e-3, s=0.8)\n"
+            "well_levels(p, k=3)\n"
+            "bound_state_count(p)\n"
+            "q = RfSquidParams(ej=2.0, ec=0.4, inductive_scale=0.35, phi_ext=3.14159)\n"
+            "solve_levels_1d(lambda x: rf_squid_potential(x, q), q.ec, -3.0, 9.0, grid=64, k=2)\n"
+            "print(' '.join(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_sweeps_start_no_process_pool(self, tmp_path):
         # sweep points run in one process at any --threads value

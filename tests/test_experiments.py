@@ -253,6 +253,30 @@ class TestFitOracles:
         assert _fit_t1(self.T, y, 2000.0) == pytest.approx(ref, rel=1e-8)
 
 
+    @pytest.fixture
+    def flipped_delta_column(self, monkeypatch):
+        from scqsim import core
+
+        def flipped(model, y, p0, what="least-squares fit"):
+            def wrong(q):
+                values, jac = model(q)
+                return values, jac * np.array([1.0, -1.0])
+
+            return core._least_squares(wrong, y, p0, what)
+
+        monkeypatch.setattr(experiments, "_least_squares", flipped)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wrong_jacobian_fails_from_the_true_start(self, seed, flipped_delta_column):
+        # on noisy data the true parameters are a start, not the minimum: the
+        # damped steps of a wrong Jacobian shrink to nothing there, and the
+        # gradient test refuses to report that stall as a fit
+        rng = np.random.default_rng(seed)
+        y = ramsey_fringe(self.TAU, 1000.0, 0.002) + rng.normal(0.0, 0.01, self.TAU.size)
+        with pytest.raises(FitError, match="gradient does not vanish"):
+            _fit_ramsey(self.TAU, y, 1000.0, 0.002)
+
+
 class TestAnalyticJacobians:
     """Each model handed to the least-squares helper against central differences.
 

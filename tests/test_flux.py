@@ -79,13 +79,28 @@ class TestSolve1D:
 
     def test_grid_doubling_converged(self):
         p = RfSquidParams(ej=2.0, ec=0.4, inductive_scale=0.35, phi_ext=np.pi)
-        a = solve_levels_1d(lambda x: rf_squid_potential(x, p), p.ec, np.pi - 6, np.pi + 6, 1024, k=3)
-        b = solve_levels_1d(lambda x: rf_squid_potential(x, p), p.ec, np.pi - 6, np.pi + 6, 2048, k=3)
+        a = solve_levels_1d(lambda x: rf_squid_potential(x, p), p.ec, np.pi - 6, np.pi + 6, 64, k=3)
+        b = solve_levels_1d(lambda x: rf_squid_potential(x, p), p.ec, np.pi - 6, np.pi + 6, 128, k=3)
         assert np.abs(a.energies - b.energies).max() <= 1e-6
 
-    def test_small_grid_rejected(self):
-        with pytest.raises(ValidationError):
-            solve_levels_1d(lambda x: x * 0.0, 1.0, -1.0, 1.0, grid=64, k=2)
+    def test_states_live_on_the_dvr_points(self):
+        lv = solve_levels_1d(lambda x: 0.5 * x**2, 1.0, -10.0, 10.0, grid=64, k=3)
+        n = lv.grid_points
+        assert lv.phi.size == lv.states.shape[0] == n
+        np.testing.assert_allclose(lv.phi, -10.0 + 20.0 * np.arange(1, n + 1) / (n + 1), atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(lv.states, axis=0), 1.0, atol=1e-12)
+
+    def test_point_counts_outside_the_cap_rejected(self):
+        flat = lambda x: x * 0.0  # noqa: E731
+        for grid, k, max_grid in (
+            (64, 2, DIMENSION_CAP + 1),  # the cap bounds max_grid
+            (DIMENSION_CAP + 1, 2, DIMENSION_CAP),
+            (128, 2, 96),  # a start above max_grid
+            (2, 3, 64),  # fewer points than levels
+            (8, 0, 64),
+        ):
+            with pytest.raises(ValidationError, match="max_grid"):
+                solve_levels_1d(flat, 1.0, -1.0, 1.0, grid=grid, k=k, max_grid=max_grid)
 
     def test_nonconvergence_reported(self):
         with pytest.raises(ConvergenceError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from scqsim import phase
 from scqsim.core import ConvergenceError, ValidationError
 from scqsim.phase import (
     PhaseQubitParams,
@@ -16,7 +17,6 @@ from scqsim.phase import (
     well_domain,
     well_levels,
 )
-from scqsim.phase import _tridiag
 
 EJ = 10.0
 
@@ -110,28 +110,61 @@ class TestWellLevels:
         assert wl.well_minimum < wl.energies[0]
 
     @pytest.mark.parametrize("s", [0.2, 0.8])
-    def test_extrapolation_matches_fine_plain_grid(self, s):
-        # the plain 2nd-order stencil on 2^19 points is within ~3e-8
-        # spacings of the continuum limit at Ej/Ec = 1e4 (truncation and
-        # rounding alike)
+    def test_levels_match_fine_plain_stencil(self, s):
+        # an independent discretization: the plain 2nd-order stencil on 2^19
+        # interior points is within ~3e-8 spacings of the continuum limit
+        # at Ej/Ec = 1e4 (truncation and rounding alike)
         p = params(s=s)
-        diag, off = _tridiag(p, 1 << 19)[1:]
+        lo, hi = well_domain(p)
+        phi, h = np.linspace(lo, hi, (1 << 19) + 2, retstep=True)
+        diag = 2.0 * p.ec / h**2 + washboard_potential(phi[1:-1], p)
+        off = np.full(diag.size - 1, -p.ec / h**2)
         fine = sla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 4))
         wl = well_levels(p, k=5)
         assert np.abs(wl.energies - fine).max() <= 1e-7 * plasma_spacing(p)
 
-    def test_coarse_user_grid_fails_verification(self):
-        # the extrapolants of grids 512/1024 and 1024/2048 disagree by > tol
-        with pytest.raises(ConvergenceError, match="grid 512"):
-            well_levels(params(s=0.2), k=5, grid=512)
-
-    def test_grid_refinement_converged(self):
+    def test_more_points_change_nothing(self, monkeypatch):
         p = params(s=0.3)
         a = well_levels(p, k=2)
-        b = well_levels(p, k=2, grid=1 << 15)
-        gap_a = a.energies[1] - a.energies[0]
-        gap_b = b.energies[1] - b.energies[0]
-        assert abs(gap_a - gap_b) <= 1e-5 * gap_b
+        count = bound_state_count(p)
+        monkeypatch.setattr(phase, "_POINT_FACTOR", 2.0)
+        b = well_levels(p, k=2)
+        assert np.abs(a.energies - b.energies).max() <= 1e-8 * plasma_spacing(p)
+        assert bound_state_count(p) == count
+
+    def test_unsettled_refinement_raises(self, monkeypatch):
+        # too few points per momentum quantum: the 1.5x refinement moves the
+        # levels and changes the count, and neither is passed off as a result
+        monkeypatch.setattr(phase, "_POINT_FACTOR", 0.5)
+        monkeypatch.setattr(phase, "_POINT_MARGIN", 0)
+        with pytest.raises(ConvergenceError, match="bound levels of the well differ"):
+            bound_state_count(params(s=0.2))
+        with pytest.raises(ConvergenceError, match="well levels moved"):
+            well_levels(params(s=0.2), k=5)
+
+    def test_exhaustive_count_above_the_cap_rejected(self):
+        # counting every level of an Ej/Ec = 1e6 well needs ~6000 points
+        p = params(s=0.0, ratio=1e6)
+        with pytest.raises(ValidationError, match="above the dense cap 4096"):
+            bound_state_count(p)
+        assert not well_levels(p, k=3).truncated  # the lowest levels stay cheap
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 0.9])
+    def test_well_overlap_matches_quadrature(self, s):
+        from scipy.integrate import simpson
+        from scipy.optimize import brentq
+
+        p = params(s=s)
+        lo, hi = well_domain(p)
+        barrier = washboard_potential(hi, p)
+        left = lo
+        if s > 0.0:  # the left turning point at the barrier-top energy
+            left = brentq(lambda x: washboard_potential(x, p) - barrier, lo, math.asin(s))
+        x = np.linspace(left, hi, 40001)
+        m = np.arange(1, 13)
+        modes = math.sqrt(2.0 / (hi - lo)) * np.sin(np.pi * np.outer(m, x - lo) / (hi - lo))
+        quad = simpson(modes[:, None, :] * modes[None, :, :], x=x)
+        np.testing.assert_allclose(phase._well_overlap(p, 12), quad, atol=1e-12)
 
 
 class TestReadout:
