@@ -20,6 +20,7 @@ from .charge import (
     CpbParams,
     SpectrumTable,
     cpb_hamiltonian,
+    cpb_levels,
     reduced_two_level,
     spectrum_vs_ng,
     tunable_ej,

@@ -6,7 +6,8 @@ qubit (x) cavity, ordering (|g>, |e>) (x) (|0> ... |N>):
     H = (nu01/2) sz (x) I + I (x) nu_c a+a + g (s+ (x) a + s- (x) a+)
 
 with sz = |e><e| - |g><g| here (energy basis).  Open-system runs add
-cavity decay (a, rate kappa) and the qubit T1/T2 channels.  Dynamics are
+cavity decay (a, rate kappa) and the qubit T1/T2 channels of
+``DecoherenceParams.channels()``, each lifted as L (x) I.  Dynamics are
 integrated in the frame rotating at the cavity frequency, where the
 generator is exactly equivalent (the observable populations commute with
 the frame transformation) and the integrator step is set by g and the
@@ -96,13 +97,12 @@ def excitation_operator(p: JaynesCummingsParams) -> HermitianOperator:
 
 
 def _channels(p: JaynesCummingsParams):
-    a, ident_c, sz, s_plus, ident_q = _operators(p.n_ph)
+    a, ident_c, _, _, ident_q = _operators(p.n_ph)
     chans = []
     if p.kappa_per_us > 0:
         chans.append((np.kron(ident_q, a), p.kappa_per_us / US_TO_NS))
     if p.dec is not None:
-        chans.append((np.kron(s_plus.conj().T, ident_c), p.dec.relaxation_rate))
-        chans.append((np.kron(sz, ident_c), p.dec.dephasing_channel_rate))
+        chans += [(np.kron(L, ident_c), rate) for L, rate in p.dec.channels()]
     return chans
 
 

@@ -8,16 +8,26 @@ Near ``ng = 1/2`` the two lowest charge states give the reduced qubit
 ``H = eps(ng) sz - (Ej/2) sx`` with ``eps = Ec (ng - 1/2)``; at the
 degeneracy point the eigenstates are ``|-+> = (|0> -+ |1>)/sqrt(2)`` --
 that sign convention is used package-wide.
+
+``cpb_levels`` is the one place that bounds a level count by the 2N + 1
+charge states; the ``ng`` sweep and the CLI go through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HermitianOperator, QuantumState, ValidationError, _check_finite, _check_integral
+from .core import (
+    HermitianOperator,
+    QuantumState,
+    ValidationError,
+    _check_finite,
+    _check_integral,
+    _check_level_count,
+)
 
 
 def tunable_ej(ej0: float, flux_ratio: float) -> float:
@@ -85,6 +95,8 @@ class SpectrumTable:
 
     def __post_init__(self):
         control = np.asarray(self.control, dtype=float)
+        if control.size == 0:
+            raise ValidationError("a spectrum needs at least one control value")
         levels = np.atleast_2d(np.asarray(self.levels, dtype=float))
         if levels.shape[0] != control.size:
             raise ValidationError("one level row per control value required")
@@ -138,23 +150,18 @@ def minus_state() -> QuantumState:
     return QuantumState(np.array([1.0, 1.0]) / math.sqrt(2.0))
 
 
-def _levels(p: CpbParams, k: int) -> np.ndarray:
-    return np.linalg.eigvalsh(cpb_hamiltonian(p).entries)[:k].real
+def cpb_levels(p: CpbParams, k: int = 5) -> np.ndarray:
+    """Lowest k CPB levels; the 2N + 1 charge states bound k."""
+    _check_level_count(k, p.cutoff, 2 * p.cutoff + 1)
+    return np.linalg.eigvalsh(cpb_hamiltonian(p).entries)[:k]
 
 
 def spectrum_vs_ng(p: CpbParams, ng_grid, k: int = 5) -> SpectrumTable:
     """Lowest k CPB levels over an offset-charge grid in [0, 1]."""
     ng_grid = np.asarray(ng_grid, dtype=float)
-    if ng_grid.min() < 0.0 or ng_grid.max() > 1.0:
+    if np.any((ng_grid < 0.0) | (ng_grid > 1.0)):
         raise ValidationError("ng grid must lie within [0, 1]")
-    if k > 2 * p.cutoff + 1:
-        raise ValidationError(
-            f"k = {k} exceeds the 2N + 1 = {2 * p.cutoff + 1} levels of cutoff {p.cutoff}"
-        )
-    rows = np.empty((ng_grid.size, k))
-    for i, ng in enumerate(ng_grid):
-        rows[i] = _levels(CpbParams(ec=p.ec, ej=p.effective_ej, ng=float(ng), cutoff=p.cutoff), k)
-    return SpectrumTable(ng_grid, rows)
+    return SpectrumTable(ng_grid, [cpb_levels(replace(p, ng=float(ng)), k) for ng in ng_grid])
 
 
 def ground_charge_expectation(p: CpbParams) -> float:

@@ -4,9 +4,9 @@ Config files are flat INI text (``key = value`` under one level of
 ``[section]`` blocks).  Exactly one circuit block is allowed per config.
 Every CSV starts with ``#`` comment lines recording the tool version, the
 configuration with every parameter-block default filled in (``[cpb]
-cutoff = 10`` when the file gives none), and the seed; data rows carry 15
-significant digits.  Identical config + seed produce byte-identical
-output.  Sweeps run in one process: ``--threads`` and ``[run] threads``
+cutoff = 10`` when the file gives none; a swept key is left to
+``[sweep]``), and the seed; data rows carry 15 significant digits.
+Identical config + seed produce byte-identical output.  Sweeps run in one process: ``--threads`` and ``[run] threads``
 are validated and otherwise ignored.
 
 Exit codes: 0 success, 1 config error, 2 numerical non-convergence or a
@@ -27,9 +27,15 @@ import numpy as np
 
 from . import __version__
 from .cavity import JaynesCummingsParams, strong_coupling_check, vacuum_rabi
-from .charge import CpbParams, cpb_hamiltonian, reduced_two_level, spectrum_vs_ng
+from .charge import CpbParams, cpb_levels, reduced_two_level, spectrum_vs_ng
 from .core import ConvergenceError, ValidationError, basis_state, evolve_unitary
-from .coupled import CoupledParams, DrivePulse, pi_pulse_duration, simulate_cnot
+from .coupled import (
+    _EIGENBASIS_LABELS,
+    CoupledParams,
+    DrivePulse,
+    pi_pulse_duration,
+    simulate_cnot,
+)
 from .experiments import DecoherenceParams, FitError, rabi, ramsey, t1_decay
 from .flux import (
     RfSquidParams,
@@ -74,7 +80,7 @@ _PARAM_BLOCKS = {
     "cpb": (CpbParams, (), {}),
     "flux3": (ThreeJunctionParams, (), {}),
     "rf-squid": (RfSquidParams, (), {}),
-    "coupled": (CoupledParams, ("basis",), {}),
+    "coupled": (CoupledParams, (), {}),
     "jc": (JaynesCummingsParams, ("dec",), {"margin": (float, False)}),
     "noise": (
         FluctuatorEnsemble,
@@ -129,19 +135,6 @@ _OTHER_SCHEMAS = {
     "time": {"start": (float, False), "stop": (float, True), "points": (int, True)},
     "precision": {"verify_grid_tol": (float, False)},
 }
-
-_COMMANDS = {
-    "spectrum": {"circuits": ("cpb", "flux3"), "needs": ("sweep",), "optional": ("precision",)},
-    "evolve": {"circuits": ("cpb",), "needs": ("time",), "optional": ()},
-    "rabi": {"circuits": ("qubit",), "needs": ("pulse", "time"), "optional": ("decoherence",)},
-    "ramsey": {"circuits": ("qubit",), "needs": ("decoherence", "time"), "optional": ()},
-    "t1": {"circuits": (), "needs": ("decoherence", "time"), "optional": ()},
-    "cnot": {"circuits": ("coupled",), "needs": ("pulse",), "optional": ()},
-    "noise-psd": {"circuits": ("noise",), "needs": (), "optional": ()},
-    "jc": {"circuits": ("jc",), "needs": ("time",), "optional": ("decoherence",)},
-    "fluxoid": {"circuits": ("rf-squid",), "needs": (), "optional": ()},
-}
-
 
 @dataclass
 class RunConfig:
@@ -214,21 +207,21 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         circuit_kind = present_circuits[0]
 
     if command in _COMMANDS:
-        rules = _COMMANDS[command]
-        if rules["circuits"]:
+        _, circuits, needs, optional = _COMMANDS[command]
+        if circuits:
             if circuit_kind is None:
                 errors.append(
                     f"'{command}' needs a circuit block: one of "
-                    + ", ".join(f"[{n}]" for n in rules["circuits"])
+                    + ", ".join(f"[{n}]" for n in circuits)
                 )
-            elif circuit_kind not in rules["circuits"]:
+            elif circuit_kind not in circuits:
                 errors.append(
                     f"'{command}' does not accept circuit block [{circuit_kind}]"
                 )
-        for needed in rules["needs"]:
+        for needed in needs:
             if needed not in sections:
                 errors.append(f"'{command}' needs a [{needed}] section")
-        allowed = set(rules["circuits"]) | set(rules["needs"]) | set(rules["optional"]) | {"run"}
+        allowed = {*circuits, *needs, *optional, "run"}
         for name in sections:
             if name not in allowed:
                 errors.append(f"section [{name}] is not used by '{command}'")
@@ -299,10 +292,13 @@ def _write_csv(path: str, cfg: RunConfig, columns, rows, extra_comments=()):
     buf.write(f"# scqsim {__version__}\n")
     buf.write(f"# command = {cfg.command}\n")
     buf.write(f"# seed = {cfg.seed}\n")
+    # a swept key's block value is used by no row; [sweep] records the sweep
+    swept = (cfg.circuit_kind, cfg.sections.get("sweep", {}).get("parameter"))
     for name in sorted(cfg.sections):
         buf.write(f"# [{name}]\n")
         for key in sorted(cfg.sections[name]):
-            buf.write(f"# {key} = {_format(cfg.sections[name][key])}\n")
+            if (name, key) != swept:
+                buf.write(f"# {key} = {_format(cfg.sections[name][key])}\n")
     for line in extra_comments:
         buf.write(f"# {line}\n")
     buf.write(",".join(columns) + "\n")
@@ -329,18 +325,11 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
     comments = []
 
     def levels(p):
-        # 2N + 1 charge states per island: one island for cpb, two for flux3
-        available = (2 * p.cutoff + 1) ** (2 if kind == "flux3" else 1)
-        if available < k:
-            raise ValidationError(
-                f"cutoff {p.cutoff} gives {available} levels, fewer than levels = {k}; "
-                f"raise cutoff or lower levels"
-            )
         if kind == "flux3":
             return solve_three_junction(p, k=k).energies
         if param == "ng":
             return spectrum_vs_ng(p, [p.ng], k=k).levels[0]
-        return np.linalg.eigvalsh(cpb_hamiltonian(p).entries)[:k]
+        return cpb_levels(p, k)
 
     tol = cfg.sections.get("precision", {}).get("verify_grid_tol")
     if kind == "flux3" and tol is not None:
@@ -425,13 +414,10 @@ def _cmd_cnot(cfg: RunConfig):
         phase=pk.get("phase", 0.0),
     )
     table = simulate_cnot(p, pulse)
-    labels = ["++", "+-", "-+", "--"]
     comments = [f"fidelity = {_format(table.fidelity)}"]
     if table.off_resonant:
         comments.append("warning: pulse is off-resonant from both transitions")
-    rows = [
-        [labels[i], *table.populations[i]] for i in range(4)
-    ]
+    rows = [[label, *pops] for label, pops in zip(_EIGENBASIS_LABELS, table.populations)]
     return ["initial", "P_pp", "P_pm", "P_mp", "P_mm"], rows, comments
 
 
@@ -482,23 +468,25 @@ def _cmd_fluxoid(cfg: RunConfig):
     return ["phi_star", "m", "residual"], rows, []
 
 
-_DISPATCH = {
-    "spectrum": _cmd_spectrum,
-    "evolve": _cmd_evolve,
-    "rabi": _cmd_rabi,
-    "ramsey": _cmd_ramsey,
-    "t1": _cmd_t1,
-    "cnot": _cmd_cnot,
-    "noise-psd": _cmd_noise_psd,
-    "jc": _cmd_jc,
-    "fluxoid": _cmd_fluxoid,
+# command -> handler, the circuit blocks it accepts (one is required when
+# any are listed), the sections it needs and those it may also read
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, ("cpb", "flux3"), ("sweep",), ("precision",)),
+    "evolve": (_cmd_evolve, ("cpb",), ("time",), ()),
+    "rabi": (_cmd_rabi, ("qubit",), ("pulse", "time"), ("decoherence",)),
+    "ramsey": (_cmd_ramsey, ("qubit",), ("decoherence", "time"), ()),
+    "t1": (_cmd_t1, (), ("decoherence", "time"), ()),
+    "cnot": (_cmd_cnot, ("coupled",), ("pulse",), ()),
+    "noise-psd": (_cmd_noise_psd, ("noise",), (), ()),
+    "jc": (_cmd_jc, ("jc",), ("time",), ("decoherence",)),
+    "fluxoid": (_cmd_fluxoid, ("rf-squid",), (), ()),
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
-        columns, rows, comments = _DISPATCH[cfg.command](cfg)
+        columns, rows, comments = _COMMANDS[cfg.command][0](cfg)
         _write_csv(cfg.out, cfg, columns, rows, comments)
     except (ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -514,7 +502,7 @@ def main(argv=None) -> int:
         prog="scqsim",
         description="Superconducting qubit circuit simulations (CSV output).",
     )
-    parser.add_argument("command", choices=sorted(_DISPATCH), help="experiment to run")
+    parser.add_argument("command", choices=sorted(_COMMANDS), help="experiment to run")
     parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument("--out", default=None, help="output CSV path (overrides [run] out)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (overrides [run] seed)")
@@ -553,11 +541,7 @@ def main(argv=None) -> int:
         cfg.out = args.out
     if args.seed is not None:
         cfg.seed = args.seed
-    try:
-        return run(cfg)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return run(cfg)
 
 
 if __name__ == "__main__":

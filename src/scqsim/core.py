@@ -68,6 +68,17 @@ def _check_integral(**values) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_level_count(k, cutoff: int, available: int) -> None:
+    """The one level-count rule of a truncated basis: 1 <= k <= its states."""
+    _check_integral(k=k)
+    if k < 1:
+        raise ValidationError(f"need at least one level, got k = {k}")
+    if k > available:
+        raise ValidationError(
+            f"cutoff {cutoff} gives {available} levels, fewer than the {k} requested"
+        )
+
+
 def _checked_time_grid(t_grid) -> np.ndarray:
     """Output times (ns) as a 1-D float array: finite, >= 0 and ascending."""
     t = np.asarray(t_grid, dtype=float)

@@ -46,7 +46,6 @@ class CoupledParams:
     ej1: float
     ej2: float
     chi: float = 0.0
-    basis: str = "product-plus-minus"  # eigenbasis ordering ++, +-, -+, --
 
     def __post_init__(self):
         _check_finite(self, "ej1", "ej2", "chi")

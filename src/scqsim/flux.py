@@ -14,6 +14,10 @@ so it is solved in the charge basis ``|n1, n2>``, ``n = -N..N``
 (Orlando et al., PRB 60, 15398 (1999)), like the Cooper-pair box:
 ``H = Ec (n1^2 + n2^2) + U`` where each cosine shifts the charges by one,
 ``e^{i p1}|n1, n2> = |n1 + 1, n2>``.
+
+Each solver owns its limits: ``solve_three_junction`` bounds the level
+count by the (2N + 1)^2 charge states, and ``solve_levels_1d`` chooses
+its own DVR points; callers pass only the physics and k.
 """
 
 from __future__ import annotations
@@ -23,14 +27,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .charge import SpectrumTable
 from .core import (
     DIMENSION_CAP,
     ConvergenceError,
     ValidationError,
     _check_finite,
     _check_integral,
+    _check_level_count,
     _least_squares,
 )
+
+# solve_levels_1d: DVR points to start from, level tolerance (GHz) and point cap
+_START_POINTS = 64
+_LEVEL_TOL = 1e-6
+_MAX_POINTS = DIMENSION_CAP
 
 
 @dataclass(frozen=True)
@@ -188,41 +199,31 @@ def _sine_dvr(potential, ec: float, lo: float, hi: float, n: int):
     return x, s, w, v
 
 
-def solve_levels_1d(
-    potential,
-    ec: float,
-    phi_lo: float,
-    phi_hi: float,
-    grid: int = 1024,
-    k: int = 4,
-    tol: float = 1e-6,
-    max_grid: int = DIMENSION_CAP,
-) -> Levels1D:
+def solve_levels_1d(potential, ec: float, phi_lo: float, phi_hi: float, k: int = 4) -> Levels1D:
     """Lowest k levels of ``H = Ec n^2 + U(phi)`` on [phi_lo, phi_hi].
 
     The interval is clipped with hard walls and solved by the sine DVR on
-    ``grid`` points, grown about 1.5x until the k lowest eigenvalues move
-    by less than ``tol`` GHz; the finer solution is returned.
-    Non-convergence at ``max_grid`` (at most DIMENSION_CAP) raises
+    ``max(_START_POINTS, k)`` points, grown about 1.5x until the k lowest
+    eigenvalues move by less than ``_LEVEL_TOL`` GHz; the finer solution
+    is returned.  Non-convergence at ``_MAX_POINTS`` points raises
     ConvergenceError.
     """
     if phi_hi <= phi_lo:
         raise ValidationError("empty phase interval")
     if ec <= 0:
         raise ValidationError("Ec must be > 0")
-    if not 1 <= k <= grid <= max_grid <= DIMENSION_CAP:
-        raise ValidationError(
-            f"need 1 <= k <= grid <= max_grid <= {DIMENSION_CAP}, "
-            f"got k = {k}, grid = {grid}, max_grid = {max_grid}"
-        )
-    _, _, w, _ = _sine_dvr(potential, ec, phi_lo, phi_hi, grid)
-    while (3 * grid + 1) // 2 <= max_grid:
-        grid, prev = (3 * grid + 1) // 2, w[:k]
-        x, _, w, v = _sine_dvr(potential, ec, phi_lo, phi_hi, grid)
-        if np.abs(w[:k] - prev).max() <= tol:
-            return Levels1D(phi=x, energies=w[:k], states=v[:, :k], grid_points=grid)
+    _check_integral(k=k)
+    if not 1 <= k <= _MAX_POINTS:
+        raise ValidationError(f"need 1 <= k <= {_MAX_POINTS} levels, got k = {k}")
+    n = max(_START_POINTS, k)
+    _, _, w, _ = _sine_dvr(potential, ec, phi_lo, phi_hi, n)
+    while (3 * n + 1) // 2 <= _MAX_POINTS:
+        n, prev = (3 * n + 1) // 2, w[:k]
+        x, _, w, v = _sine_dvr(potential, ec, phi_lo, phi_hi, n)
+        if np.abs(w[:k] - prev).max() <= _LEVEL_TOL:
+            return Levels1D(phi=x, energies=w[:k], states=v[:, :k], grid_points=n)
     raise ConvergenceError(
-        f"1D eigenvalues not converged to {tol} GHz at max grid {max_grid}"
+        f"1D eigenvalues not converged to {_LEVEL_TOL} GHz at {_MAX_POINTS} points"
     )
 
 
@@ -265,8 +266,7 @@ def solve_three_junction(
     the sum and difference of the two lowest levels are the localized
     circulating-current states.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _check_level_count(k, p.cutoff, (2 * p.cutoff + 1) ** 2)
     h = _three_junction_hamiltonian(p)
     if not want_states:
         return Levels2D(energies=np.linalg.eigvalsh(h)[:k], states=None, cutoff=p.cutoff)
@@ -277,16 +277,10 @@ def solve_three_junction(
     return Levels2D(energies=w[:k], states=v, cutoff=p.cutoff)
 
 
-def flux_spectrum_vs_f(p: ThreeJunctionParams, f_grid, k: int = 6):
+def flux_spectrum_vs_f(p: ThreeJunctionParams, f_grid, k: int = 6) -> SpectrumTable:
     """Lowest k levels versus reduced flux f (the level-diagram sweep)."""
-    from .charge import SpectrumTable
-
-    if k > 6:
-        raise ValidationError("k must be <= 6 for the flux sweep")
     f_grid = np.asarray(f_grid, dtype=float)
-    rows = np.empty((f_grid.size, k))
-    for i, f in enumerate(f_grid):
-        rows[i] = solve_three_junction(replace(p, f=float(f)), k=k).energies
+    rows = [solve_three_junction(replace(p, f=float(f)), k=k).energies for f in f_grid]
     return SpectrumTable(f_grid, rows)
 
 

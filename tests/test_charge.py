@@ -18,6 +18,7 @@ from scqsim.charge import (
     SpectrumTable,
     charge_operator,
     cpb_hamiltonian,
+    cpb_levels,
     ground_charge_expectation,
     minus_state,
     plus_state,
@@ -236,8 +237,26 @@ class TestSpectrum:
         assert np.all(np.diff(table.levels, axis=1) >= 0)
 
     def test_k_too_large(self):
-        with pytest.raises(ValidationError, match="exceeds the 2N \\+ 1 = 5 levels"):
+        with pytest.raises(ValidationError, match="cutoff 2 gives 5 levels, fewer than the 6 "):
             spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=2), [0.5], k=6)
+
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_fewer_than_one_level_rejected(self, k):
+        with pytest.raises(ValidationError, match="need at least one level"):
+            spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=2), [0.1], k=k)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValidationError, match="at least one control value"):
+            spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=2), [], k=2)
+
+    def test_sweep_rows_are_the_level_routine(self):
+        # the SQUID form sweeps through the same routine as its ej form
+        p = CpbParams(ec=5.0, ej0=1.0, flux_ratio=0.2, cutoff=4)
+        grid = [0.0, 0.3, 1.0]
+        rows = spectrum_vs_ng(p, grid, k=9).levels
+        for ng, row in zip(grid, rows):
+            flat = CpbParams(ec=5.0, ej=p.effective_ej, ng=ng, cutoff=4)
+            assert np.array_equal(row, cpb_levels(flat, 9))
 
     def test_every_level_of_the_box(self):
         # k = 2N + 1 returns the whole spectrum of the 2N + 1 charge states

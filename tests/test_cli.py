@@ -191,7 +191,33 @@ class TestDerivedSchemas:
         assert run_cli("spectrum", "--config", str(cfg), "--out", str(out)).returncode == 0
         comments, _, _ = read_csv(out)
         block = comments[comments.index("# [cpb]") + 1 : comments.index("# [run]")]
-        assert block == ["# cutoff = 10", "# ec = 5", "# ej = 1", "# ng = 0"]
+        assert block == ["# cutoff = 10", "# ec = 5", "# ej = 1"]
+
+    @staticmethod
+    def circuit_block(tmp_path, text, circuit):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(text)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        block = comments[comments.index(f"# [{circuit}]") + 1 :]
+        return block[: next(i for i, line in enumerate(block) if line.startswith("# ["))]
+
+    def test_swept_key_left_out_of_its_block(self, tmp_path):
+        # the [sweep] block records the f values; the block's f = 0.5 is used by no row
+        text = (
+            "[flux3]\nej = 40.0\nec = 1.0\nf = 0.5\ncutoff = 3\n"
+            "[sweep]\nparameter = f\nstart = 0.49\nstop = 0.51\npoints = 2\nlevels = 2\n"
+        )
+        block = self.circuit_block(tmp_path, text, "flux3")
+        assert block == ["# alpha = 0.8", "# cutoff = 3", "# ec = 1", "# ej = 40"]
+
+    def test_unswept_keys_stay_in_their_block(self, tmp_path):
+        text = CPB_SPECTRUM.replace("parameter = ng", "parameter = ej").replace(
+            "stop = 1.0", "stop = 2.0"
+        )
+        block = self.circuit_block(tmp_path, text, "cpb")
+        assert block == ["# cutoff = 10", "# ec = 5", "# ng = 0"]
 
 
 class TestCliRuns:
@@ -604,23 +630,23 @@ class TestFailurePaths:
             (
                 "[cpb]\nec = 5.0\nej = 1.0\ncutoff = 2\n"
                 "[sweep]\nparameter = ej\nstart = 1.0\nstop = 2.0\npoints = 3\nlevels = 9\n",
-                "error: cutoff 2 gives 5 levels, fewer than levels = 9",
+                "error: cutoff 2 gives 5 levels, fewer than the 9 requested",
             ),
             (
                 "[flux3]\nej = 40.0\nec = 1.0\ncutoff = 2\n"
                 "[sweep]\nparameter = f\nstart = 0.49\nstop = 0.51\npoints = 3\nlevels = 30\n",
-                "error: cutoff 2 gives 25 levels, fewer than levels = 30",
+                "error: cutoff 2 gives 25 levels, fewer than the 30 requested",
             ),
             (
                 "[flux3]\nej = 40.0\nec = 1.0\ncutoff = 2\n"
                 "[sweep]\nparameter = f\nstart = 0.49\nstop = 0.51\npoints = 3\nlevels = 30\n"
                 "[precision]\nverify_grid_tol = 1e-3\n",
-                "error: cutoff 2 gives 25 levels, fewer than levels = 30",
+                "error: cutoff 2 gives 25 levels, fewer than the 30 requested",
             ),
             (
                 "[cpb]\nec = 5.0\nej = 1.0\ncutoff = 2\n"
                 "[sweep]\nparameter = ng\nstart = 0.0\nstop = 1.0\npoints = 3\nlevels = 9\n",
-                "error: cutoff 2 gives 5 levels, fewer than levels = 9",
+                "error: cutoff 2 gives 5 levels, fewer than the 9 requested",
             ),
         ],
         ids=["cpb-ej", "flux3", "flux3-precision", "cpb-ng"],
@@ -707,7 +733,7 @@ class TestColdStart:
             "well_levels(p, k=3)\n"
             "bound_state_count(p)\n"
             "q = RfSquidParams(ej=2.0, ec=0.4, inductive_scale=0.35, phi_ext=3.14159)\n"
-            "solve_levels_1d(lambda x: rf_squid_potential(x, q), q.ec, -3.0, 9.0, grid=64, k=2)\n"
+            "solve_levels_1d(lambda x: rf_squid_potential(x, q), q.ec, -3.0, 9.0, k=2)\n"
             "print(' '.join(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
         )
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)

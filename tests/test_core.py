@@ -312,6 +312,31 @@ class TestPropagatorProperties:
             assert np.abs(state - exact).max() <= 1e-8
             assert np.array_equal(state, state.conj().T)
 
+    @settings(max_examples=60, deadline=None)
+    @given(**SYSTEMS)
+    def test_evolve_lindblad_states_are_physical(self, seed, dim, n_channels):
+        # the public path at small d: powers of the step matrix, step-halving verified
+        h, channels, rho = random_system(seed, dim, n_channels)
+        grid = [0.4, 1.3]
+        rhos = evolve_lindblad(
+            HermitianOperator(h), channels, DensityMatrix(rho), grid, verify=True
+        )
+        gen = lindblad_superoperator(h, channels)
+        for t, state in zip(grid, rhos):
+            m = state.entries
+            assert np.array_equal(m, m.conj().T)
+            assert np.linalg.eigvalsh(m).min() >= -1e-8
+            exact = (expm(gen * t) @ rho.ravel()).reshape(dim, dim)
+            assert np.abs(m - exact).max() <= 1e-8
+
+    @settings(max_examples=30, deadline=None)
+    @given(**SYSTEMS)
+    def test_generator_blind_to_the_sign_of_a_jump_operator(self, seed, dim, n_channels):
+        # -L gives the same L rho L+ and L+L to the last bit
+        h, channels, _ = random_system(seed, dim, n_channels)
+        flipped = [(-L, rate) for L, rate in channels]
+        assert np.array_equal(_liouvillian(h, channels), _liouvillian(h, flipped))
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4))
     def test_closed_evolution_keeps_norm(self, seed, dim):

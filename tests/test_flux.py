@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from scqsim import flux
 from scqsim.core import DIMENSION_CAP, ConvergenceError, FitError, ValidationError
 from scqsim.flux import (
     FluxoidRecord,
@@ -24,6 +25,7 @@ from scqsim.flux import (
     solve_levels_1d,
     solve_three_junction,
     three_junction_potential,
+    _sine_dvr,
     _three_junction_hamiltonian,
 )
 
@@ -57,11 +59,17 @@ class TestRfSquidPotential:
             RfSquidParams(**fields)
 
 
+# (potential, Ec, phi_lo, phi_hi) of the oracle cases below
+HARMONIC = (lambda x: 0.5 * 3.0 * x**2, 2.0, -12.0, 12.0)
+_RF = RfSquidParams(ej=2.0, ec=0.4, inductive_scale=0.35, phi_ext=np.pi)
+RF_DOUBLE_WELL = (lambda x: rf_squid_potential(x, _RF), _RF.ec, np.pi - 6.0, np.pi + 6.0)
+
+
 class TestSolve1D:
     def test_harmonic_oracle(self):
         # H = Ec n^2 + (k/2) phi^2: spacing 2 sqrt(Ec k / 2)
         ec, spring = 2.0, 3.0
-        lv = solve_levels_1d(lambda x: 0.5 * spring * x**2, ec, -12.0, 12.0, grid=1024, k=6)
+        lv = solve_levels_1d(lambda x: 0.5 * spring * x**2, ec, -12.0, 12.0, k=6)
         spacing = np.diff(lv.energies)
         expected = 2.0 * math.sqrt(ec * spring / 2.0)
         assert np.abs(spacing / expected - 1.0).max() < 1e-3
@@ -69,7 +77,7 @@ class TestSolve1D:
     def test_double_well_parity_and_splitting(self):
         p = RfSquidParams(ej=2.0, ec=0.4, inductive_scale=0.35, phi_ext=np.pi)
         lv = solve_levels_1d(
-            lambda x: rf_squid_potential(x, p), p.ec, np.pi - 6.0, np.pi + 6.0, grid=1024, k=2
+            lambda x: rf_squid_potential(x, p), p.ec, np.pi - 6.0, np.pi + 6.0, k=2
         )
         delta = lv.energies[1] - lv.energies[0]
         assert delta > 1e-3  # tunneling splitting is strictly positive
@@ -77,14 +85,24 @@ class TestSolve1D:
         assert np.abs(even - even[::-1]).max() < 1e-6 * np.abs(even).max() * 1e3
         assert np.abs(odd + odd[::-1]).max() < 1e-6 * np.abs(odd).max() * 1e3
 
-    def test_grid_doubling_converged(self):
-        p = RfSquidParams(ej=2.0, ec=0.4, inductive_scale=0.35, phi_ext=np.pi)
-        a = solve_levels_1d(lambda x: rf_squid_potential(x, p), p.ec, np.pi - 6, np.pi + 6, 64, k=3)
-        b = solve_levels_1d(lambda x: rf_squid_potential(x, p), p.ec, np.pi - 6, np.pi + 6, 128, k=3)
-        assert np.abs(a.energies - b.energies).max() <= 1e-6
+    @pytest.mark.parametrize(
+        "case, k", [(HARMONIC, 6), (RF_DOUBLE_WELL, 3)], ids=["harmonic", "rf-squid"]
+    )
+    def test_matches_a_fine_fixed_grid(self, case, k):
+        # the self-chosen grid stays small and agrees with 512 fixed points
+        lv = solve_levels_1d(*case, k=k)
+        assert lv.grid_points <= 150
+        fine = _sine_dvr(*case, 512)[2][:k]
+        assert np.abs(lv.energies - fine).max() <= 1e-6
+
+    def test_starts_at_k_points_above_the_default(self):
+        # a flat box is exact at any point count, so the first growth converges
+        flat = lambda x: x * 0.0  # noqa: E731
+        assert solve_levels_1d(flat, 1.0, 0.0, 1.0, k=70).grid_points == 105
+        assert solve_levels_1d(flat, 1.0, 0.0, 1.0, k=3).grid_points == 96
 
     def test_states_live_on_the_dvr_points(self):
-        lv = solve_levels_1d(lambda x: 0.5 * x**2, 1.0, -10.0, 10.0, grid=64, k=3)
+        lv = solve_levels_1d(lambda x: 0.5 * x**2, 1.0, -10.0, 10.0, k=3)
         n = lv.grid_points
         assert lv.phi.size == lv.states.shape[0] == n
         np.testing.assert_allclose(lv.phi, -10.0 + 20.0 * np.arange(1, n + 1) / (n + 1), atol=1e-12)
@@ -92,21 +110,17 @@ class TestSolve1D:
 
     def test_point_counts_outside_the_cap_rejected(self):
         flat = lambda x: x * 0.0  # noqa: E731
-        for grid, k, max_grid in (
-            (64, 2, DIMENSION_CAP + 1),  # the cap bounds max_grid
-            (DIMENSION_CAP + 1, 2, DIMENSION_CAP),
-            (128, 2, 96),  # a start above max_grid
-            (2, 3, 64),  # fewer points than levels
-            (8, 0, 64),
-        ):
-            with pytest.raises(ValidationError, match="max_grid"):
-                solve_levels_1d(flat, 1.0, -1.0, 1.0, grid=grid, k=k, max_grid=max_grid)
+        for k in (0, -1, DIMENSION_CAP + 1):
+            with pytest.raises(ValidationError, match="need 1 <= k"):
+                solve_levels_1d(flat, 1.0, -1.0, 1.0, k=k)
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            solve_levels_1d(flat, 1.0, -1.0, 1.0, k=2.5)
 
-    def test_nonconvergence_reported(self):
-        with pytest.raises(ConvergenceError):
-            solve_levels_1d(
-                lambda x: 0.5 * x**2, 1.0, -10.0, 10.0, grid=128, k=2, tol=1e-16, max_grid=256
-            )
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(flux, "_LEVEL_TOL", 1e-16)
+        monkeypatch.setattr(flux, "_MAX_POINTS", 256)
+        with pytest.raises(ConvergenceError, match="at 256 points"):
+            solve_levels_1d(lambda x: 0.5 * x**2, 1.0, -10.0, 10.0, k=2)
 
 
 class TestThreeJunctionPotential:
@@ -256,9 +270,26 @@ class TestFluxSweep:
         gaps = table.gap()
         assert fg[int(np.argmin(gaps))] == pytest.approx(0.5, abs=1e-12)
 
-    def test_k_capped(self):
-        with pytest.raises(ValidationError):
-            flux_spectrum_vs_f(self.params(), [0.5], k=7)
+    def test_more_than_six_levels(self):
+        fg = [0.48, 0.5]
+        table = flux_spectrum_vs_f(self.params(), fg, k=7)
+        for f, row in zip(fg, table.levels):
+            assert np.array_equal(row, solve_three_junction(self.params(f=f), k=7).energies)
+
+    @pytest.mark.parametrize("k", [-2, 0])
+    def test_fewer_than_one_level_rejected(self, k):
+        with pytest.raises(ValidationError, match="need at least one level"):
+            flux_spectrum_vs_f(self.params(), [0.5], k=k)
+
+    def test_more_levels_than_charge_states_rejected(self):
+        p = ThreeJunctionParams(40.0, 1.0, cutoff=2)
+        with pytest.raises(ValidationError, match="cutoff 2 gives 25 levels, fewer than the 30 "):
+            solve_three_junction(p, k=30)
+        assert solve_three_junction(p, k=25).energies.size == 25
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValidationError, match="at least one control value"):
+            flux_spectrum_vs_f(self.params(), [], k=2)
 
     def test_persistent_current_signs(self):
         for f, sign in ((0.48, -1.0), (0.52, +1.0)):

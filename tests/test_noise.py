@@ -31,6 +31,12 @@ class TestEnsemble:
         assert ens.rates[0] == pytest.approx(1e-3)
         assert ens.rates[-1] == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("gamma", [1e-3, 0.1, 1.0 / 3.0, math.pi, 7.3e4])
+    def test_single_rate_is_the_geomspace_value_to_the_bit(self, gamma):
+        # the one-fluctuator shortcut returns what geomspace over one point does
+        rates = FluctuatorEnsemble.single(gamma, 1.0).rates
+        assert np.array_equal(rates, np.geomspace(gamma, gamma, 1)) and rates[0] == gamma
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             FluctuatorEnsemble(count=0, gamma_min=0.1, gamma_max=1.0)
