@@ -25,8 +25,10 @@ from .core import (
     QuantumState,
     ValidationError,
     _check_finite,
+    _check_finite_values,
     _check_integral,
     _check_level_count,
+    _checked_sweep_grid,
 )
 
 
@@ -37,6 +39,7 @@ def tunable_ej(ej0: float, flux_ratio: float) -> float:
     Phi_ext / Phi_0.  Circuit builders take the magnitude; a sign flip
     amounts to a basis redefinition and does not change spectra.
     """
+    _check_finite_values(ej0=ej0, flux_ratio=flux_ratio)
     if ej0 < 0:
         raise ValidationError("Ej0 must be >= 0")
     return 2.0 * ej0 * math.cos(math.pi * flux_ratio)
@@ -158,7 +161,7 @@ def cpb_levels(p: CpbParams, k: int = 5) -> np.ndarray:
 
 def spectrum_vs_ng(p: CpbParams, ng_grid, k: int = 5) -> SpectrumTable:
     """Lowest k CPB levels over an offset-charge grid in [0, 1]."""
-    ng_grid = np.asarray(ng_grid, dtype=float)
+    ng_grid = _checked_sweep_grid(ng_grid, "ng")
     if np.any((ng_grid < 0.0) | (ng_grid > 1.0)):
         raise ValidationError("ng grid must lie within [0, 1]")
     return SpectrumTable(ng_grid, [cpb_levels(replace(p, ng=float(ng)), k) for ng in ng_grid])

@@ -4,8 +4,8 @@ Config files are flat INI text (``key = value`` under one level of
 ``[section]`` blocks).  Exactly one circuit block is allowed per config.
 Every CSV starts with ``#`` comment lines recording the tool version, the
 configuration with every parameter-block default filled in (``[cpb]
-cutoff = 10`` when the file gives none; a swept key is left to
-``[sweep]``), and the seed; data rows carry 15 significant digits.
+cutoff = 10`` or ``[pulse] phase = 0`` when the file gives none; a swept
+key is left to ``[sweep]``), and the seed; data rows carry 15 significant digits.
 Identical config + seed produce byte-identical output.  Sweeps run in one process: ``--threads`` and ``[run] threads``
 are validated and otherwise ignored.
 
@@ -89,6 +89,9 @@ _PARAM_BLOCKS = {
          "nperseg": (int, False)},
     ),
     "decoherence": (DecoherenceParams, (), {}),
+    # the command sets target; duration's default depends on it (0 for rabi,
+    # the pi pulse for cnot)
+    "pulse": (DrivePulse, ("target",), {"duration": (float, False)}),
 }
 _SCHEMAS = {
     name: _fields_schema(cls, omit, **extra) for name, (cls, omit, extra) in _PARAM_BLOCKS.items()
@@ -124,14 +127,7 @@ _OTHER_SCHEMAS = {
         "points": (int, True),
         "levels": (int, False),
     },
-    # duration's default depends on the command: 0 for rabi, the pi pulse for cnot
-    "pulse": {
-        "amplitude": (float, True),
-        "frequency": (float, True),
-        "duration": (float, False),
-        "phase": (float, False),
-    },
-    "decoherence": _SCHEMAS["decoherence"],
+    **{name: _SCHEMAS[name] for name in ("pulse", "decoherence")},
     "time": {"start": (float, False), "stop": (float, True), "points": (int, True)},
     "precision": {"verify_grid_tol": (float, False)},
 }
@@ -363,16 +359,9 @@ def _cmd_evolve(cfg: RunConfig):
 
 
 def _cmd_rabi(cfg: RunConfig):
-    q = cfg.sections["qubit"]
-    pulse_kw = cfg.sections["pulse"]
-    pulse = DrivePulse(
-        amplitude=pulse_kw["amplitude"],
-        frequency=pulse_kw["frequency"],
-        duration=pulse_kw.get("duration", 0.0),
-        phase=pulse_kw.get("phase", 0.0),
-        target="sigma_x",
-    )
-    nu01 = q["nu01"]
+    duration = cfg.sections["pulse"].get("duration", 0.0)
+    pulse = _params(cfg, "pulse", duration=duration, target="sigma_x")
+    nu01 = cfg.sections["qubit"]["nu01"]
     h = reduced_two_level(CpbParams(ec=1.0, ej=nu01, ng=0.5))
     grid = _time_grid(cfg)
     result = rabi(h, pulse, _decoherence(cfg), grid)
@@ -407,13 +396,7 @@ def _cmd_cnot(cfg: RunConfig):
     duration = pk.get("duration")
     if duration is None:
         duration = pi_pulse_duration(pk["amplitude"])
-    pulse = DrivePulse(
-        amplitude=pk["amplitude"],
-        frequency=pk["frequency"],
-        duration=duration,
-        phase=pk.get("phase", 0.0),
-    )
-    table = simulate_cnot(p, pulse)
+    table = simulate_cnot(p, _params(cfg, "pulse", duration=duration))
     comments = [f"fidelity = {_format(table.fidelity)}"]
     if table.off_resonant:
         comments.append("warning: pulse is off-resonant from both transitions")

@@ -53,12 +53,16 @@ def _complex_matrix(entries) -> np.ndarray:
     return m
 
 
-def _check_finite(obj, *names: str) -> None:
-    """Raise ValidationError naming the first of obj's fields that is not finite."""
-    for name in names:
-        value = getattr(obj, name)
+def _check_finite_values(**values) -> None:
+    """Raise ValidationError naming the first of the given numbers that is not finite."""
+    for name, value in values.items():
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def _check_finite(obj, *names: str) -> None:
+    """Raise ValidationError naming the first of obj's fields that is not finite."""
+    _check_finite_values(**{name: getattr(obj, name) for name in names})
 
 
 def _check_integral(**values) -> None:
@@ -89,6 +93,17 @@ def _checked_time_grid(t_grid) -> np.ndarray:
     if t.size and (t[0] < 0 or np.any(np.diff(t) < 0)):
         raise ValidationError("time grid must be ascending and non-negative")
     return t
+
+
+def _checked_sweep_grid(grid, name: str) -> np.ndarray:
+    """A sweep's control values as a 1-D float array of at least one value."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise ValidationError(
+            f"{name} grid must be one-dimensional with at least one control value, "
+            f"got shape {g.shape}"
+        )
+    return g
 
 
 _FIT_MAX_ITER = 200
@@ -160,6 +175,8 @@ class QuantumState:
         amps = np.array(self.amplitudes, dtype=complex).ravel()
         if amps.size < 1:
             raise ValidationError("state needs at least one amplitude")
+        if not np.isfinite(amps).all():
+            raise ValidationError("state has non-finite amplitudes")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-12:
             raise ValidationError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
@@ -289,6 +306,7 @@ def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
 
 def propagator(op: HermitianOperator, t: float) -> np.ndarray:
     """Unitary exp(-i*2*pi*H*t) for time-independent H, via eigendecomposition."""
+    _check_finite_values(t=t)
     if t < 0:
         raise ValidationError("evolution time must be >= 0")
     dec = hermitian_eigen(op)

@@ -14,6 +14,10 @@ The pulse simulation integrates the full time-dependent Hamiltonian
 approximation), so calibration error from counter-rotating terms shows
 up in the reported fidelity.  The rotating-frame pi-pulse duration for
 this drive is ``1/(2A)``.
+
+``DrivePulse`` describes a drive once, here and in ``experiments.rabi``:
+its waveform ``coefficient``, its ``target`` operator and the CLI's
+``[pulse]`` keys.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .core import (
 )
 
 _EIGENBASIS_LABELS = ("++", "+-", "-+", "--")
+# the Pauli operator a drive couples through, by DrivePulse.target
+_DRIVE_TARGETS = {"sigma_x": SIGMA_X, "sigma_z": SIGMA_Z}
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,11 @@ class CoupledParams:
 
 @dataclass(frozen=True)
 class DrivePulse:
-    """Rectangular microwave pulse applied through a gate capacitance."""
+    """Rectangular microwave pulse ``A cos(2 pi nu t + phase)`` along ``target``.
+
+    ``target`` names the Pauli operator the drive couples through:
+    ``"sigma_z"`` (a gate capacitance) or ``"sigma_x"``.
+    """
 
     amplitude: float  # GHz
     frequency: float  # GHz
@@ -69,6 +79,14 @@ class DrivePulse:
             raise ValidationError("amplitude must be >= 0")
         if self.duration < 0:
             raise ValidationError("duration must be >= 0")
+        if self.target not in _DRIVE_TARGETS:
+            raise ValidationError(
+                f"unknown drive target {self.target!r}; choose from {sorted(_DRIVE_TARGETS)}"
+            )
+
+    def coefficient(self, t):
+        """Drive amplitude at time(s) t in ns, in GHz."""
+        return self.amplitude * np.cos(2.0 * math.pi * self.frequency * t + self.phase)
 
 
 @dataclass(frozen=True)
@@ -173,12 +191,9 @@ def simulate_cnot(p: CoupledParams, pulse: DrivePulse) -> TruthTable:
     scale = max(np.linalg.norm(h0, 2) + pulse.amplitude, pulse.frequency, 1.0)
     steps_per_ns = 250.0 * scale
 
-    def coeff(t):
-        return pulse.amplitude * np.cos(2.0 * math.pi * pulse.frequency * t + pulse.phase)
-
     a0, a1 = -1j * _TWO_PI * h0, -1j * _TWO_PI * drive_op
     grid = _checked_time_grid([pulse.duration])
-    final = _rk4_driven(a0, a1, coeff, states, grid, steps_per_ns)[-1]
+    final = _rk4_driven(a0, a1, pulse.coefficient, states, grid, steps_per_ns)[-1]
     pops = np.abs(states.conj().T @ final) ** 2  # [j, i] = P(j | started in i)
     pops = pops.T
     drift = np.abs(pops.sum(axis=1) - 1.0).max()

@@ -5,7 +5,9 @@ index 1 = excited, so ``H0 = (nu01/2) diag(-1, +1)`` and the lowering
 operator is ``|g><e|``.  Decoherence enters through the standard pair of
 Lindblad channels: relaxation at rate 1/T1 and pure dephasing (sz) at
 rate 1/(2 Tphi) with 1/Tphi = 1/T2 - 1/(2 T1).  T1 and T2 are quoted in
-microseconds at the API surface (1 us = 1000 ns).
+microseconds at the API surface (1 us = 1000 ns).  The Pauli matrices
+are ``core.SIGMA_X`` and ``SIGMA_Z`` in that (|g>, |e>) ordering, and a
+drive is a ``coupled.DrivePulse``, which brings its own waveform.
 """
 
 from __future__ import annotations
@@ -16,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SIGMA_X,
+    SIGMA_Z,
     DensityMatrix,
     FitError,
     HermitianOperator,
     ValidationError,
     _check_finite,
+    _check_finite_values,
     _checked_states,
     _checked_time_grid,
     _hermitian_matrices,
@@ -31,14 +36,11 @@ from .core import (
     evolve_lindblad,
     hermitian_eigen,
 )
-from .coupled import DrivePulse
+from .coupled import _DRIVE_TARGETS, DrivePulse
 
 US_TO_NS = 1000.0
 
-# energy-eigenbasis operators, ordering (|g>, |e>)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e| in the (|g>, |e>) basis
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class DecoherenceParams:
         return 0.5 * max(inv_tphi, 0.0)
 
     def channels(self):
-        return [(_LOWER, self.relaxation_rate), (_SZ, self.dephasing_channel_rate)]
+        return [(_LOWER, self.relaxation_rate), (SIGMA_Z, self.dephasing_channel_rate)]
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,7 @@ class ExperimentResult:
 
 def quality_factor(t2_us: float, nu01_ghz: float) -> float:
     """Coherence quality factor Q = pi T2 nu01 (us * GHz = 1e3)."""
+    _check_finite_values(t2_us=t2_us, nu01_ghz=nu01_ghz)
     if t2_us <= 0 or nu01_ghz <= 0:
         raise ValidationError("T2 and nu01 must be > 0")
     return math.pi * t2_us * US_TO_NS * nu01_ghz
@@ -134,36 +137,28 @@ def rabi(
 ) -> ExperimentResult:
     """Driven excited-state population, starting from the ground state.
 
-    The drive couples through sigma_x in the energy eigenbasis (unit
-    matrix element); on resonance and without decoherence the trace
-    follows sin^2(pi A t) up to counter-rotating corrections.  With
+    The drive couples through its target Pauli operator in the energy
+    eigenbasis (sigma_x: unit matrix element); on resonance and without
+    decoherence a sigma_x trace follows sin^2(pi A t) up to
+    counter-rotating corrections.  With
     decoherence every state is checked as in ``evolve_lindblad`` (trace
     1e-8, positivity -1e-7); drift raises ConvergenceError.
     """
     t_grid = _trace_grid(t_grid)
     nu01 = _energy_basis(qubit)
-    h0 = 0.5 * nu01 * (-_SZ)  # diag(-nu01/2, +nu01/2)
-    if drive.target == "sigma_x":
-        drive_op = _SX
-    elif drive.target == "sigma_z":
-        drive_op = _SZ
-    else:
-        raise ValidationError(f"unknown drive target {drive.target!r}")
-
+    h0 = 0.5 * nu01 * (-SIGMA_Z)  # diag(-nu01/2, +nu01/2)
+    drive_op = _DRIVE_TARGETS[drive.target]
     steps_per_ns = 400.0 * max(nu01, drive.frequency, drive.amplitude, 1.0)
-
-    def coeff(t):
-        return drive.amplitude * np.cos(2.0 * math.pi * drive.frequency * t + drive.phase)
-
     if dec is None:
         psi0 = np.array([1.0, 0.0], dtype=complex)
         a0, a1 = -1j * _TWO_PI * h0, -1j * _TWO_PI * drive_op
-        states = _rk4_driven(a0, a1, coeff, psi0, t_grid, steps_per_ns)
+        states = _rk4_driven(a0, a1, drive.coefficient, psi0, t_grid, steps_per_ns)
         pop = np.array([abs(s[1]) ** 2 for s in states])
     else:
         rho0 = np.diag([1.0, 0.0]).astype(complex).ravel()
         a0, a1 = _liouvillian(h0, dec.channels()), _liouvillian(drive_op, [])
-        rhos = _hermitian_matrices(_rk4_driven(a0, a1, coeff, rho0, t_grid, steps_per_ns), 2)
+        vecs = _rk4_driven(a0, a1, drive.coefficient, rho0, t_grid, steps_per_ns)
+        rhos = _hermitian_matrices(vecs, 2)
         pop = np.array([r.population(1) for r in _checked_states(t_grid, rhos)])
     visibility = float(pop.max() - pop.min())
     return ExperimentResult(
@@ -173,7 +168,7 @@ def rabi(
     )
 
 
-_RX90 = (np.eye(2, dtype=complex) - 1j * _SX) / math.sqrt(2.0)
+_RX90 = (np.eye(2, dtype=complex) - 1j * SIGMA_X) / math.sqrt(2.0)
 
 
 def _fit_ramsey(tau: np.ndarray, pop: np.ndarray, t2_ns: float, delta: float) -> np.ndarray:
@@ -210,10 +205,11 @@ def ramsey(
     a least-squares fit returns the extracted T2 and detuning (FitError
     if the trace has no contrast or the fit fails).
     """
+    _check_finite_values(nu01=nu01)
     if nu01 <= 0:
         raise ValidationError("nu01 must be > 0")
     delay_grid = _trace_grid(delay_grid)
-    h_rot = HermitianOperator(-0.5 * detuning * _SZ)
+    h_rot = HermitianOperator(-0.5 * detuning * SIGMA_Z)
     psi = _RX90 @ np.array([1.0, 0.0], dtype=complex)
     rho0 = DensityMatrix(np.outer(psi, psi.conj()))
     rhos = evolve_lindblad(h_rot, dec.channels(), rho0, delay_grid, verify=False)

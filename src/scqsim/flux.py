@@ -33,8 +33,10 @@ from .core import (
     ConvergenceError,
     ValidationError,
     _check_finite,
+    _check_finite_values,
     _check_integral,
     _check_level_count,
+    _checked_sweep_grid,
     _least_squares,
 )
 
@@ -193,8 +195,11 @@ def _sine_dvr(potential, ec: float, lo: float, hi: float, n: int):
     x = lo + m * length / (n + 1)
     # m i is reduced mod 2(n + 1) exactly, so S stays orthogonal to rounding
     s = math.sqrt(2.0 / (n + 1)) * np.sin(math.pi / (n + 1) * (np.outer(m, m) % (2 * n + 2)))
+    u = np.asarray(potential(x), dtype=float)
+    if not np.isfinite(u).all():
+        raise ValidationError("the potential is not finite on the DVR points")
     h = (s * (ec * (math.pi * m / length) ** 2)) @ s
-    h[m - 1, m - 1] += np.asarray(potential(x), dtype=float)
+    h[m - 1, m - 1] += u
     w, v = np.linalg.eigh(h)
     return x, s, w, v
 
@@ -206,8 +211,10 @@ def solve_levels_1d(potential, ec: float, phi_lo: float, phi_hi: float, k: int =
     ``max(_START_POINTS, k)`` points, grown about 1.5x until the k lowest
     eigenvalues move by less than ``_LEVEL_TOL`` GHz; the finer solution
     is returned.  Non-convergence at ``_MAX_POINTS`` points raises
-    ConvergenceError.
+    ConvergenceError; a non-finite ec or interval end, or a potential that
+    is not finite on the DVR points, raises ValidationError before any solve.
     """
+    _check_finite_values(ec=ec, phi_lo=phi_lo, phi_hi=phi_hi)
     if phi_hi <= phi_lo:
         raise ValidationError("empty phase interval")
     if ec <= 0:
@@ -279,7 +286,7 @@ def solve_three_junction(
 
 def flux_spectrum_vs_f(p: ThreeJunctionParams, f_grid, k: int = 6) -> SpectrumTable:
     """Lowest k levels versus reduced flux f (the level-diagram sweep)."""
-    f_grid = np.asarray(f_grid, dtype=float)
+    f_grid = _checked_sweep_grid(f_grid, "f")
     rows = [solve_three_junction(replace(p, f=float(f)), k=k).energies for f in f_grid]
     return SpectrumTable(f_grid, rows)
 
@@ -296,16 +303,21 @@ def persistent_current(state: np.ndarray, p: ThreeJunctionParams) -> float:
     if c.size != m * m:
         raise ValidationError("state length does not match the charge cutoff")
     c = c.reshape(m, m)
+    norm = np.vdot(c, c).real
+    if not norm > 0:
+        raise ValidationError("state has no nonzero amplitude")
     shift = np.vdot(c[1:, :-1], c[:-1, 1:])  # <e^{i(p1 - p2)}>, unnormalized
-    return float(-p.alpha * np.imag(np.exp(2j * math.pi * p.f) * shift) / np.vdot(c, c).real)
+    return float(-p.alpha * np.imag(np.exp(2j * math.pi * p.f) * shift) / norm)
 
 
 def ground_state_current_vs_f(p: ThreeJunctionParams, f_grid) -> np.ndarray:
     """Ground-state persistent current across a reduced-flux grid."""
-    out = np.empty(len(f_grid))
-    for i, f in enumerate(np.asarray(f_grid, dtype=float)):
-        sol = solve_three_junction(replace(p, f=float(f)), k=1, want_states=True)
-        out[i] = persistent_current(sol.states[:, 0], p=replace(p, f=float(f)))
+    f_grid = _checked_sweep_grid(f_grid, "f")
+    out = np.empty(f_grid.size)
+    for i, f in enumerate(f_grid):
+        q = replace(p, f=float(f))
+        sol = solve_three_junction(q, k=1, want_states=True)
+        out[i] = persistent_current(sol.states[:, 0], q)
     return out
 
 
@@ -319,6 +331,11 @@ def fit_two_level_gap(f_grid, gaps):
     """
     f_grid = np.asarray(f_grid, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
+    if f_grid.ndim != 1 or f_grid.shape != gaps.shape or f_grid.size < 2:
+        raise ValidationError(
+            f"need equal one-dimensional flux and gap arrays of at least 2 points, "
+            f"got shapes {f_grid.shape} and {gaps.shape}"
+        )
     x = (f_grid - 0.5) ** 2
     start = np.linalg.lstsq(np.column_stack([np.ones_like(x), x]), gaps**2, rcond=None)[0]
 

@@ -96,6 +96,12 @@ def _check_grid(ens: FluctuatorEnsemble, t_grid: np.ndarray) -> np.ndarray:
     return dt
 
 
+def _check_trajectory(trajectory) -> None:
+    _check_integral(trajectory=trajectory)
+    if trajectory < 0:
+        raise ValidationError(f"trajectory must be >= 0, got {trajectory}")
+
+
 def _stream(ens: FluctuatorEnsemble, trajectory: int, fluctuator: int) -> np.random.Generator:
     return np.random.default_rng([ens.seed, trajectory, fluctuator])
 
@@ -125,6 +131,7 @@ def rtn_trajectory(ens: FluctuatorEnsemble, t_grid, trajectory: int = 0) -> np.n
     always yields bit-identical output regardless of how many other
     trajectories were drawn.
     """
+    _check_trajectory(trajectory)
     t_grid = np.asarray(t_grid, dtype=float)
     _check_grid(ens, t_grid)
     n = t_grid.size
@@ -151,6 +158,7 @@ def fluctuator_states(ens: FluctuatorEnsemble, t_grid, trajectory: int = 0) -> n
     Each row is s0 (-1)^k with k the number of flips up to that sample; it
     draws the same numbers as ``rtn_trajectory``.
     """
+    _check_trajectory(trajectory)
     t_grid = np.asarray(t_grid, dtype=float)
     _check_grid(ens, t_grid)
     n = t_grid.size

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DIMENSION_CAP, ConvergenceError, ValidationError, _check_finite
+from .core import DIMENSION_CAP, ConvergenceError, ValidationError, _check_finite, _check_integral
 from .flux import _sine_dvr
 
 _POINT_FACTOR = 1.4  # box modes per classical momentum quantum pi/L at E_top
@@ -126,6 +126,7 @@ def well_levels(p: PhaseQubitParams, k: int = 3) -> WellLevels:
     than DIMENSION_CAP points (exhaustive counts above Ej/Ec of about 4e5
     at s = 0).
     """
+    _check_integral(k=k)
     if k < 1:
         raise ValidationError("k must be >= 1")
     lo, hi = well_domain(p)

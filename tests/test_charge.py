@@ -140,6 +140,11 @@ class TestTunableEj:
         p = CpbParams(ec=5.0, ej0=1.0, flux_ratio=0.75, ng=0.5, cutoff=10)
         assert p.effective_ej == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("ej0, ratio", [(1.0, math.nan), (math.inf, 0.0)])
+    def test_non_finite_input_rejected(self, ej0, ratio):
+        with pytest.raises(ValidationError, match="must be finite"):
+            tunable_ej(ej0, ratio)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             tunable_ej(-1.0, 0.0)
@@ -248,6 +253,11 @@ class TestSpectrum:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError, match="at least one control value"):
             spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=2), [], k=2)
+
+    @pytest.mark.parametrize("grid", [0.5, [[0.5]]], ids=["scalar", "2d"])
+    def test_grid_of_other_shape_rejected(self, grid):
+        with pytest.raises(ValidationError, match="ng grid must be one-dimensional"):
+            spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=2), grid, k=2)
 
     def test_sweep_rows_are_the_level_routine(self):
         # the SQUID form sweeps through the same routine as its ej form

@@ -144,6 +144,12 @@ HAND_WRITTEN_SCHEMAS = {
         "nperseg": (int, False),
     },
     "decoherence": {"t1_us": (float, True), "t2_us": (float, True)},
+    "pulse": {
+        "amplitude": (float, True),
+        "frequency": (float, True),
+        "duration": (float, False),
+        "phase": (float, False),
+    },
 }
 
 

@@ -43,6 +43,11 @@ class TestTypes:
         with pytest.raises(ValidationError):
             QuantumState(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amps", [[np.nan, np.nan], [np.nan, 0.0], [np.inf, 0.0]])
+    def test_non_finite_state_rejected(self, amps):
+        with pytest.raises(ValidationError, match="non-finite amplitudes"):
+            QuantumState(amps)
+
     def test_state_is_immutable(self):
         psi = basis_state(3, 0)
         with pytest.raises(ValueError):
@@ -180,6 +185,13 @@ class TestUnitaryEvolution:
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):
             evolve_unitary(herm(SIGMA_Z), basis_state(2, 0), -1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValidationError, match="t must be finite"):
+            evolve_unitary(herm(SIGMA_Z), basis_state(2, 0), t)
+        with pytest.raises(ValidationError, match="t must be finite"):
+            propagator(herm(SIGMA_Z), t)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

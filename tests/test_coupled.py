@@ -138,6 +138,21 @@ class TestCnot:
         with pytest.raises(ValidationError):
             pi_pulse_duration(0.0)
 
+    def test_unknown_target_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="unknown drive target 'sigma_q'"):
+            DrivePulse(amplitude=0.1, frequency=1.0, duration=1.0, target="sigma_q")
+
+    def test_sigma_x_pulse_rejected(self):
+        pulse = DrivePulse(amplitude=0.2, frequency=12.0, duration=2.5, target="sigma_x")
+        with pytest.raises(ValidationError, match="couples through sigma_z"):
+            simulate_cnot(P_REF, pulse)
+
+    def test_coefficient_is_the_waveform(self):
+        pulse = DrivePulse(amplitude=0.2, frequency=12.0, duration=2.5, phase=0.3)
+        t = np.linspace(0.0, 2.5, 7)
+        expected = 0.2 * np.cos(2.0 * math.pi * 12.0 * t + 0.3)
+        assert np.array_equal(pulse.coefficient(t), expected)
+
     @pytest.mark.parametrize("field", ["amplitude", "frequency", "duration", "phase"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_pulse_non_finite_rejected(self, field, bad):

@@ -128,8 +128,8 @@ class TestRabi:
             rabi(qubit_h(), drive(0.1), DecoherenceParams(t1_us=1.0, t2_us=1.0), [])
 
     def test_unknown_target_rejected(self):
-        bad = DrivePulse(amplitude=0.1, frequency=NU01, duration=0.0, target="sigma_q")
         with pytest.raises(ValidationError):
+            bad = DrivePulse(amplitude=0.1, frequency=NU01, duration=0.0, target="sigma_q")
             rabi(qubit_h(), bad, None, [0.0, 1.0])
 
 
@@ -166,6 +166,15 @@ class TestRamsey:
         dec = DecoherenceParams(t1_us=10.0, t2_us=1.0)
         with pytest.raises(ValidationError, match="at least one time"):
             ramsey(5.0, 0.002, dec, [])
+
+    @pytest.mark.parametrize("nu01", [math.nan, math.inf])
+    def test_non_finite_nu01_rejected_before_the_trace(self, nu01, monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("evolved before checking nu01")
+
+        monkeypatch.setattr(experiments, "evolve_lindblad", no_trace)
+        with pytest.raises(ValidationError, match="nu01 must be finite"):
+            ramsey(nu01, 0.002, DecoherenceParams(t1_us=10.0, t2_us=1.0), [0.0, 10.0])
 
     def test_degenerate_trace_reported(self):
         dec = DecoherenceParams(t1_us=5e4, t2_us=1e5)
@@ -370,3 +379,8 @@ class TestQualityFactor:
     def test_validation(self):
         with pytest.raises(ValidationError):
             quality_factor(0.0, 1.0)
+
+    @pytest.mark.parametrize("t2, nu", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_non_finite_rejected(self, t2, nu):
+        with pytest.raises(ValidationError, match="must be finite"):
+            quality_factor(t2, nu)

@@ -1,6 +1,7 @@
 """Flux-qubit tests: potentials, 1D/2D solvers, currents, fluxoid."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,19 @@ class TestSolve1D:
                 solve_levels_1d(flat, 1.0, -1.0, 1.0, k=k)
         with pytest.raises(ValidationError, match="k must be an integer"):
             solve_levels_1d(flat, 1.0, -1.0, 1.0, k=2.5)
+
+    @pytest.mark.parametrize(
+        "ec, lo, hi", [(math.nan, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, math.inf)]
+    )
+    def test_non_finite_interval_rejected_at_once(self, ec, lo, hi):
+        # without the check, dense eigh ran on NaN matrices up to the point cap
+        with pytest.raises(ValidationError, match="must be finite"):
+            solve_levels_1d(lambda x: 0 * x, ec, lo, hi, k=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_potential_rejected(self, bad):
+        with pytest.raises(ValidationError, match="potential is not finite"):
+            solve_levels_1d(lambda x: np.where(x > 0.5, bad, 0.0), 1.0, 0.0, 1.0, k=2)
 
     def test_nonconvergence_reported(self, monkeypatch):
         monkeypatch.setattr(flux, "_LEVEL_TOL", 1e-16)
@@ -291,6 +305,16 @@ class TestFluxSweep:
         with pytest.raises(ValidationError, match="at least one control value"):
             flux_spectrum_vs_f(self.params(), [], k=2)
 
+    @pytest.mark.parametrize("grid", [0.5, [[0.5]], []], ids=["scalar", "2d", "empty"])
+    @pytest.mark.parametrize("sweep", [flux_spectrum_vs_f, ground_state_current_vs_f])
+    def test_bad_grid_rejected_before_any_solve(self, sweep, grid, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the grid")
+
+        monkeypatch.setattr(flux, "solve_three_junction", no_solve)
+        with pytest.raises(ValidationError, match="f grid must be one-dimensional"):
+            sweep(self.params(), grid)
+
     def test_persistent_current_signs(self):
         for f, sign in ((0.48, -1.0), (0.52, +1.0)):
             pf = self.params(f=f)
@@ -359,6 +383,22 @@ class TestFluxSweep:
         pf = self.params(f=0.5)
         with pytest.raises(ValidationError):
             persistent_current(np.zeros(10), pf)
+
+    def test_zero_state_rejected(self):
+        m = 2 * self.CUTOFF + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="no nonzero amplitude"):
+                persistent_current(np.zeros(m * m), self.params(f=0.5))
+
+    @pytest.mark.parametrize(
+        "f_grid, gaps",
+        [([0.49, 0.5, 0.51], [0.1, 0.2]), ([0.5], [0.1]), ([[0.49, 0.51]], [[0.1, 0.1]])],
+        ids=["lengths", "one-point", "2d"],
+    )
+    def test_two_level_fit_input_shapes_rejected(self, f_grid, gaps):
+        with pytest.raises(ValidationError, match="equal one-dimensional"):
+            fit_two_level_gap(f_grid, gaps)
 
 
 class TestFluxoid:

@@ -110,6 +110,16 @@ class TestEnsemble:
             sampler(ens, grid)
 
 
+    @pytest.mark.parametrize("sampler", [rtn_trajectory, fluctuator_states])
+    @pytest.mark.parametrize(
+        "trajectory, message", [(-1, "must be >= 0"), (2.5, "must be an integer")]
+    )
+    def test_bad_trajectory_rejected(self, sampler, trajectory, message):
+        ens = FluctuatorEnsemble.single(0.1, 0.5)
+        with pytest.raises(ValidationError, match=f"trajectory {message}"):
+            sampler(ens, [0.0, 0.5, 1.0], trajectory=trajectory)
+
+
 class TestTrajectories:
     def test_deterministic_per_seed(self):
         ens = FluctuatorEnsemble(count=4, gamma_min=0.01, gamma_max=1.0, coupling=0.5, seed=9)

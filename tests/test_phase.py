@@ -142,6 +142,10 @@ class TestWellLevels:
         with pytest.raises(ConvergenceError, match="well levels moved"):
             well_levels(params(s=0.2), k=5)
 
+    def test_non_integral_k_rejected(self):
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            well_levels(params(), k=2.5)
+
     def test_exhaustive_count_above_the_cap_rejected(self):
         # counting every level of an Ej/Ec = 1e6 well needs ~6000 points
         p = params(s=0.0, ratio=1e6)
