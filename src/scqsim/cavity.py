@@ -27,6 +27,7 @@ from .core import (
     QuantumState,
     ValidationError,
     _check_finite,
+    _check_finite_values,
     _check_integral,
     evolve_lindblad,
     evolve_unitary,
@@ -155,6 +156,7 @@ def strong_coupling_check(p: JaynesCummingsParams, margin: float = 10.0) -> Stro
 
     Equality counts as satisfied and is flagged marginal.
     """
+    _check_finite_values(margin=margin)
     if margin < 1.0:
         raise ValidationError("margin must be >= 1")
     if p.g <= 0:

@@ -5,9 +5,12 @@ Config files are flat INI text (``key = value`` under one level of
 Every CSV starts with ``#`` comment lines recording the tool version, the
 configuration with every parameter-block default filled in (``[cpb]
 cutoff = 10`` or ``[pulse] phase = 0`` when the file gives none; a swept
-key is left to ``[sweep]``), and the seed; data rows carry 15 significant digits.
+key is left to ``[sweep]``; a ``[run]`` key the file sets records its
+flag's value when ``--out``, ``--seed`` or ``--threads`` overrides it), and
+the seed; data rows carry 15 significant digits.
 Identical config + seed produce byte-identical output.  Sweeps run in one process: ``--threads`` and ``[run] threads``
-are validated and otherwise ignored.
+are validated and otherwise ignored.  A spectrum with ``[precision]``
+re-solves its mid-sweep point at ``cutoff + 4``, for every circuit.
 
 Exit codes: 0 success, 1 config error, 2 numerical non-convergence or a
 failed fit.
@@ -221,6 +224,9 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         for name in sections:
             if name not in allowed:
                 errors.append(f"section [{name}] is not used by '{command}'")
+        for name, key in _UNREAD_KEYS.get(command, ()):
+            if key in sections.get(name, {}):
+                errors.append(f"key '{key}' in [{name}] is not used by '{command}'")
 
     if "sweep" in sections and circuit_kind is not None and "parameter" in sections["sweep"]:
         sweep = sections["sweep"]
@@ -328,7 +334,7 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
         return cpb_levels(p, k)
 
     tol = cfg.sections.get("precision", {}).get("verify_grid_tol")
-    if kind == "flux3" and tol is not None:
+    if tol is not None:
         p_mid = _params(cfg, kind, **{param: values[len(values) // 2]})
         # built before any solve, so a cutoff + 4 above the dense cap fails at once
         p_fine = dataclasses.replace(p_mid, cutoff=p_mid.cutoff + 4)
@@ -336,7 +342,7 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
         change = f"from cutoff {p_mid.cutoff} to {p_fine.cutoff}"
         if moved > tol:
             raise ConvergenceError(
-                f"flux levels moved {moved:.3e} GHz {change} "
+                f"levels moved {moved:.3e} GHz {change} "
                 f"(tolerance {tol:.3e}); raise cutoff"
             )
         comments.append(f"grid verification: levels moved {moved:.3e} GHz {change}")
@@ -359,8 +365,7 @@ def _cmd_evolve(cfg: RunConfig):
 
 
 def _cmd_rabi(cfg: RunConfig):
-    duration = cfg.sections["pulse"].get("duration", 0.0)
-    pulse = _params(cfg, "pulse", duration=duration, target="sigma_x")
+    pulse = _params(cfg, "pulse", duration=0.0, target="sigma_x")
     nu01 = cfg.sections["qubit"]["nu01"]
     h = reduced_two_level(CpbParams(ec=1.0, ej=nu01, ng=0.5))
     grid = _time_grid(cfg)
@@ -464,6 +469,10 @@ _COMMANDS = {
     "jc": (_cmd_jc, ("jc",), ("time",), ("decoherence",)),
     "fluxoid": (_cmd_fluxoid, ("rf-squid",), (), ()),
 }
+# (section, key) pairs a command does not read, so a config may not set them:
+# rabi's drive stays on over the whole time grid, and its detuning is the
+# pulse frequency's offset from nu01
+_UNREAD_KEYS = {"rabi": (("qubit", "detuning"), ("pulse", "duration"))}
 
 
 def run(cfg: RunConfig) -> int:
@@ -524,6 +533,11 @@ def main(argv=None) -> int:
         cfg.out = args.out
     if args.seed is not None:
         cfg.seed = args.seed
+    # the header's [run] block records what the run used: a flag wins
+    run_block = cfg.sections.get("run", {})
+    for key, flag in (("out", args.out), ("seed", args.seed), ("threads", args.threads)):
+        if flag is not None and key in run_block:
+            run_block[key] = flag
     return run(cfg)
 
 

@@ -494,6 +494,15 @@ def _rk4_constant(a, y0, t_grid, steps_per_ns):
     return out
 
 
+def _check_norm_drift(norms_squared, steps_per_ns) -> None:
+    """The closed driven traces' drift check: each squared norm within 1e-6 of 1."""
+    drift = float(np.abs(np.asarray(norms_squared) - 1.0).max())
+    if not drift <= 1e-6:
+        raise ConvergenceError(
+            f"pulse integration lost {drift:.2e} of norm at {steps_per_ns:.4g} RK4 steps per ns"
+        )
+
+
 def _checked_states(t_grid, rhos) -> list[DensityMatrix]:
     """Propagated matrices as DensityMatrix; drift raises ConvergenceError.
 

@@ -30,10 +30,11 @@ import numpy as np
 from .core import (
     SIGMA_X,
     SIGMA_Z,
-    ConvergenceError,
     HermitianOperator,
     ValidationError,
     _check_finite,
+    _check_finite_values,
+    _check_norm_drift,
     _checked_time_grid,
     _rk4_driven,
     _TWO_PI,
@@ -115,6 +116,7 @@ class TruthTable:
 
 def pi_pulse_duration(amplitude: float) -> float:
     """Rotating-frame pi-pulse length 1/(2A) for H_d = A cos(2 pi nu t) sz."""
+    _check_finite_values(amplitude=amplitude)
     if amplitude <= 0:
         raise ValidationError("amplitude must be > 0")
     return 1.0 / (2.0 * amplitude)
@@ -196,11 +198,7 @@ def simulate_cnot(p: CoupledParams, pulse: DrivePulse) -> TruthTable:
     final = _rk4_driven(a0, a1, pulse.coefficient, states, grid, steps_per_ns)[-1]
     pops = np.abs(states.conj().T @ final) ** 2  # [j, i] = P(j | started in i)
     pops = pops.T
-    drift = np.abs(pops.sum(axis=1) - 1.0).max()
-    if drift > 1e-6:
-        raise ConvergenceError(
-            f"pulse integration lost {drift:.2e} of norm at {steps_per_ns:.4g} RK4 steps per ns"
-        )
+    _check_norm_drift(pops.sum(axis=1), steps_per_ns)
     fidelity = float(np.mean([pops[i, _CNOT_MAP[i]] for i in range(4)]))
     return TruthTable(populations=pops, fidelity=fidelity, off_resonant=off_resonant)
 

@@ -15,9 +15,10 @@ so it is solved in the charge basis ``|n1, n2>``, ``n = -N..N``
 ``H = Ec (n1^2 + n2^2) + U`` where each cosine shifts the charges by one,
 ``e^{i p1}|n1, n2> = |n1 + 1, n2>``.
 
-Each solver owns its limits: ``solve_three_junction`` bounds the level
-count by the (2N + 1)^2 charge states, and ``solve_levels_1d`` chooses
-its own DVR points; callers pass only the physics and k.
+Each search owns its limits: ``solve_three_junction`` bounds the level
+count by the (2N + 1)^2 charge states, ``solve_levels_1d`` chooses its
+own DVR points, and ``rf_squid_minima`` derives its window from the
+potential; callers pass only the physics and k.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ from .core import (
 _START_POINTS = 64
 _LEVEL_TOL = 1e-6
 _MAX_POINTS = DIMENSION_CAP
+# rf_squid_minima: grid steps per 3 pi of phase (2001 points on phi_ext +- 3 pi)
+# and the most grid points it allocates
+_MINIMA_STEPS = 1000
+_MINIMA_MAX_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -129,15 +134,37 @@ def _rf_squid_slope(phi, p: RfSquidParams):
     return p.ej * np.sin(phi) + 2.0 * p.inductive_scale * (phi - p.phi_ext)
 
 
-def rf_squid_minima(p: RfSquidParams, span: float = 3.0 * math.pi, samples: int = 2001):
-    """Local minima of the rf-SQUID potential around phi_ext (ascending).
+def _minima_grid(p: RfSquidParams) -> np.ndarray:
+    """The search grid of ``rf_squid_minima``: phi_ext +- W, W = max(3 pi, r + pi).
 
+    Every stationary point of U satisfies |phi - phi_ext| = Ej |sin phi| /
+    (2 inductive_scale) <= r = Ej / (2 inductive_scale); the extra pi keeps
+    the grid neighbours of an edge minimum inside.  The spacing is
+    3 pi / _MINIMA_STEPS, so W rounds up to whole steps; a window above
+    _MINIMA_MAX_POINTS points raises ValidationError before any allocation.
+    """
+    reach = p.ej / (2.0 * p.inductive_scale)
+    steps = _MINIMA_STEPS * (reach + math.pi) / (3.0 * math.pi)  # on each side of phi_ext
+    if not steps <= (_MINIMA_MAX_POINTS - 1) // 2:
+        raise ValidationError(
+            f"rf-SQUID minima lie up to Ej/(2 inductive_scale) = {reach:.4g} rad from "
+            f"phi_ext; a search grid that wide exceeds {_MINIMA_MAX_POINTS} points"
+        )
+    steps = max(_MINIMA_STEPS, math.ceil(steps))
+    half = 3.0 * math.pi * (steps / _MINIMA_STEPS)
+    return np.linspace(p.phi_ext - half, p.phi_ext + half, 2 * steps + 1)
+
+
+def rf_squid_minima(p: RfSquidParams):
+    """Every local minimum of the rf-SQUID potential (ascending).
+
+    The search grid (``_minima_grid``) covers every stationary point of U.
     Each grid minimum phi[i] starts a Newton iteration on U' that stays in
     the bracket [phi[i-1], phi[i+1]]: a step that leaves it, or one taken
     where the curvature is not positive, is replaced by bisection.  The
     iteration stops once |U'| < 1e-13 Ej.
     """
-    phi = np.linspace(p.phi_ext - span, p.phi_ext + span, samples)
+    phi = _minima_grid(p)
     u = rf_squid_potential(phi, p)
     mins = []
     for i in np.flatnonzero((u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])) + 1:

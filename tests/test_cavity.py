@@ -165,3 +165,8 @@ class TestStrongCoupling:
             strong_coupling_check(params(), margin=0.5)
         with pytest.raises(ValidationError):
             strong_coupling_check(params(g=0.0))
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ValidationError, match="margin must be finite"):
+            strong_coupling_check(params(), margin=margin)

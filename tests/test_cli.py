@@ -293,6 +293,18 @@ class TestCliRuns:
         assert outs[0] == outs[1]
         assert outs[0] == outs[2]  # thread count must not leak into the bytes
 
+    def test_flags_win_in_the_run_block(self, tmp_path):
+        cfg = tmp_path / "cpb.ini"
+        cfg.write_text(CPB_SPECTRUM.replace("seed = 42", "seed = 42\nout = a.csv"))
+        out = tmp_path / "b.csv"
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out), "--seed", "7")
+        assert proc.returncode == 0, proc.stderr
+        comments, _, _ = read_csv(out)
+        assert comments[2] == "# seed = 7"
+        # the keys the config sets, at the values the run used; threads stays out
+        block = comments[comments.index("# [run]") + 1 : comments.index("# [sweep]")]
+        assert block == [f"# out = {out}", "# seed = 7"]
+
     def test_circuit_flag_consistency(self, tmp_path):
         cfg = tmp_path / "cpb.ini"
         cfg.write_text(CPB_SPECTRUM)
@@ -391,6 +403,15 @@ phi_ext = 3.141592653589793
         _, header, rows = read_csv(out)
         assert header == ["phi_star", "m", "residual"]
         assert sorted(int(r[1]) for r in rows) == [0, 1]
+
+    def test_fluxoid_lists_minima_beyond_three_pi(self, tmp_path):
+        # Ej/(2 inductive_scale) = 15: minima lie up to 11.7 rad from phi_ext
+        cfg = tmp_path / "fx.ini"
+        cfg.write_text("[rf-squid]\nej = 30\nec = 0.1\ninductive_scale = 1\nphi_ext = 0.3\n")
+        out = tmp_path / "fx.csv"
+        assert run_cli("fluxoid", "--config", str(cfg), "--out", str(out)).returncode == 0
+        _, _, rows = read_csv(out)
+        assert [int(r[1]) for r in rows] == [-2, -1, 0, 1, 2]
 
     def test_jc_run(self, tmp_path):
         cfg = tmp_path / "jc.ini"
@@ -531,6 +552,48 @@ class TestFailurePaths:
         out = tmp_path / "o.csv"
         proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
         assert_one_line_failure(proc, 1, "error: charge cutoff 32 gives 4225 states")
+        assert not out.exists()
+
+    def test_unconverged_cpb_precision_exits_2(self, tmp_path):
+        cfg = tmp_path / "cpb.ini"
+        cfg.write_text(
+            CPB_SPECTRUM.replace("cutoff = 10", "cutoff = 2")
+            + "[precision]\nverify_grid_tol = 1e-12\n"
+        )
+        out = tmp_path / "o.csv"
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 2, "numerical failure: levels moved")
+        assert "from cutoff 2 to 6" in proc.stderr
+        assert not out.exists()
+
+    def test_cpb_precision_is_recorded(self, tmp_path):
+        outs = {}
+        for name, extra in (("plain", ""), ("checked", "[precision]\nverify_grid_tol = 1e-9\n")):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(CPB_SPECTRUM + extra)
+            outs[name] = tmp_path / f"{name}.csv"
+            proc = run_cli("spectrum", "--config", str(cfg), "--out", str(outs[name]))
+            assert proc.returncode == 0, proc.stderr
+        comments, _, rows = read_csv(outs["checked"])
+        check = [c for c in comments if c.startswith("# grid verification: levels moved")]
+        assert len(check) == 1 and check[0].endswith("GHz from cutoff 10 to 14")
+        assert rows == read_csv(outs["plain"])[2]
+
+    @pytest.mark.parametrize(
+        "section, line", [("qubit", "detuning = 0.7"), ("pulse", "duration = 1.0")]
+    )
+    def test_rabi_rejects_keys_it_does_not_read(self, tmp_path, section, line):
+        cfg = tmp_path / "rabi.ini"
+        cfg.write_text(
+            "[qubit]\nnu01 = 10.0\n[pulse]\namplitude = 0.2\nfrequency = 10.0\n"
+            "[time]\nstop = 1.0\npoints = 3\n".replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        )
+        out = tmp_path / "o.csv"
+        proc = run_cli("rabi", "--config", str(cfg), "--out", str(out))
+        key = line.split()[0]
+        assert_one_line_failure(
+            proc, 1, f"config error: key '{key}' in [{section}] is not used by 'rabi'"
+        )
         assert not out.exists()
 
     def test_phase_block_is_unknown(self, tmp_path):

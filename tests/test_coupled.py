@@ -138,6 +138,11 @@ class TestCnot:
         with pytest.raises(ValidationError):
             pi_pulse_duration(0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_pi_pulse_of_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ValidationError, match="amplitude must be finite"):
+            pi_pulse_duration(bad)
+
     def test_unknown_target_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="unknown drive target 'sigma_q'"):
             DrivePulse(amplitude=0.1, frequency=1.0, duration=1.0, target="sigma_q")

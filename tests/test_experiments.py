@@ -7,7 +7,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from scqsim.charge import CpbParams, reduced_two_level
-from scqsim.core import DensityMatrix, HermitianOperator, ValidationError, evolve_lindblad
+from scqsim import core
+from scqsim.core import (
+    ConvergenceError,
+    DensityMatrix,
+    HermitianOperator,
+    ValidationError,
+    evolve_lindblad,
+)
 from scqsim.coupled import DrivePulse
 from scqsim import experiments
 from scqsim.experiments import (
@@ -131,6 +138,24 @@ class TestRabi:
         with pytest.raises(ValidationError):
             bad = DrivePulse(amplitude=0.1, frequency=NU01, duration=0.0, target="sigma_q")
             rabi(qubit_h(), bad, None, [0.0, 1.0])
+
+    def test_closed_norm_drift_raises(self, monkeypatch):
+        # each RK4 step gains 1e-5 of norm: a convergence failure, not a
+        # population outside [0, 1]
+        step_matrix = core._rk4_step_matrix
+        monkeypatch.setattr(
+            core, "_rk4_step_matrix", lambda *args: step_matrix(*args) * (1.0 + 1e-5)
+        )
+        with pytest.raises(ConvergenceError, match="lost .* of norm"):
+            rabi(qubit_h(), drive(0.1), None, np.linspace(0.0, 3.0, 31))
+
+    def test_duration_is_not_read(self):
+        grid = np.linspace(0.0, 3.0, 31)
+        short = DrivePulse(amplitude=0.1, frequency=NU01, duration=1.0, target="sigma_x")
+        assert np.array_equal(
+            rabi(qubit_h(), short, None, grid).population,
+            rabi(qubit_h(), drive(0.1), None, grid).population,
+        )
 
 
 class TestRamsey:

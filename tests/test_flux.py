@@ -39,13 +39,13 @@ class TestRfSquidPotential:
     def test_double_well_at_pi(self):
         # Ej/(2 * inductive) > 1: two minima symmetric about phi = pi
         p = RfSquidParams(ej=2.0, ec=0.4, inductive_scale=0.35, phi_ext=np.pi)
-        minima = rf_squid_minima(p, span=2 * np.pi)
+        minima = rf_squid_minima(p)
         assert len(minima) == 2
         assert minima[0] + minima[1] == pytest.approx(2 * np.pi, abs=1e-8)
 
     def test_strong_inductance_single_minimum(self):
         p = RfSquidParams(ej=1.0, ec=0.4, inductive_scale=50.0, phi_ext=1.3)
-        minima = rf_squid_minima(p, span=2 * np.pi)
+        minima = rf_squid_minima(p)
         assert len(minima) == 1
         assert minima[0] == pytest.approx(1.3, abs=0.02)
 
@@ -411,24 +411,28 @@ class TestFluxoid:
         return p.ej * np.cos(x) + 2.0 * p.inductive_scale
 
     @staticmethod
-    def grid_minima(p, samples):
-        phi = np.linspace(p.phi_ext - 3.0 * math.pi, p.phi_ext + 3.0 * math.pi, samples)
+    def grid_minima(p):
+        phi = flux._minima_grid(p)
         u = rf_squid_potential(phi, p)
         return phi, np.flatnonzero((u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])) + 1
 
     @settings(max_examples=60, deadline=None)
     @given(
         ej=st.floats(0.5, 20.0),
-        ratio=st.floats(0.02, 5.0),  # inductive_scale / Ej
+        ratio=st.floats(0.02, 5.0),  # inductive_scale / Ej: Ej/(2 inductive_scale) up to 25
         phi_ext=st.floats(-2.0 * math.pi, 2.0 * math.pi),
     )
     def test_minima_are_bracketed_stationary_and_counted(self, ej, ratio, phi_ext):
         p = RfSquidParams(ej=ej, ec=1.0, inductive_scale=ratio * ej, phi_ext=phi_ext)
-        phi, grid_minima = self.grid_minima(p, 2001)
-        fine = np.linspace(phi[0], phi[-1], 4 * 2000 + 1)
+        phi, grid_minima = self.grid_minima(p)
+        # the derived window: every stationary point lies within Ej/(2 inductive_scale)
+        half = max(3.0 * math.pi, 1.0 / (2.0 * ratio) + math.pi)
+        assert phi[0] <= phi_ext - half and phi[-1] >= phi_ext + half
+        assert np.diff(phi) == pytest.approx(6.0 * math.pi / 2000, rel=1e-9)
+        fine = np.linspace(phi[0], phi[-1], 4 * (phi.size - 1) + 1)
         sign_changes = np.diff(np.sign(self.slope(p, fine)))
-        # every stationary point well inside the span and apart from the next
-        # one, so the 2001-point grid resolves each of them
+        # every stationary point well inside the window and apart from the next
+        # one, so the search grid resolves each of them
         turns = np.concatenate([[fine[0]], fine[np.flatnonzero(sign_changes)], [fine[-1]]])
         assume(np.all(np.diff(turns) > 4 * (phi[1] - phi[0])))
         minima = rf_squid_minima(p)
@@ -444,21 +448,48 @@ class TestFluxoid:
         ej=st.floats(0.5, 20.0),
         ratio=st.floats(0.02, 2.0),
         phi_ext=st.floats(-2.0 * math.pi, 2.0 * math.pi),
-        samples=st.integers(9, 101),
+        steps=st.integers(4, 50),  # grid steps per 3 pi: 9 to 101 points on +- 3 pi
     )
-    # 9 samples put the grid minimum on the barrier top between two wells,
+    # 9 points put the grid minimum on the barrier top between two wells,
     # where U'' < 0 and an unguarded Newton step has no meaning
-    @example(ej=8.0, ratio=0.375, phi_ext=3.5, samples=9)
-    def test_coarse_grid_minima_stay_in_their_brackets(self, ej, ratio, phi_ext, samples):
+    @example(ej=8.0, ratio=0.375, phi_ext=3.5, steps=4)
+    def test_coarse_grid_minima_stay_in_their_brackets(self, ej, ratio, phi_ext, steps):
         p = RfSquidParams(ej=ej, ec=1.0, inductive_scale=ratio * ej, phi_ext=phi_ext)
-        phi, grid_minima = self.grid_minima(p, samples)
-        minima = rf_squid_minima(p, samples=samples)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flux, "_MINIMA_STEPS", steps)
+            phi, grid_minima = self.grid_minima(p)
+            minima = rf_squid_minima(p)
         assert len(minima) == grid_minima.size
         for i, x in zip(grid_minima, minima):
             assert phi[i - 1] <= x <= phi[i + 1]
             if self.slope(p, phi[i - 1]) < 0 < self.slope(p, phi[i + 1]):  # U' changes sign inside
                 assert abs(self.slope(p, x)) <= 1e-13 * ej
                 assert self.curvature(p, x) > 0
+
+    def test_far_minima_are_found(self):
+        # Ej/(2 inductive_scale) = 15 > 3 pi: two minima lie outside phi_ext +- 3 pi
+        p = RfSquidParams(ej=30.0, ec=0.1, inductive_scale=1.0, phi_ext=0.3)
+        minima = rf_squid_minima(p)
+        assert [classify_fluxoid(p, x).m for x in minima] == [-2, -1, 0, 1, 2]
+        expected = [-11.65, -5.86, 0.02, 5.90, 11.70]
+        np.testing.assert_allclose(minima, expected, atol=0.01)
+
+    @pytest.mark.parametrize("ej", [0.1, 2.0, 4.0 * math.pi])
+    def test_window_is_three_pi_up_to_two_pi_reach(self, ej):
+        # Ej/(2 inductive_scale) <= 2 pi keeps the 2001 points on phi_ext +- 3 pi
+        p = RfSquidParams(ej=ej, ec=1.0, inductive_scale=1.0, phi_ext=0.7)
+        expected = np.linspace(0.7 - 3.0 * math.pi, 0.7 + 3.0 * math.pi, 2001)
+        assert np.array_equal(flux._minima_grid(p), expected)
+
+    @pytest.mark.parametrize("ej, inductive_scale", [(1e6, 1e-3), (1e308, 1e-10)])
+    def test_window_above_the_point_cap_rejected(self, monkeypatch, ej, inductive_scale):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the search grid was allocated")
+
+        monkeypatch.setattr(flux.np, "linspace", no_grid)
+        p = RfSquidParams(ej=ej, ec=1.0, inductive_scale=inductive_scale)
+        with pytest.raises(ValidationError, match="exceeds 4194304 points"):
+            rf_squid_minima(p)
 
     def test_aligned_zero(self):
         p = RfSquidParams(ej=5.0, ec=0.15, inductive_scale=0.5, phi_ext=0.0)
