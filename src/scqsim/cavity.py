@@ -26,18 +26,23 @@ from .core import (
     HermitianOperator,
     QuantumState,
     ValidationError,
+    _check_dense,
     _check_finite,
     _check_finite_values,
     _check_integral,
+    _checked_time_grid,
     evolve_lindblad,
     evolve_unitary,
 )
-from .experiments import US_TO_NS, DecoherenceParams, ExperimentResult, FittedMetrics, _trace_grid
+from .experiments import US_TO_NS, DecoherenceParams, ExperimentResult, FittedMetrics
 
 
 @dataclass(frozen=True)
 class JaynesCummingsParams:
-    """Qubit-cavity parameters; kappa in 1/us, decoherence times in us."""
+    """Qubit-cavity parameters; kappa in 1/us, decoherence times in us.
+
+    ``dimension`` = 2 (n_ph + 1) states must fit the dense cap: n_ph <= 2047.
+    """
 
     nu01: float
     nu_c: float
@@ -55,6 +60,7 @@ class JaynesCummingsParams:
             raise ValidationError("coupling g must be >= 0")
         if self.n_ph < 2:
             raise ValidationError("photon cutoff must be >= 2")
+        _check_dense(self.dimension, f"photon cutoff {self.n_ph}")
         if self.kappa_per_us < 0:
             raise ValidationError("kappa must be >= 0")
 
@@ -114,7 +120,7 @@ def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
     1/(2g) ns.  With kappa or qubit decoherence the exchange envelope
     decays.
     """
-    t_grid = _trace_grid(t_grid)
+    t_grid = _checked_time_grid(t_grid)
     dim_c = p.n_ph + 1
     psi0 = np.zeros(2 * dim_c, dtype=complex)
     psi0[dim_c] = 1.0  # |e> (x) |0>

@@ -24,6 +24,7 @@ from .core import (
     HermitianOperator,
     QuantumState,
     ValidationError,
+    _check_dense,
     _check_finite,
     _check_finite_values,
     _check_integral,
@@ -50,7 +51,8 @@ class CpbParams:
     """Cooper-pair box parameters (energies in GHz; ng in units of 2e).
 
     Pass either ``ej`` directly, or ``ej0`` with ``flux_ratio`` for the
-    SQUID variant (effective Ej = |2 Ej0 cos(pi flux_ratio)|).
+    SQUID variant (effective Ej = |2 Ej0 cos(pi flux_ratio)|).  ``cutoff`` N
+    gives 2N + 1 charge states, which must fit the dense cap: N <= 2047.
     """
 
     ec: float
@@ -68,6 +70,7 @@ class CpbParams:
             raise ValidationError("Ec must be > 0")
         if self.cutoff < 2:
             raise ValidationError("charge cutoff N must be >= 2")
+        _check_dense(2 * self.cutoff + 1, f"charge cutoff {self.cutoff}")
         squid = self.ej0 is not None or self.flux_ratio is not None
         if squid:
             if self.ej is not None:

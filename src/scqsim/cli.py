@@ -1,7 +1,10 @@
 """Command-line front end: config parsing, dispatch, CSV emission.
 
 Config files are flat INI text (``key = value`` under one level of
-``[section]`` blocks).  Exactly one circuit block is allowed per config.
+``[section]`` blocks).  Each input has one source: the subcommand comes
+from the command line only, the circuit from the config's one circuit
+block only.  A usage error (an unknown flag, a missing ``--config``)
+prints one ``config error:`` line, as a config error does.
 Every CSV starts with ``#`` comment lines recording the tool version, the
 configuration with every parameter-block default filled in (``[cpb]
 cutoff = 10`` or ``[pulse] phase = 0`` when the file gives none; a swept
@@ -12,8 +15,8 @@ Identical config + seed produce byte-identical output.  Sweeps run in one proces
 are validated and otherwise ignored.  A spectrum with ``[precision]``
 re-solves its mid-sweep point at ``cutoff + 4``, for every circuit.
 
-Exit codes: 0 success, 1 config error, 2 numerical non-convergence or a
-failed fit.
+Exit codes: 0 success, 1 config error (or a run out of memory), 2
+numerical non-convergence or a failed fit.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ import numpy as np
 from . import __version__
 from .cavity import JaynesCummingsParams, strong_coupling_check, vacuum_rabi
 from .charge import CpbParams, cpb_levels, reduced_two_level, spectrum_vs_ng
-from .core import ConvergenceError, ValidationError, basis_state, evolve_unitary
+from .core import (
+    ConvergenceError,
+    ValidationError,
+    _checked_time_grid,
+    basis_state,
+    evolve_unitary,
+)
 from .coupled import (
     _EIGENBASIS_LABELS,
     CoupledParams,
@@ -118,7 +127,6 @@ _CIRCUIT_SCHEMAS = {
 
 _OTHER_SCHEMAS = {
     "run": {
-        "command": (str, False),
         "out": (str, False),
         "seed": (int, False),
         "threads": (int, False),  # accepted and validated; sweeps run in one process
@@ -178,21 +186,13 @@ def _parse_sections(text: str, errors: list[str]) -> dict:
     return sections
 
 
-def parse_config(text: str, command: str | None = None) -> RunConfig:
-    """Validate a config document; raises ConfigError listing every problem."""
+def parse_config(text: str, command: str) -> RunConfig:
+    """Validate a config for the command-line ``command``; one ConfigError lists every problem."""
     errors: list[str] = []
     sections = _parse_sections(text, errors)
 
     run = sections.get("run", {})
-    cfg_command = run.get("command")
-    if command and cfg_command and command != cfg_command:
-        errors.append(
-            f"subcommand '{command}' conflicts with [run] command = '{cfg_command}'"
-        )
-    command = command or cfg_command
-    if not command:
-        errors.append("no subcommand given (command line or [run] command)")
-    elif command not in _COMMANDS:
+    if command not in _COMMANDS:
         errors.append(f"unknown subcommand '{command}'")
 
     circuit_kind = None
@@ -355,7 +355,7 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
 def _cmd_evolve(cfg: RunConfig):
     p = _params(cfg, "cpb")
     h = reduced_two_level(p)
-    grid = _time_grid(cfg)
+    grid = _checked_time_grid(_time_grid(cfg))
     psi0 = basis_state(2, 0)
     rows = []
     for t in grid:
@@ -480,7 +480,7 @@ def run(cfg: RunConfig) -> int:
     try:
         columns, rows, comments = _COMMANDS[cfg.command][0](cfg)
         _write_csv(cfg.out, cfg, columns, rows, comments)
-    except (ValidationError, ConfigError) as exc:
+    except (ValidationError, ConfigError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, FitError) as exc:
@@ -489,8 +489,13 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error: one config-error line, exit 1
+        self.exit(1, f"config error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="scqsim",
         description="Superconducting qubit circuit simulations (CSV output).",
     )
@@ -501,13 +506,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--threads", type=int, default=None, help="accepted and ignored: sweeps run in one process"
     )
-    parser.add_argument(
-        "--circuit", default=None, help="assert which circuit block the config must carry"
-    )
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
+    except SystemExit as exc:  # --help (0) or a usage error (1)
+        return exc.code
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -520,10 +522,6 @@ def main(argv=None) -> int:
         cfg = parse_config(text, command=args.command)
         if args.threads is not None and args.threads < 0:
             raise ConfigError([f"threads must be >= 0, got {args.threads}"])
-        if args.circuit and cfg.circuit_kind != args.circuit:
-            raise ConfigError(
-                [f"--circuit {args.circuit} does not match config block [{cfg.circuit_kind}]"]
-            )
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

@@ -44,13 +44,18 @@ def _complex_matrix(entries) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValidationError("dimension must be >= 1")
-    if m.shape[0] > DIMENSION_CAP:
-        raise ValidationError(
-            f"dimension {m.shape[0]} exceeds the dense-storage cap {DIMENSION_CAP}"
-        )
+    _check_dense(m.shape[0], "matrix")
     if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries")
     return m
+
+
+def _check_dense(states: int, what: str) -> None:
+    """The one dense-size rule: a basis of more than DIMENSION_CAP states is refused."""
+    if states > DIMENSION_CAP:
+        raise ValidationError(
+            f"{what} gives {states} states, above the dense-storage cap {DIMENSION_CAP}"
+        )
 
 
 def _check_finite_values(**values) -> None:
@@ -84,13 +89,15 @@ def _check_level_count(k, cutoff: int, available: int) -> None:
 
 
 def _checked_time_grid(t_grid) -> np.ndarray:
-    """Output times (ns) as a 1-D float array: finite, >= 0 and ascending."""
+    """Output times (ns) as a 1-D float array: at least one time, finite, >= 0 and ascending."""
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1:
         raise ValidationError(f"time grid must be one-dimensional, got shape {t.shape}")
+    if t.size == 0:
+        raise ValidationError("time grid must hold at least one time")
     if not np.isfinite(t).all():
         raise ValidationError("time grid has non-finite times")
-    if t.size and (t[0] < 0 or np.any(np.diff(t) < 0)):
+    if t[0] < 0 or np.any(np.diff(t) < 0):
         raise ValidationError("time grid must be ascending and non-negative")
     return t
 
@@ -561,7 +568,7 @@ def evolve_lindblad(
     rho0 : DensityMatrix
         Initial state.
     t_grid : sequence of float
-        Ascending output times (ns), starting at >= 0.
+        At least one ascending output time (ns), from >= 0 (an empty grid is a ValidationError).
     verify : bool
         Re-integrate with the step halved and require agreement within
         1e-7 (raises ConvergenceError naming the first bad grid time).
@@ -573,8 +580,6 @@ def evolve_lindblad(
     of the d^2 x d^2 superoperator; above it, as the matrix-form stage loop.
     """
     t_grid = _checked_time_grid(list(t_grid))
-    if t_grid.size == 0:
-        return []
     if op.dimension != rho0.dimension:
         raise ValidationError("Hamiltonian and state dimensions differ")
 

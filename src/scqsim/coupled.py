@@ -35,7 +35,6 @@ from .core import (
     _check_finite,
     _check_finite_values,
     _check_norm_drift,
-    _checked_time_grid,
     _rk4_driven,
     _TWO_PI,
     tensor_product,
@@ -194,8 +193,7 @@ def simulate_cnot(p: CoupledParams, pulse: DrivePulse) -> TruthTable:
     steps_per_ns = 250.0 * scale
 
     a0, a1 = -1j * _TWO_PI * h0, -1j * _TWO_PI * drive_op
-    grid = _checked_time_grid([pulse.duration])
-    final = _rk4_driven(a0, a1, pulse.coefficient, states, grid, steps_per_ns)[-1]
+    final = _rk4_driven(a0, a1, pulse.coefficient, states, [pulse.duration], steps_per_ns)[-1]
     pops = np.abs(states.conj().T @ final) ** 2  # [j, i] = P(j | started in i)
     pops = pops.T
     _check_norm_drift(pops.sum(axis=1), steps_per_ns)

@@ -114,14 +114,6 @@ def quality_factor(t2_us: float, nu01_ghz: float) -> float:
     return math.pi * t2_us * US_TO_NS * nu01_ghz
 
 
-def _trace_grid(t_grid) -> np.ndarray:
-    """A checked time grid (see ``_checked_time_grid``) with at least one time."""
-    t_grid = _checked_time_grid(t_grid)
-    if t_grid.size == 0:
-        raise ValidationError("time grid must hold at least one time")
-    return t_grid
-
-
 def _energy_basis(qubit: HermitianOperator):
     if qubit.dimension != 2:
         raise ValidationError("Rabi protocol expects a two-level Hamiltonian")
@@ -147,7 +139,7 @@ def rabi(
     does, and with decoherence every state is checked as in
     ``evolve_lindblad`` (trace 1e-8, positivity -1e-7).
     """
-    t_grid = _trace_grid(t_grid)
+    t_grid = _checked_time_grid(t_grid)
     nu01 = _energy_basis(qubit)
     h0 = 0.5 * nu01 * (-SIGMA_Z)  # diag(-nu01/2, +nu01/2)
     drive_op = _DRIVE_TARGETS[drive.target]
@@ -212,7 +204,7 @@ def ramsey(
     _check_finite_values(nu01=nu01)
     if nu01 <= 0:
         raise ValidationError("nu01 must be > 0")
-    delay_grid = _trace_grid(delay_grid)
+    delay_grid = _checked_time_grid(delay_grid)
     h_rot = HermitianOperator(-0.5 * detuning * SIGMA_Z)
     psi = _RX90 @ np.array([1.0, 0.0], dtype=complex)
     rho0 = DensityMatrix(np.outer(psi, psi.conj()))
@@ -243,7 +235,7 @@ def ramsey(
 
 def t1_decay(dec: DecoherenceParams, t_grid) -> ExperimentResult:
     """Free decay of the excited state; fits T1 from the trace (FitError if the fit fails)."""
-    t_grid = _trace_grid(t_grid)
+    t_grid = _checked_time_grid(t_grid)
     h0 = HermitianOperator(np.zeros((2, 2)))
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     rhos = evolve_lindblad(h0, dec.channels(), rho0, t_grid, verify=False)

@@ -33,6 +33,7 @@ from .core import (
     DIMENSION_CAP,
     ConvergenceError,
     ValidationError,
+    _check_dense,
     _check_finite,
     _check_finite_values,
     _check_integral,
@@ -93,11 +94,7 @@ class ThreeJunctionParams:
             raise ValidationError("alpha must lie in (0.5, 1) for a double-well regime")
         if self.cutoff < 2:
             raise ValidationError("charge cutoff N must be >= 2")
-        if (2 * self.cutoff + 1) ** 2 > DIMENSION_CAP:
-            raise ValidationError(
-                f"charge cutoff {self.cutoff} gives {(2 * self.cutoff + 1) ** 2} states, "
-                f"above the dense-storage cap {DIMENSION_CAP}"
-            )
+        _check_dense((2 * self.cutoff + 1) ** 2, f"charge cutoff {self.cutoff}")
 
 
 @dataclass(frozen=True)

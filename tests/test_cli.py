@@ -86,9 +86,10 @@ class TestParseConfig:
             parse_config(text, command="spectrum")
         assert len(err.value.errors) >= 3  # unknown key, missing ec, bad sweep key
 
-    def test_command_mismatch(self):
+    def test_command_key_rejected(self):
+        # the subcommand comes from the command line only
         text = CPB_SPECTRUM.replace("[run]", "[run]\ncommand = cnot")
-        with pytest.raises(ConfigError, match="conflicts"):
+        with pytest.raises(ConfigError, match=r"unknown key 'command' in \[run\]"):
             parse_config(text, command="spectrum")
 
     def test_unused_section_rejected(self):
@@ -305,14 +306,6 @@ class TestCliRuns:
         block = comments[comments.index("# [run]") + 1 : comments.index("# [sweep]")]
         assert block == [f"# out = {out}", "# seed = 7"]
 
-    def test_circuit_flag_consistency(self, tmp_path):
-        cfg = tmp_path / "cpb.ini"
-        cfg.write_text(CPB_SPECTRUM)
-        ok = run_cli("spectrum", "--config", str(cfg), "--circuit", "cpb", "--out", str(tmp_path / "x.csv"))
-        assert ok.returncode == 0
-        bad = run_cli("spectrum", "--config", str(cfg), "--circuit", "flux3", "--out", str(tmp_path / "y.csv"))
-        assert bad.returncode == 1
-
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(CPB_SPECTRUM.replace("parameter = ng", "parameter = zz"))
@@ -459,6 +452,11 @@ points = 11
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("spectrum", "--config", str(tmp_path / "nope.ini"))
         assert proc.returncode == 1
+
+    def test_help_exits_0(self):
+        proc = run_cli("--help")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: scqsim")
+        assert "--circuit" not in proc.stdout
 
 
 def assert_one_line_failure(proc, code, prefix):
@@ -669,6 +667,89 @@ class TestFailurePaths:
         proc = run_cli("noise-psd", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
         assert_one_line_failure(proc, 1, "error: seed must be >= 0")
 
+
+    @pytest.mark.parametrize(
+        "command, text, extra, message",
+        [
+            (
+                "spectrum",
+                CPB_SPECTRUM.replace("cutoff = 10", "cutoff = 1000000"),
+                (),
+                "error: charge cutoff 1000000 gives 2000001 states, above the dense-storage cap 4096",
+            ),
+            (
+                "jc",
+                "[jc]\nnu01 = 5.0\nnu_c = 5.0\ng = 0.1\nn_ph = 1000000\n[time]\nstop = 1.0\npoints = 3\n",
+                (),
+                "error: photon cutoff 1000000 gives 2000002 states, above the dense-storage cap 4096",
+            ),
+            (
+                "evolve",
+                "[cpb]\nec = 5.0\nej = 1.0\nng = 0.5\n[time]\nstart = 5.0\nstop = 0.0\npoints = 11\n",
+                (),
+                "error: time grid must be ascending and non-negative",
+            ),
+            (
+                "spectrum",
+                CPB_SPECTRUM.replace("seed = 42", "seed = 42\ncommand = spectrum"),
+                (),
+                "config error: unknown key 'command' in [run]",
+            ),
+            (
+                "spectrum",
+                CPB_SPECTRUM,
+                ("--circuit", "cpb"),
+                "config error: unrecognized arguments: --circuit cpb",
+            ),
+            ("spectrum", CPB_SPECTRUM, ("--bogus", "1"), "config error: unrecognized arguments: --bogus 1"),
+        ],
+        ids=["cpb-cutoff", "jc-n-ph", "evolve-descending", "run-command", "circuit-flag", "unknown-flag"],
+    )
+    def test_refused_inputs_exit_1(self, tmp_path, command, text, extra, message):
+        # each input has one source and one check: one line, no CSV
+        cfg = tmp_path / "in.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o.csv"
+        proc = run_cli(command, "--config", str(cfg), "--out", str(out), *extra)
+        assert_one_line_failure(proc, 1, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text, allocator",
+        [
+            (
+                "noise-psd",
+                "[noise]\ncount = 4\ngamma_min = 1e-2\ngamma_max = 1.0\ncoupling = 1e-3\n"
+                "dt = 0.05\nsamples = 1000000000000\ntrajectories = 2\n",
+                "arange",
+            ),
+            (
+                "evolve",
+                "[cpb]\nec = 5.0\nej = 1.0\nng = 0.5\n[time]\nstop = 5.0\npoints = 100000000000\n",
+                "linspace",
+            ),
+        ],
+        ids=["noise-samples", "evolve-points"],
+    )
+    def test_out_of_memory_exits_1(self, tmp_path, monkeypatch, capsys, command, text, allocator):
+        # whether a real huge allocation fails depends on the host's overcommit
+        # policy, so a request above 1e9 elements fails here as numpy's would
+        real = getattr(np, allocator)
+
+        def allocate(*args, **kwargs):
+            if any(isinstance(a, int) and a > 10**9 for a in args):
+                raise MemoryError("Unable to allocate 7.28 TiB for an array")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, allocator, allocate)
+        cfg = tmp_path / "in.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o.csv"
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert lines == ["error: Unable to allocate 7.28 TiB for an array"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_threads_exits_1(self, tmp_path, where):

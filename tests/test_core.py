@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from scqsim.cavity import JaynesCummingsParams
+from scqsim.charge import CpbParams
 from scqsim.core import (
     SIGMA_X,
     SIGMA_Z,
@@ -32,6 +34,7 @@ from scqsim.core import (
     propagator,
     tensor_product,
 )
+from scqsim.flux import ThreeJunctionParams
 
 
 def herm(m):
@@ -509,3 +512,32 @@ class TestLeastSquares:
 
         with pytest.raises(FitError, match="singular"):
             _least_squares(model, 2.0 * self.X, [1.0, 1.0])
+
+
+class TestDenseSizeRule:
+    """Each truncated basis refuses more than DIMENSION_CAP states when its parameters are built."""
+
+    @pytest.mark.parametrize(
+        "build, largest, states",
+        [
+            (lambda n: CpbParams(ec=1.0, ej=1.0, cutoff=n), 2047, lambda n: 2 * n + 1),
+            (lambda n: ThreeJunctionParams(ej=40.0, ec=1.0, cutoff=n), 31, lambda n: (2 * n + 1) ** 2),
+            (
+                lambda n: JaynesCummingsParams(nu01=5.0, nu_c=5.0, g=0.1, n_ph=n),
+                2047,
+                lambda n: 2 * (n + 1),
+            ),
+        ],
+        ids=["cpb", "flux3", "jc"],
+    )
+    def test_largest_basis_builds_and_one_more_is_refused(self, monkeypatch, build, largest, states):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a matrix was allocated before the size check")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        monkeypatch.setattr(np, "diag", no_allocation)
+        assert states(largest) <= DIMENSION_CAP < states(largest + 1)
+        build(largest)
+        message = f"cutoff {largest + 1} gives {states(largest + 1)} states, above the dense-storage cap"
+        with pytest.raises(ValidationError, match=message):
+            build(largest + 1)

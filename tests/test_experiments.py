@@ -228,10 +228,11 @@ class TestT1Decay:
         dec = DecoherenceParams(t1_us=2.0, t2_us=2.0)
         with pytest.raises(ValidationError, match="at least one time"):
             t1_decay(dec, [])
-        # the propagator itself still maps an empty grid to no states
+        # the propagator shares the one time-grid check: an empty grid is refused
         h0 = HermitianOperator(np.zeros((2, 2)))
         rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
-        assert evolve_lindblad(h0, dec.channels(), rho0, []) == []
+        with pytest.raises(ValidationError, match="at least one time"):
+            evolve_lindblad(h0, dec.channels(), rho0, [])
 
     def test_zero_span_trace_cannot_be_fitted(self):
         # three samples at t = 0 carry no information about T1
