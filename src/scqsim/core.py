@@ -276,9 +276,7 @@ class EigenDecomposition:
 # Pauli matrices in a two-level basis (|0>, |1>); charge-basis convention
 # sigma_z = |0><0| - |1><1|, sigma_x = |0><1| + |1><0|.
 SIGMA_X = _freeze(np.array([[0, 1], [1, 0]], dtype=complex))
-SIGMA_Y = _freeze(np.array([[0, -1j], [1j, 0]], dtype=complex))
 SIGMA_Z = _freeze(np.array([[1, 0], [0, -1]], dtype=complex))
-IDENTITY_2 = _freeze(np.eye(2, dtype=complex))
 
 
 def basis_state(dimension: int, k: int) -> QuantumState:
@@ -291,14 +289,16 @@ def hermitian_eigen(op: HermitianOperator) -> EigenDecomposition:
     """Dense eigendecomposition of a Hermitian operator.
 
     Raises ConvergenceError if LAPACK fails, and checks the residual
-    ``||H v - w v|| <= 1e-10 ||H||`` before returning.
+    ``||H V - V diag(w)||_F <= 1e-10 max(||H||_2, 1)`` before returning.
+    The Frobenius norm bounds the spectral one from above, and for Hermitian
+    H, ``||H||_2 = max(|w_0|, |w_-1|)`` comes with the eigenvalues.
     """
     try:
         w, v = np.linalg.eigh(op.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    hnorm = np.linalg.norm(op.entries, 2)
-    residual = np.linalg.norm(op.entries @ v - v * w, 2)
+    hnorm = max(abs(w[0]), abs(w[-1]))
+    residual = np.linalg.norm(op.entries @ v - v * w)
     if residual > 1e-10 * max(hnorm, 1.0):
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds 1e-10 * ||H||"

@@ -13,7 +13,11 @@ with both kinetic axes scaled by the same effective Ec.  It is periodic,
 so it is solved in the charge basis ``|n1, n2>``, ``n = -N..N``
 (Orlando et al., PRB 60, 15398 (1999)), like the Cooper-pair box:
 ``H = Ec (n1^2 + n2^2) + U`` where each cosine shifts the charges by one,
-``e^{i p1}|n1, n2> = |n1 + 1, n2>``.
+``e^{i p1}|n1, n2> = |n1 + 1, n2>``.  H commutes with the exchange
+S: (n1, n2) -> (-n2, -n1) and with P.K, charge inversion n -> -n followed
+by complex conjugation, so it is solved as two real symmetric blocks, the
+S-even and S-odd sectors of (m^2 + m)/2 and (m^2 - m)/2 states
+(m = 2N + 1), assembled straight from H's nonzero terms.
 
 Each search owns its limits: ``solve_three_junction`` bounds the level
 count by the (2N + 1)^2 charge states, ``solve_levels_1d`` chooses its
@@ -271,20 +275,92 @@ def three_junction_potential(phi1, phi2, p: ThreeJunctionParams):
     )
 
 
-def _three_junction_hamiltonian(p: ThreeJunctionParams) -> np.ndarray:
-    """Dense charge-basis Hamiltonian on |n1, n2>, row-major in (n1, n2)."""
+def _three_junction_terms(p: ThreeJunctionParams):
+    """H's nonzero terms as ``(rows, columns, values)`` on the row-major |n1, n2> index.
+
+    ``Ec (n1^2 + n2^2) + Ej (2 + a)`` on the diagonal, ``-Ej/2`` on the hops of
+    ``cos p1`` and ``cos p2``, and ``-a Ej/2 e^{+-2 pi i f}`` on the
+    ``(n1 +- 1, n2 -+ 1)`` hops of ``cos(2 pi f + p1 - p2)``; no position repeats.
+    """
     m = 2 * p.cutoff + 1
     n = np.arange(-p.cutoff, p.cutoff + 1)
     idx = np.arange(m * m).reshape(m, m)
-    h = np.zeros((m * m, m * m), dtype=complex)
-    h[idx, idx] = p.ec * (n[:, None] ** 2 + n[None, :] ** 2) + p.ej * (2.0 + p.alpha)
-    for up, down in ((idx[1:, :], idx[:-1, :]), (idx[:, 1:], idx[:, :-1])):  # cos p1, cos p2
-        h[up, down] = h[down, up] = -0.5 * p.ej
-    # cos(2 pi f + p1 - p2): e^{i(p1 - p2)} takes |n1, n2> to |n1 + 1, n2 - 1>
     hop = -0.5 * p.alpha * p.ej * np.exp(2j * math.pi * p.f)
-    h[idx[1:, :-1], idx[:-1, 1:]] = hop
-    h[idx[:-1, 1:], idx[1:, :-1]] = np.conj(hop)
+    terms = [(idx, idx, p.ec * (n[:, None] ** 2 + n[None, :] ** 2) + p.ej * (2.0 + p.alpha))]
+    # cos p1, cos p2, and e^{i(p1 - p2)}, which takes |n1, n2> to |n1 + 1, n2 - 1>
+    for up, down, v in (
+        (idx[1:, :], idx[:-1, :], -0.5 * p.ej),
+        (idx[:, 1:], idx[:, :-1], -0.5 * p.ej),
+        (idx[1:, :-1], idx[:-1, 1:], hop),
+    ):
+        terms += [(up, down, v), (down, up, np.conj(v))]
+    rows = np.concatenate([r.ravel() for r, _, _ in terms])
+    cols = np.concatenate([c.ravel() for _, c, _ in terms])
+    vals = np.concatenate([np.broadcast_to(v, r.shape).ravel() for r, _, v in terms])
+    return rows, cols, vals
+
+
+def _three_junction_hamiltonian(p: ThreeJunctionParams) -> np.ndarray:
+    """Dense view of ``_three_junction_terms``: the (2N + 1)^2 square complex matrix."""
+    rows, cols, vals = _three_junction_terms(p)
+    d = (2 * p.cutoff + 1) ** 2
+    h = np.zeros((d, d), dtype=complex)
+    h[rows, cols] = vals
     return h
+
+
+# The four charge maps that commute with H: 1, S: (n1, n2) -> (-n2, -n1),
+# P: n -> -n and SP: (n1, n2) -> (n2, n1).  Each row is the character of one
+# type of sector basis vector on them: rows 0-1 are S-even, rows 2-3 S-odd,
+# and the type odd under P carries the phase i, so that P.K leaves it invariant.
+_SECTOR_CHARACTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+_SECTOR_PHASES = np.array([1.0, 1j, 1.0, 1j])
+
+
+def _symmetry_sectors(cutoff: int):
+    """The S-even and S-odd sectors of the charge basis, each in a P.K-real basis.
+
+    Each orbit {n, Sn, -n, SPn} of the charge states and each character chi
+    give at most one basis vector: ``sum_g chi(g) |g n>``, normalized and
+    times the phase of its type.  It is S-even or S-odd as chi(S) = +-1 and
+    invariant under P.K (n -> -n, then complex conjugation), so H is real
+    symmetric on each sector.  A character that is not 1 on the orbit's
+    stabilizer gives the zero vector, which leaves (m^2 + m)/2 and
+    (m^2 - m)/2 vectors, m = 2N + 1.  Returns one ``(column, coefficient)``
+    pair of (m^2, 2) arrays per sector: charge state i enters sector vector
+    ``column[i, t]`` with ``coefficient[i, t]``, which is 0 where that vector
+    is absent.
+    """
+    m = 2 * cutoff + 1
+    d = m * m
+    i = np.arange(d)
+    n1, n2 = np.divmod(i, m)
+    s = (m - 1 - n2) * m + (m - 1 - n1)
+    images = np.stack([i, s, d - 1 - i, d - 1 - s], axis=1)  # n -> -n reverses the index
+    rep = images.min(axis=1)
+    hits = images[rep] == i[:, None]  # the g that take the orbit's representative to i
+    # sum of chi over hits: chi(g) |stabilizer| or 0; the vector's norm is 2 sqrt(|stabilizer|)
+    raw = hits.astype(int) @ _SECTOR_CHARACTERS.T
+    coef = _SECTOR_PHASES * raw / (2.0 * np.sqrt(hits.sum(axis=1, keepdims=True)))
+    present = (rep == i)[:, None] & (raw != 0)
+    sectors = []
+    for types in (slice(0, 2), slice(2, 4)):
+        column = np.maximum(np.cumsum(present[:, types]).reshape(d, 2) - 1, 0)
+        sectors.append((column[rep], coef[:, types]))
+    return sectors
+
+
+def _sector_blocks(p: ThreeJunctionParams, sectors):
+    """The real symmetric block of H on each sector, scattered from H's terms."""
+    rows, cols, vals = _three_junction_terms(p)
+    blocks = []
+    for column, coef in sectors:
+        dim = int(column.max()) + 1
+        terms = coef[rows].conj()[:, :, None] * vals[:, None, None] * coef[cols][:, None, :]
+        flat = column[rows][:, :, None] * dim + column[cols][:, None, :]
+        block = np.bincount(flat.ravel(), terms.real.ravel(), minlength=dim * dim)
+        blocks.append(block.reshape(dim, dim))
+    return blocks
 
 
 def solve_three_junction(
@@ -292,20 +368,29 @@ def solve_three_junction(
 ) -> Levels2D:
     """Lowest k levels of the three-junction Hamiltonian in the charge basis.
 
-    Each state column is phased so that ``c(-n) = conj(c(n))``: its
-    phase-space wavefunction ``sum_n c(n) e^{i n.phi}`` is then real, and
-    the sum and difference of the two lowest levels are the localized
-    circulating-current states.
+    H is solved as two real symmetric blocks, its S-even and S-odd sectors
+    (``_symmetry_sectors``), whose spectra merge by a stable sort.  Each
+    state lies in one sector, so ``S c = +-c``, and it satisfies
+    ``c(-n) = conj(c(n))``: its phase-space wavefunction
+    ``sum_n c(n) e^{i n.phi}`` is real, and the sum and difference of the
+    two lowest levels are the localized circulating-current states.
     """
     _check_level_count(k, p.cutoff, (2 * p.cutoff + 1) ** 2)
-    h = _three_junction_hamiltonian(p)
+    sectors = _symmetry_sectors(p.cutoff)
+    blocks = _sector_blocks(p, sectors)
     if not want_states:
-        return Levels2D(energies=np.linalg.eigvalsh(h)[:k], states=None, cutoff=p.cutoff)
-    w, v = np.linalg.eigh(h)
-    v = v[:, :k]
-    # n -> -n reverses the row-major index; make sum_n c(n) c(-n) real and positive
-    v = v * np.exp(-0.5j * np.angle(np.sum(v * v[::-1], axis=0)))
-    return Levels2D(energies=w[:k], states=v, cutoff=p.cutoff)
+        w = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
+        return Levels2D(energies=np.sort(w)[:k], states=None, cutoff=p.cutoff)
+    solved = [np.linalg.eigh(b) for b in blocks]
+    w = np.concatenate([e for e, _ in solved])
+    order = np.argsort(w, kind="stable")[:k]
+    states = np.empty(((2 * p.cutoff + 1) ** 2, k), dtype=complex)
+    start = 0
+    for (column, coef), (e, v) in zip(sectors, solved):
+        mine = (order >= start) & (order < start + e.size)
+        states[:, mine] = np.einsum("it,itj->ij", coef, v[:, order[mine] - start][column])
+        start += e.size
+    return Levels2D(energies=w[order], states=states, cutoff=p.cutoff)
 
 
 def flux_spectrum_vs_f(p: ThreeJunctionParams, f_grid, k: int = 6) -> SpectrumTable:

@@ -110,6 +110,27 @@ class TestEigen:
         np.testing.assert_allclose(gram, np.eye(dim), atol=1e-10)
         assert np.all(np.diff(dec.eigenvalues) >= -1e-14)
 
+    @pytest.mark.parametrize("angle, raises", [(0.5e-8, False), (2e-8, True)])
+    def test_perturbed_eigenvector_raises(self, monkeypatch, angle, raises):
+        # spectrum -100, 1, 2: ||H||_2 = 100 is the largest |w|, so the residual
+        # bound is 1e-8.  Turning the w = 1 vector by `angle` towards the w = 2
+        # one leaves a residual of sin(angle) * (2 - 1).
+        eigh = np.linalg.eigh
+
+        def turned(a):
+            w, v = eigh(a)
+            v = v.copy()
+            v[:, 1] = np.cos(angle) * v[:, 1] + np.sin(angle) * v[:, 2]
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", turned)
+        h = herm(np.diag([-100.0, 1.0, 2.0]))
+        if raises:
+            with pytest.raises(ConvergenceError, match="residual 2.000e-08 exceeds"):
+                hermitian_eigen(h)
+        else:
+            assert hermitian_eigen(h).eigenvectors[1, 1] == pytest.approx(1.0)
+
 
 class TestTensor:
     def test_sigma_x_times_identity(self):

@@ -271,6 +271,55 @@ class TestChargeBasisProperties:
         assert np.array_equal(h[np.ix_(perm, perm)], h)
 
 
+class TestSymmetrySectors:
+    SECTOR_BASIS = dict(CHARGE_BASIS, cutoff=st.integers(2, 6))
+
+    @settings(max_examples=30, deadline=None)
+    @given(**SECTOR_BASIS)
+    def test_merged_spectrum_is_the_dense_spectrum(self, ej, ec, alpha, f, cutoff):
+        p = ThreeJunctionParams(ej, ec, alpha, f, cutoff)
+        m = 2 * cutoff + 1
+        even, odd = flux._sector_blocks(p, flux._symmetry_sectors(cutoff))
+        assert even.shape == ((m * m + m) // 2,) * 2 and odd.shape == ((m * m - m) // 2,) * 2
+        h = _three_junction_hamiltonian(p)
+        w = solve_three_junction(p, k=m * m).energies
+        tol = 1e-10 * max(np.linalg.norm(h, 2), 1.0)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=tol)
+
+    @settings(max_examples=20, deadline=None)
+    @given(**dict(CHARGE_BASIS, cutoff=st.just(2)))
+    def test_full_spectrum_ascends(self, ej, ec, alpha, f, cutoff):
+        p = ThreeJunctionParams(ej, ec, alpha, f, cutoff)
+        for want_states in (False, True):
+            w = solve_three_junction(p, k=25, want_states=want_states).energies
+            assert w.size == 25 and np.all(np.diff(w) >= 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**SECTOR_BASIS)
+    def test_states_are_exchange_eigenstates_and_real_in_phase_space(
+        self, ej, ec, alpha, f, cutoff
+    ):
+        # S: (n1, n2) -> (-n2, -n1); n -> -n reverses the row-major index
+        m = 2 * cutoff + 1
+        a, b = np.divmod(np.arange(m * m), m)
+        perm = (m - 1 - b) * m + (m - 1 - a)
+        states = solve_three_junction(
+            ThreeJunctionParams(ej, ec, alpha, f, cutoff), k=12, want_states=True
+        ).states
+        for c in states.T:
+            assert np.array_equal(c[perm], c) or np.array_equal(c[perm], -c)
+        assert np.array_equal(states[::-1], states.conj())
+
+    def test_dense_matrix_is_never_built(self, monkeypatch):
+        def no_dense(p):
+            raise AssertionError("built the dense Hamiltonian")
+
+        monkeypatch.setattr(flux, "_three_junction_hamiltonian", no_dense)
+        p = ThreeJunctionParams(40.0, 1.0, 0.8, 0.49, cutoff=4)
+        assert solve_three_junction(p, k=3).energies.size == 3
+        assert solve_three_junction(p, k=3, want_states=True).states.shape == (81, 3)
+
+
 class TestFluxSweep:
     CUTOFF = 8  # coarse for unit tests; the acceptance suite runs the default 10
 
