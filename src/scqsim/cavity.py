@@ -10,8 +10,9 @@ cavity decay (a, rate kappa) and the qubit T1/T2 channels of
 ``DecoherenceParams.channels()``, each lifted as L (x) I.  Dynamics are
 integrated in the frame rotating at the cavity frequency, where the
 generator is exactly equivalent (the observable populations commute with
-the frame transformation) and the integrator step is set by g and the
-detuning instead of the carrier.
+the frame transformation) and the generator's norm, which sets the Taylor
+substeps of ``evolve_lindblad``, comes from g and the detuning instead of
+the carrier.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .core import (
     _check_finite_values,
     _check_integral,
     _checked_time_grid,
+    _unitary_trace,
     evolve_lindblad,
-    evolve_unitary,
 )
 from .experiments import US_TO_NS, DecoherenceParams, ExperimentResult, FittedMetrics
 
@@ -129,11 +130,9 @@ def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
     h_rot = HermitianOperator(_hamiltonian_matrix(p, frame_freq=p.nu_c))
     chans = _channels(p)
     if not chans:
-        pop = np.empty(t_grid.size)
-        state = QuantumState(psi0)
-        for i, t in enumerate(t_grid):
-            evolved = evolve_unitary(h_rot, state, float(t))
-            pop[i] = float(np.real(evolved.amplitudes.conj() @ proj_e @ evolved.amplitudes))
+        states = _unitary_trace(h_rot, QuantumState(psi0), t_grid)
+        pop = np.array([float(np.real(s.amplitudes.conj() @ proj_e @ s.amplitudes))
+                        for s in states])
     else:
         rho0 = DensityMatrix(np.outer(psi0, psi0.conj()))
         rhos = evolve_lindblad(h_rot, chans, rho0, t_grid, verify=False)

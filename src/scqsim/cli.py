@@ -38,8 +38,8 @@ from .core import (
     ConvergenceError,
     ValidationError,
     _checked_time_grid,
+    _unitary_trace,
     basis_state,
-    evolve_unitary,
 )
 from .coupled import (
     _EIGENBASIS_LABELS,
@@ -356,12 +356,8 @@ def _cmd_evolve(cfg: RunConfig):
     p = _params(cfg, "cpb")
     h = reduced_two_level(p)
     grid = _checked_time_grid(_time_grid(cfg))
-    psi0 = basis_state(2, 0)
-    rows = []
-    for t in grid:
-        psi = evolve_unitary(h, psi0, float(t))
-        rows.append([t, psi.population(1)])
-    return ["t_ns", "p1"], rows, []
+    states = _unitary_trace(h, basis_state(2, 0), grid)
+    return ["t_ns", "p1"], [[t, psi.population(1)] for t, psi in zip(grid, states)], []
 
 
 def _cmd_rabi(cfg: RunConfig):

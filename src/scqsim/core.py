@@ -19,9 +19,6 @@ from dataclasses import dataclass, InitVar
 import numpy as np
 
 DIMENSION_CAP = 4096
-# largest d whose d^2 x d^2 Lindblad superoperator evolve_lindblad builds
-# (144^2 complex, 0.33 MB per matrix); larger systems keep the stage loop
-_LIOUVILLE_DIMENSION_CAP = 12
 _HERM_TOL = 1e-12
 _TWO_PI = 2.0 * np.pi
 
@@ -313,61 +310,58 @@ def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
 
 def propagator(op: HermitianOperator, t: float) -> np.ndarray:
     """Unitary exp(-i*2*pi*H*t) for time-independent H, via eigendecomposition."""
+    return _eigen_propagator(hermitian_eigen(op), t)
+
+
+def _eigen_propagator(dec: EigenDecomposition, t: float) -> np.ndarray:
     _check_finite_values(t=t)
     if t < 0:
         raise ValidationError("evolution time must be >= 0")
-    dec = hermitian_eigen(op)
     phases = np.exp(-1j * 2.0 * np.pi * dec.eigenvalues * t)
     return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
 
 
 def evolve_unitary(op: HermitianOperator, psi0: QuantumState, t: float) -> QuantumState:
     """Evolve a pure state under a time-independent Hamiltonian for t ns."""
+    return _unitary_trace(op, psi0, [t])[0]
+
+
+def _unitary_trace(op: HermitianOperator, psi0: QuantumState, t_grid) -> list[QuantumState]:
+    """``evolve_unitary`` at each time of ``t_grid``, from one eigendecomposition."""
     if op.dimension != psi0.dimension:
         raise ValidationError(
             f"dimension mismatch: H is {op.dimension}, state is {psi0.dimension}"
         )
-    return QuantumState(propagator(op, t) @ psi0.amplitudes)
+    dec = hermitian_eigen(op)
+    return [QuantumState(_eigen_propagator(dec, float(t)) @ psi0.amplitudes) for t in t_grid]
 
 
 def _jump_terms(shape, channels):
-    """Validated channels: the (rate, L) pairs with rate > 0, and sum_k g_k L+L / 2."""
+    """Validated channels: the (rate, L) pairs with rate > 0, and sum_k g_k L+L / 2.
+
+    A negative rate, or a rate or operator entry that is not finite, is a
+    ValidationError naming the channel by its position.
+    """
     jumps = []
     decay = np.zeros(shape, dtype=complex)
-    for op, rate in channels:
+    for i, (op, rate) in enumerate(channels):
         L = np.asarray(op, dtype=complex)
         if L.shape != shape:
             raise ValidationError(f"jump operator shape {L.shape} != H shape {shape}")
+        if not math.isfinite(rate):
+            raise ValidationError(f"channel {i} rate must be finite, got {rate!r}")
+        if not np.isfinite(L).all():
+            raise ValidationError(f"channel {i} jump operator has non-finite entries")
         if rate < 0:
-            raise ValidationError("channel rates must be >= 0")
+            raise ValidationError(f"channel {i} rate must be >= 0, got {rate!r}")
         if rate > 0:
             jumps.append((rate, L))
             decay += 0.5 * rate * (L.conj().T @ L)
     return jumps, decay
 
 
-def _lindblad_rhs(h_of_t, channels):
-    """Return (t, rho) -> d(rho)/dt for the GKLS generator with Hamiltonian H(t).
-
-    d(rho)/dt = -i*2*pi*[H, rho] + sum_k g_k (L rho L+ - {L+L, rho}/2);
-    the 2*pi belongs to the Hamiltonian term only (H in GHz, rates in 1/ns).
-    It is evaluated as X + X+ with X = -i*2*pi*H rho + sum_k g_k (L rho L+ -
-    L+L rho)/2, so for Hermitian rho the result is Hermitian to the last bit.
-    """
-    jumps, decay = _jump_terms(np.shape(h_of_t(0.0)), channels)
-    jumps = [(0.5 * rate, L, L.conj().T) for rate, L in jumps]
-
-    def rhs(t, rho):
-        x = (-1j * _TWO_PI * h_of_t(t) - decay) @ rho
-        for half_rate, L, Ld in jumps:
-            x += half_rate * (L @ rho @ Ld)
-        return x + x.conj().T
-
-    return rhs
-
-
 def _liouvillian(h, channels):
-    """The GKLS generator of ``_lindblad_rhs`` acting on the row-major vec(rho).
+    """The GKLS generator of ``_lindblad_generator`` acting on the row-major vec(rho).
 
     With K = -i*2*pi*H - sum_k g_k L+L/2 the generator is K rho + rho K+ +
     sum_k g_k L rho L+, and vec(A X B) = (A (x) B^T) vec(X).  Without
@@ -383,9 +377,38 @@ def _liouvillian(h, channels):
     return gen
 
 
-def _hermitian_matrices(vecs, d):
-    """Row-major vec(rho) back to d x d matrices, each symmetrized once as (X + X+)/2."""
-    return [0.5 * (x + x.conj().T) for x in (v.reshape(d, d) for v in vecs)]
+def _lindblad_generator(h, channels):
+    """(G, nu): the GKLS generator on d x d matrices and a bound nu >= ||G||_1.
+
+    G(x) = K x + x K+ + sum_k g_k L x L+ with K = -i*2*pi*(H - tr H/d) -
+    sum_k g_k L+L/2; the 2*pi belongs to the Hamiltonian term only (H in
+    GHz, rates in 1/ns), and the shift by tr H/d cancels in K x + x K+ but
+    lowers nu = 2 ||K||_1 + sum_k g_k ||L||_1^2, which bounds the 1-norm of
+    G acting on vec(x).  G is written literally, since the Taylor terms it
+    is applied to are not Hermitian.  With R_k = sqrt(g_k) L_k it runs as
+    two stacked products, [K x, R_1 x, ...] @ [I; R_1+; ...], plus x K+.
+    """
+    jumps, decay = _jump_terms(h.shape, channels)
+    d = h.shape[0]
+    k = -1j * _TWO_PI * (h - (np.trace(h).real / d) * np.eye(d)) - decay
+    k_h = k.conj().T
+    roots = [math.sqrt(rate) * L for rate, L in jumps]
+    blocks = len(roots) + 1
+    left = np.concatenate([k, *roots])
+    right = np.concatenate([np.eye(d), *(r.conj().T for r in roots)])
+    nu = 2.0 * np.linalg.norm(k, 1) + sum(rate * np.linalg.norm(L, 1) ** 2 for rate, L in jumps)
+
+    def gen(x):
+        y = (left @ x).reshape(blocks, d, d).transpose(1, 0, 2).reshape(d, blocks * d) @ right
+        y += x @ k_h
+        return y
+
+    return gen, float(nu)
+
+
+def _hermitian(x):
+    """x symmetrized once, (x + x+)/2: exactly Hermitian."""
+    return 0.5 * (x + x.conj().T)
 
 
 def _grid_spans(t_grid, steps_per_ns):
@@ -405,35 +428,12 @@ def _grid_spans(t_grid, steps_per_ns):
             yield t, 0, 0.0
 
 
-def _rk4(rhs, y0, t_grid, steps_per_ns):
-    """Classical RK4 stage loop for y' = rhs(t, y) from t = 0; y at each grid time.
-
-    Steps are those of ``_grid_spans``.  When rhs maps Hermitian matrices to
-    exactly Hermitian matrices (as ``_lindblad_rhs`` does), every stage is a
-    real-weighted sum of Hermitian matrices, so the states stay exactly
-    Hermitian without symmetrization.  ``evolve_lindblad`` uses it where the
-    superoperator would be too large for the step-matrix propagators.
-    """
-    y = y0
-    out = []
-    for t0, n, h in _grid_spans(t_grid, steps_per_ns):
-        for j in range(n):
-            t = t0 + j * h
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(y.copy())
-    return out
-
-
 def _rk4_step_matrix(a_start, a_mid, a_end, h):
     """The RK4 step y -> M y for y' = A(t) y, given A at t, t + h/2 and t + h.
 
     M = I + h/6 (P1 + 2 P2 + 2 P3 + P4) with P1 = A(t), P2 = A(t+h/2)(I +
     h/2 P1), P3 = A(t+h/2)(I + h/2 P2) and P4 = A(t+h)(I + h P3): the four
-    stages of ``_rk4`` as matrices.  Leading axes are batch axes.
+    stages of the classical RK4 step as matrices.  Leading axes are batch axes.
     """
     eye = np.eye(a_start.shape[-1])
     p2 = a_mid @ (eye + 0.5 * h * a_start)
@@ -452,8 +452,8 @@ def _ordered_product(m):
 
 # step matrices built at once; a chunk's temporaries are about a dozen
 # stacks of that many dim x dim matrices.  On the drive benchmark (4 x 4
-# CNOT pulses) chunks of 1024 raised the peak RSS by 3.5 MB over the stage
-# loop, chunks of 256 by 0.9 MB at 4 % more time.
+# CNOT pulses) chunks of 1024 raised the peak RSS by 3.5 MB over a
+# per-step loop, chunks of 256 by 0.9 MB at 4 % more time.
 _CHUNK_STEPS = 256
 
 
@@ -475,28 +475,6 @@ def _rk4_driven(a0, a1, coeff, y0, t_grid, steps_per_ns):
             t = t0 + np.arange(first, min(n, first + _CHUNK_STEPS)) * h
             m = _rk4_step_matrix(gen(t), gen(t + 0.5 * h), gen(t + h), h)
             y = _ordered_product(m) @ y
-        out.append(y)
-    return out
-
-
-def _rk4_constant(a, y0, t_grid, steps_per_ns):
-    """RK4 for y' = A y from t = 0 as powers of one step matrix; y at each grid time.
-
-    The spans of a uniform grid differ by the rounding of the grid times, so
-    a span reuses the last step matrix M when n steps of its step length
-    stay within 4 ulp of the span's end time (the stage loop's t += h drifts
-    further).  Each step count n of a matrix is raised once, M^n.
-    """
-    y = y0
-    out = []
-    shared_h, powers = None, {}
-    for t0, n, h in _grid_spans(t_grid, steps_per_ns):
-        if n:
-            if shared_h is None or n * abs(h - shared_h) > 4.0 * np.spacing(t0 + n * h):
-                shared_h, powers = h, {1: _rk4_step_matrix(a, a, a, h)}
-            if n not in powers:
-                powers[n] = np.linalg.matrix_power(powers[1], n)
-            y = powers[n] @ y
         out.append(y)
     return out
 
@@ -528,25 +506,39 @@ def _checked_states(t_grid, rhos) -> list[DensityMatrix]:
     return out
 
 
-def _lindblad_step(h_norm: float, channels, t_total: float) -> float:
-    """Fixed RK4 step: accuracy-driven, capped at the 1/(50*||H||) bound.
+# Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM
+# J. Sci. Comput. 33, 488 (2011), Table 3.1 for u = 2^-53: a degree-m Taylor
+# step of tau G with tau ||G||_1 <= theta_m has backward error at most u.
+_TAYLOR_THETA = {
+    5: 2.4e-3, 10: 0.144, 15: 0.641, 20: 1.44, 25: 2.43, 30: 3.54,
+    35: 4.73, 40: 5.97, 45: 7.25, 50: 8.55, 55: 9.87,
+}
+_UNIT_ROUNDOFF = 2.0**-53
 
-    Empirical RK4 error model (measured on two-level oracles):
-    err ~ 0.13 * (w*h)^4 * (w*T) with w = 2*pi*||H||; the step meets a
-    per-run error of 1e-9.
+
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """(m, s): degree and substep count with norm/s <= theta_m and the fewest products m s."""
+    cost, m = min((m * max(1, math.ceil(norm / theta)), m) for m, theta in _TAYLOR_THETA.items())
+    return m, cost // m
+
+
+def _taylor_action(gen, x, tau: float, m: int, s: int):
+    """exp(tau G) x as s substeps of a Taylor series of degree <= m.
+
+    A series stops once two successive terms together fall below the unit
+    roundoff times the partial sum (max-abs norms).
     """
-    caps = []
-    if h_norm > 0:
-        caps.append(1.0 / (50.0 * h_norm))
-        w = _TWO_PI * h_norm
-        wt = max(w * t_total, 1e-30)
-        caps.append((1e-9 / (0.13 * wt)) ** 0.25 / w)
-    gmax = max((r for _, r in channels), default=0.0)
-    if gmax > 0:
-        caps.append(0.02 / gmax)
-    if not caps:
-        caps.append(max(t_total, 1.0))
-    return min(caps)
+    step = tau / s
+    for _ in range(s):
+        term, last = x, np.abs(x).max()
+        for j in range(1, m + 1):
+            term = gen(term) * (step / j)
+            x = x + term
+            size = np.abs(term).max()
+            if last + size <= _UNIT_ROUNDOFF * np.abs(x).max():
+                break
+            last = size
+    return x
 
 
 def evolve_lindblad(
@@ -564,51 +556,45 @@ def evolve_lindblad(
     op : HermitianOperator
         Time-independent Hamiltonian (GHz).
     channels : sequence of (jump operator, rate 1/ns)
-        Jump operators are plain square arrays; rates must be >= 0.
+        Jump operators are plain square arrays; rates must be >= 0, and a
+        rate or operator entry that is not finite is a ValidationError.
     rho0 : DensityMatrix
         Initial state.
     t_grid : sequence of float
         At least one ascending output time (ns), from >= 0 (an empty grid is a ValidationError).
     verify : bool
-        Re-integrate with the step halved and require agreement within
-        1e-7 (raises ConvergenceError naming the first bad grid time).
+        Rerun with twice the substeps and require agreement within 1e-7
+        (raises ConvergenceError naming the first bad grid time).  The
+        check does not change the returned states.
 
-    Fixed-step 4th-order Runge-Kutta with the step chosen for a per-run
-    error of 1e-9; trace / Hermiticity / positivity are checked at every
-    grid point (positivity floor -1e-7).  Up to dimension
-    ``_LIOUVILLE_DIMENSION_CAP`` the steps run as powers of the step matrix
-    of the d^2 x d^2 superoperator; above it, as the matrix-form stage loop.
+    Each grid span tau applies exp(tau G) to rho in matrix form, with G
+    the GKLS generator of ``_lindblad_generator``: s substeps of a Taylor
+    series of degree <= m, (m, s) chosen from the bound nu >= ||G||_1 and
+    the theta_m of Al-Mohy & Higham (2011).  No d^2 x d^2 matrix is built
+    at any dimension.  Each state is symmetrized once, (X + X+)/2, and
+    checked for trace (1e-8) and positivity (-1e-7) at every grid point.
     """
     t_grid = _checked_time_grid(list(t_grid))
     if op.dimension != rho0.dimension:
         raise ValidationError("Hamiltonian and state dimensions differ")
+    gen, nu = _lindblad_generator(op.entries, channels)
+    spans = np.diff(t_grid, prepend=0.0)
 
-    h = op.entries
-    d = op.dimension
-    rho = 0.5 * (rho0.entries + rho0.entries.conj().T)
-    if d <= _LIOUVILLE_DIMENSION_CAP:
-        gen = _liouvillian(h, channels)
+    def run(refine):
+        rho, out = _hermitian(rho0.entries), []
+        for tau in spans:
+            if tau > 0:
+                m, s = _taylor_plan(tau * nu)
+                rho = _hermitian(_taylor_action(gen, rho, tau, m, refine * s))
+            out.append(rho)
+        return out
 
-        def run(steps_per_ns):
-            return _hermitian_matrices(_rk4_constant(gen, rho.ravel(), t_grid, steps_per_ns), d)
-
-    else:
-        rhs = _lindblad_rhs(lambda t: h, channels)
-
-        def run(steps_per_ns):
-            return _rk4(rhs, rho, t_grid, steps_per_ns)
-
-    h_norm = float(np.linalg.norm(h, 2))
-    t_total = max(float(t_grid[-1]), 1e-12)
-    step = _lindblad_step(h_norm, channels, t_total)
-    states = run(1.0 / step)
+    states = run(1)
     if verify:
-        fine = run(2.0 / step)
-        for tk, a, b in zip(t_grid, states, fine):
-            if np.abs(a - b).max() > 1e-7:
+        for tk, a, b in zip(t_grid, states, run(2)):
+            delta = np.abs(a - b).max()
+            if not delta <= 1e-7:
                 raise ConvergenceError(
-                    f"step-halving disagreement {np.abs(a - b).max():.2e} > 1e-7 "
-                    f"at t = {tk} ns with RK4 step {step:.3g} ns"
+                    f"substep-doubling disagreement {delta:.2e} > 1e-7 at t = {tk} ns"
                 )
-        states = fine
     return _checked_states(t_grid, states)

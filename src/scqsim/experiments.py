@@ -29,7 +29,7 @@ from .core import (
     _check_norm_drift,
     _checked_states,
     _checked_time_grid,
-    _hermitian_matrices,
+    _hermitian,
     _least_squares,
     _liouvillian,
     _rk4_driven,
@@ -154,7 +154,7 @@ def rabi(
         rho0 = np.diag([1.0, 0.0]).astype(complex).ravel()
         a0, a1 = _liouvillian(h0, dec.channels()), _liouvillian(drive_op, [])
         vecs = _rk4_driven(a0, a1, drive.coefficient, rho0, t_grid, steps_per_ns)
-        rhos = _hermitian_matrices(vecs, 2)
+        rhos = [_hermitian(v.reshape(2, 2)) for v in vecs]
         pop = np.array([r.population(1) for r in _checked_states(t_grid, rhos)])
     visibility = float(pop.max() - pop.min())
     return ExperimentResult(

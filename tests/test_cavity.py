@@ -13,6 +13,7 @@ from scqsim.cavity import (
     strong_coupling_check,
     vacuum_rabi,
 )
+from scqsim import core
 from scqsim.core import ValidationError
 from scqsim.experiments import DecoherenceParams
 
@@ -75,6 +76,13 @@ class TestVacuumRabi:
         res = vacuum_rabi(p, grid)
         expected = np.cos(2.0 * math.pi * p.g * grid) ** 2
         assert np.abs(res.population - expected).max() <= 1e-6
+
+    def test_closed_trace_takes_one_eigendecomposition(self, monkeypatch):
+        calls = []
+        eigen = core.hermitian_eigen
+        monkeypatch.setattr(core, "hermitian_eigen", lambda op: calls.append(op) or eigen(op))
+        vacuum_rabi(params(), np.linspace(0.0, 12.0, 31))
+        assert len(calls) == 1
 
     def test_full_revival_at_half_period(self):
         p = params(g=0.1)

@@ -851,6 +851,33 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "0", "0", "False"]
 
+    def test_lindblad_commands_load_no_scipy(self, tmp_path):
+        # ramsey, t1 and open jc evolve through evolve_lindblad's Taylor
+        # action, which needs no scipy.linalg.expm
+        configs = {
+            "ramsey": "[qubit]\nnu01 = 10.0\ndetuning = 0.002\n"
+            "[decoherence]\nt1_us = 10.0\nt2_us = 1.0\n[time]\nstop = 2500.0\npoints = 101\n",
+            "t1": "[decoherence]\nt1_us = 2.0\nt2_us = 2.0\n[time]\nstop = 6000.0\npoints = 61\n",
+            "jc": "[jc]\nnu01 = 10.0\nnu_c = 10.0\ng = 0.1\nn_ph = 4\nkappa_per_us = 10.0\n"
+            "[decoherence]\nt1_us = 5.0\nt2_us = 0.5\n[time]\nstop = 3.0\npoints = 31\n",
+        }
+        calls = []
+        for command, text in configs.items():
+            cfg = tmp_path / f"{command}.ini"
+            cfg.write_text(text)
+            out = tmp_path / f"{command}.csv"
+            calls.append(f"main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}])")
+        probe = (
+            "import sys\n"
+            "from scqsim.cli import main\n"
+            f"codes = [{', '.join(calls)}]\n"
+            "print(*codes, *sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0", "0"]
+
     def test_flux3_solves_load_no_scipy_linalg(self, tmp_path):
         # the three-junction path runs on numpy alone, in the CLI too
         cfg = tmp_path / "flux.ini"

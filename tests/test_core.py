@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from scqsim.cavity import JaynesCummingsParams
+from scqsim import core
 from scqsim.charge import CpbParams
 from scqsim.core import (
     SIGMA_X,
@@ -19,14 +21,13 @@ from scqsim.core import (
     QuantumState,
     ValidationError,
     _CHUNK_STEPS,
-    _LIOUVILLE_DIMENSION_CAP,
     _checked_states,
+    _grid_spans,
     _least_squares,
+    _lindblad_generator,
     _liouvillian,
-    _lindblad_rhs,
-    _lindblad_step,
-    _rk4,
     _rk4_driven,
+    _unitary_trace,
     basis_state,
     evolve_lindblad,
     evolve_unitary,
@@ -220,6 +221,23 @@ class TestUnitaryEvolution:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             evolve_unitary(herm(SIGMA_Z), basis_state(3, 0), 1.0)
+        with pytest.raises(ValidationError):
+            _unitary_trace(herm(SIGMA_Z), basis_state(3, 0), [1.0])
+
+    def test_trace_applies_the_propagator_from_one_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        raw = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        h = herm((raw + raw.conj().T) / 2)
+        psi0 = basis_state(5, 2)
+        grid = np.linspace(0.0, 3.0, 7)
+        expected = [propagator(h, float(t)) @ psi0.amplitudes for t in grid]
+        calls = []
+        eigen = core.hermitian_eigen
+        monkeypatch.setattr(core, "hermitian_eigen", lambda op: calls.append(op) or eigen(op))
+        trace = _unitary_trace(h, psi0, grid)
+        assert len(calls) == 1
+        for psi, amps in zip(trace, expected):
+            assert np.array_equal(psi.amplitudes, amps)
 
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
@@ -271,12 +289,14 @@ class TestLindblad:
             assert np.linalg.eigvalsh(m).min() > -1e-7
 
     def test_verify_agrees_with_unverified(self):
+        # the substep-doubling check does not change the returned states
         h = herm(np.array([[0.5, 0.1], [0.1, -0.5]]))
         rho0 = DensityMatrix(np.diag([0.0, 1.0]))
         grid = [10.0, 20.0]
         a = evolve_lindblad(h, [(SIGMA_MINUS, 1e-3)], rho0, grid, verify=True)
         b = evolve_lindblad(h, [(SIGMA_MINUS, 1e-3)], rho0, grid, verify=False)
-        np.testing.assert_allclose(a[-1].entries, b[-1].entries, atol=1e-7)
+        for x, y in zip(a, b):
+            assert np.array_equal(x.entries, y.entries)
 
     def test_negative_rate_rejected(self):
         rho0 = DensityMatrix(np.diag([1.0, 0.0]))
@@ -292,6 +312,28 @@ class TestLindblad:
         h = herm(np.array([[2.0, 1.0], [1.0, -2.0]]))
         u = propagator(h, 1.3)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "channel, message",
+        [
+            ((SIGMA_MINUS, np.nan), "channel 1 rate must be finite, got nan"),
+            ((SIGMA_MINUS, np.inf), "channel 1 rate must be finite, got inf"),
+            (([[0.0, np.nan], [0.0, 0.0]], 0.1), "channel 1 jump operator has non-finite entries"),
+        ],
+    )
+    def test_non_finite_channel_rejected(self, channel, message):
+        # a NaN rate used to be dropped silently, giving the closed-system answer
+        rho0 = DensityMatrix(np.diag([0.0, 1.0]))
+        with pytest.raises(ValidationError, match=message):
+            evolve_lindblad(herm(np.zeros((2, 2))), [(SIGMA_Z, 0.1), channel], rho0, [1.0])
+
+    def test_verify_failure_names_the_first_bad_time(self, monkeypatch):
+        # one degree-5 substep per span, far too few for tau ||G|| ~ 30; the
+        # zero span at t = 0 agrees, so the first bad time is 1 ns
+        monkeypatch.setattr(core, "_TAYLOR_THETA", {5: 1e3})
+        rho0 = DensityMatrix(np.diag([1.0, 0.0]))
+        with pytest.raises(ConvergenceError, match=r"disagreement \S+ > 1e-7 at t = 1.0 ns"):
+            evolve_lindblad(herm(2.5 * SIGMA_X), [], rho0, [0.0, 1.0, 2.0])
 
 
 def random_system(seed, dim, n_channels):
@@ -325,45 +367,119 @@ SYSTEMS = dict(
 )
 
 
+def superoperator_exponential(h, channels, rho, t):
+    """scipy's Pade exp(t S) applied to vec(rho): the reference for evolve_lindblad."""
+    dim = h.shape[0]
+    return (expm(lindblad_superoperator(h, channels) * t) @ rho.ravel()).reshape(dim, dim)
+
+
+def backward_error_theta(m, terms=600, u=2.0**-53):
+    """theta_m of Al-Mohy & Higham (2011): the largest theta with h(theta)/theta <= u.
+
+    h(x) = sum_{k>m} |c_k| x^k, where log(e^-x T_m(x)) = sum_k c_k x^k and
+    T_m is the degree-m Taylor polynomial of e^x.  The series f = e^-x T_m
+    has f_0 = 1, f_k = 0 for 1 <= k <= m and f_k = (-1)^(k-m) C(k-1, m)/k!
+    beyond; c = log f follows from k c_k = k f_k - sum_i i c_i f_(k-i).
+    """
+    k = np.arange(terms)
+    f = np.zeros(terms)
+    f[0] = 1.0
+    high = k[m + 1:]
+    f[m + 1:] = (-1.0) ** (high - m) * np.exp(
+        gammaln(high) - gammaln(m + 1) - gammaln(high - m) - gammaln(high + 1)
+    )
+    c = np.zeros(terms)
+    for n in range(m + 1, terms):
+        i = np.arange(m + 1, max(m + 1, n - m))
+        c[n] = f[n] - np.dot(i * c[i], f[n - i]) / n
+    size = np.abs(c[m + 1:])
+    keep = size > 0
+    log_size, power = np.log(size[keep]), (k[m + 1:] - 1)[keep]
+    lo, hi = 0.0, 12.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.exp(log_size + power * np.log(mid)).sum() <= u:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestTaylorAction:
+    def test_theta_table_matches_the_backward_error_series(self):
+        # the table keeps three digits of each theta_m
+        for m, theta in core._TAYLOR_THETA.items():
+            assert theta == pytest.approx(backward_error_theta(m), rel=2e-3)
+
+    @pytest.mark.parametrize(
+        "norm, plan",
+        [(0.0, (5, 1)), (2e-3, (5, 1)), (0.5, (15, 1)), (9.0, (55, 1)), (30.0, (50, 4))],
+    )
+    def test_plan_takes_the_fewest_products(self, norm, plan):
+        assert core._taylor_plan(norm) == plan
+
+
 class TestPropagatorProperties:
     @settings(max_examples=60, deadline=None)
     @given(**SYSTEMS)
-    def test_generator_exactly_hermitian_and_trace_free(self, seed, dim, n_channels):
+    def test_generator_is_trace_free(self, seed, dim, n_channels):
         h, channels, rho = random_system(seed, dim, n_channels)
-        d = _lindblad_rhs(lambda t: h, channels)(0.0, rho)
-        assert np.array_equal(d, d.conj().T)
-        assert abs(np.trace(d)) <= 1e-12
+        gen, _ = _lindblad_generator(h, channels)
+        assert abs(np.trace(gen(rho))) <= 1e-12
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(**SYSTEMS)
-    def test_rk4_matches_superoperator_exponential(self, seed, dim, n_channels):
+    def test_norm_bound_covers_the_superoperator(self, seed, dim, n_channels):
+        # nu bounds the 1-norm of G on vec(x), which sets the Taylor steps
+        h, channels, _ = random_system(seed, dim, n_channels)
+        _, nu = _lindblad_generator(h, channels)
+        trace_shift = np.trace(h).real / dim * np.eye(dim)
+        norm = np.linalg.norm(lindblad_superoperator(h - trace_shift, channels), 1)
+        assert norm <= nu * (1 + 1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 2, 3, 4, 13, 22]),
+        n_channels=st.integers(0, 2),
+    )
+    def test_evolve_lindblad_matches_superoperator_exponential(self, seed, dim, n_channels):
         h, channels, rho = random_system(seed, dim, n_channels)
         grid = [0.4, 1.3]
-        step = _lindblad_step(float(np.linalg.norm(h, 2)), channels, grid[-1])
-        states = _rk4(_lindblad_rhs(lambda t: h, channels), rho, grid, 1.0 / step)
-        gen = lindblad_superoperator(h, channels)
-        for t, state in zip(grid, states):
-            exact = (expm(gen * t) @ rho.ravel()).reshape(dim, dim)
-            # the step targets a 1e-9 run error; 10x covers the model's fitted constant
-            assert np.abs(state - exact).max() <= 1e-8
-            assert np.array_equal(state, state.conj().T)
+        rhos = evolve_lindblad(
+            HermitianOperator(h), channels, DensityMatrix(rho), grid, verify=False
+        )
+        for t, state in zip(grid, rhos):
+            m = state.entries
+            assert np.array_equal(m, m.conj().T)
+            assert np.abs(m - superoperator_exponential(h, channels, rho, t)).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(**SYSTEMS, t1=st.floats(0.0, 1.0), dt=st.floats(0.0, 1.0))
+    def test_semigroup(self, seed, dim, n_channels, t1, dt):
+        # one call to t2 equals a call to t1 chained with a call for t2 - t1
+        h, channels, rho = random_system(seed, dim, n_channels)
+        op = HermitianOperator(h)
+        t2 = t1 + dt
+        whole = evolve_lindblad(op, channels, DensityMatrix(rho), [t2], verify=False)[0]
+        half = evolve_lindblad(op, channels, DensityMatrix(rho), [t1], verify=False)[0]
+        chained = evolve_lindblad(op, channels, half, [t2 - t1], verify=False)[0]
+        assert np.abs(whole.entries - chained.entries).max() <= 1e-13
 
     @settings(max_examples=60, deadline=None)
     @given(**SYSTEMS)
     def test_evolve_lindblad_states_are_physical(self, seed, dim, n_channels):
-        # the public path at small d: powers of the step matrix, step-halving verified
+        # the public path with its substep-doubling check on
         h, channels, rho = random_system(seed, dim, n_channels)
         grid = [0.4, 1.3]
         rhos = evolve_lindblad(
             HermitianOperator(h), channels, DensityMatrix(rho), grid, verify=True
         )
-        gen = lindblad_superoperator(h, channels)
         for t, state in zip(grid, rhos):
             m = state.entries
             assert np.array_equal(m, m.conj().T)
             assert np.linalg.eigvalsh(m).min() >= -1e-8
-            exact = (expm(gen * t) @ rho.ravel()).reshape(dim, dim)
-            assert np.abs(m - exact).max() <= 1e-8
+            assert np.abs(m - superoperator_exponential(h, channels, rho, t)).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(**SYSTEMS)
@@ -406,8 +522,35 @@ DRIVEN_GRID = [0.2, 0.2, 0.55, 3.0]
 DRIVEN_DENSITY = 500.0  # steps per ns: 1225 steps in the last span, in several chunks
 
 
+def rk4_stage_loop(rhs, y0, t_grid, steps_per_ns):
+    """Classical RK4 stage loop for y' = rhs(t, y) from t = 0, on the steps of _grid_spans."""
+    y, out = y0, []
+    for t0, n, h in _grid_spans(t_grid, steps_per_ns):
+        for j in range(n):
+            t = t0 + j * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return out
+
+
+def lindblad_rhs(h_of_t, channels):
+    """(t, rho) -> K(t) rho + rho K(t)+ + sum_k g_k L rho L+ in matrix form."""
+    decay = sum((0.5 * rate * (L.conj().T @ L) for L, rate in channels), 0.0)
+
+    def rhs(t, rho):
+        k = -2j * np.pi * h_of_t(t) - decay
+        jumps = sum(rate * (L @ rho @ L.conj().T) for L, rate in channels)
+        return k @ rho + rho @ k.conj().T + jumps
+
+    return rhs
+
+
 class TestStepMatrixPropagator:
-    """The step-matrix propagators against the RK4 stage loop they replace."""
+    """The driven step-matrix propagator against the RK4 stage loop it replaces."""
 
     def test_grid_covers_a_chunk_boundary(self):
         assert (DRIVEN_GRID[-1] - DRIVEN_GRID[-2]) * DRIVEN_DENSITY > _CHUNK_STEPS
@@ -425,7 +568,7 @@ class TestStepMatrixPropagator:
         def rhs(t, y):
             return (a0 + coeff(t) * a1) @ y
 
-        ref = _rk4(rhs, y0, DRIVEN_GRID, DRIVEN_DENSITY)
+        ref = rk4_stage_loop(rhs, y0, DRIVEN_GRID, DRIVEN_DENSITY)
         got = _rk4_driven(a0, a1, coeff, y0, DRIVEN_GRID, DRIVEN_DENSITY)
         for a, b in zip(got, ref):
             assert np.abs(a - b).max() <= 1e-12
@@ -436,29 +579,12 @@ class TestStepMatrixPropagator:
         h0, channels, rho = random_system(seed, dim, n_channels)
         v, _, _ = random_system(seed + 1, dim, 0)
         coeff = random_drive(seed)
-        ref = _rk4(
-            _lindblad_rhs(lambda t: h0 + coeff(t) * v, channels), rho, DRIVEN_GRID, DRIVEN_DENSITY
-        )
+        rhs = lindblad_rhs(lambda t: h0 + coeff(t) * v, channels)
+        ref = rk4_stage_loop(rhs, rho, DRIVEN_GRID, DRIVEN_DENSITY)
         a0, a1 = _liouvillian(h0, channels), _liouvillian(v, [])
         got = _rk4_driven(a0, a1, coeff, rho.ravel(), DRIVEN_GRID, DRIVEN_DENSITY)
         for a, b in zip(got, ref):
             assert np.abs(a.reshape(dim, dim) - b).max() <= 1e-12
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        dim=st.sampled_from([_LIOUVILLE_DIMENSION_CAP, _LIOUVILLE_DIMENSION_CAP + 1]),
-        n_channels=st.integers(0, 2),
-    )
-    def test_evolve_lindblad_at_the_liouville_cap(self, seed, dim, n_channels):
-        h, channels, rho = random_system(seed, dim, n_channels)
-        grid = [0.4, 1.3]
-        rhos = evolve_lindblad(HermitianOperator(h), channels, DensityMatrix(rho), grid)
-        gen = lindblad_superoperator(h, channels)
-        for t, state in zip(grid, rhos):
-            exact = (expm(gen * t) @ rho.ravel()).reshape(dim, dim)
-            assert np.abs(state.entries - exact).max() <= 1e-8
-            assert np.array_equal(state.entries, state.entries.conj().T)
 
 
 class TestTimeGrid:

@@ -79,6 +79,14 @@ class TestRabi:
         res = rabi(qubit_h(), drive(amp), None, grid)
         assert res.fitted.visibility == pytest.approx(1.0, abs=5e-3)
 
+    def test_overflowing_decay_rate_rejected(self):
+        # a subnormal T1 passes DecoherenceParams, but its rate 1/T1 overflows
+        # to inf; the superoperator's channel check names it instead of
+        # letting the RK4 steps turn it into NaN
+        dec = DecoherenceParams(t1_us=5e-324, t2_us=5e-324)
+        with pytest.raises(ValidationError, match="channel 0 rate must be finite, got inf"):
+            rabi(qubit_h(), drive(0.05), dec, [0.0, 1.0])
+
     def test_decoherence_reduces_visibility(self):
         dec = DecoherenceParams(t1_us=1.0, t2_us=1.0)
         amp = 0.05
