@@ -23,6 +23,7 @@ from scqsim.core import (
     _CHUNK_STEPS,
     _checked_states,
     _grid_spans,
+    _hermitian,
     _least_squares,
     _lindblad_generator,
     _liouvillian,
@@ -454,6 +455,22 @@ class TestPropagatorProperties:
             assert np.array_equal(m, m.conj().T)
             assert np.abs(m - superoperator_exponential(h, channels, rho, t)).max() <= 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(**SYSTEMS)
+    def test_rk4_matches_superoperator_exponential(self, seed, dim, n_channels):
+        # the driven Lindblad path of rabi with its drive off: RK4 step matrices
+        # on vec(rho), symmetrized once per state
+        h, channels, rho = random_system(seed, dim, n_channels)
+        grid = [0.4, 1.3]
+        a0 = _liouvillian(h, channels)
+        # h ||A||_1 = 1/200: the global error is below about 1e-9 for these norms
+        steps_per_ns = 200.0 * max(np.linalg.norm(a0, 1), 1.0)
+        vecs = _rk4_driven(a0, np.zeros_like(a0), np.zeros_like, rho.ravel(), grid, steps_per_ns)
+        for t, v in zip(grid, vecs):
+            state = _hermitian(v.reshape(dim, dim))
+            assert np.abs(state - superoperator_exponential(h, channels, rho, t)).max() <= 1e-8
+            assert np.array_equal(state, state.conj().T)
+
     @settings(max_examples=30, deadline=None)
     @given(**SYSTEMS, t1=st.floats(0.0, 1.0), dt=st.floats(0.0, 1.0))
     def test_semigroup(self, seed, dim, n_channels, t1, dt):
@@ -585,6 +602,23 @@ class TestStepMatrixPropagator:
         got = _rk4_driven(a0, a1, coeff, rho.ravel(), DRIVEN_GRID, DRIVEN_DENSITY)
         for a, b in zip(got, ref):
             assert np.abs(a.reshape(dim, dim) - b).max() <= 1e-12
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([12, 13]),
+        n_channels=st.integers(0, 2),
+    )
+    def test_evolve_lindblad_at_the_liouville_cap(self, seed, dim, n_channels):
+        # d = 12 and 13, where the d^2 x d^2 Liouville-space generator grows
+        # large: evolve_lindblad acts on d x d matrices and agrees there too
+        h, channels, rho = random_system(seed, dim, n_channels)
+        grid = [0.4, 1.3]
+        rhos = evolve_lindblad(HermitianOperator(h), channels, DensityMatrix(rho), grid)
+        for t, state in zip(grid, rhos):
+            m = state.entries
+            assert np.abs(m - superoperator_exponential(h, channels, rho, t)).max() <= 1e-12
+            assert np.array_equal(m, m.conj().T)
 
 
 class TestTimeGrid:
