@@ -57,6 +57,9 @@ class DecoherenceParams:
             raise ValidationError("T1 must be > 0")
         if not 0.0 < self.t2_us <= 2.0 * self.t1_us:
             raise ValidationError("T2 must satisfy 0 < T2 <= 2 T1")
+        for name, value in (("t1_us", self.t1_us), ("t2_us", self.t2_us)):
+            if not math.isfinite(1.0 / (value * US_TO_NS)):  # a subnormal time
+                raise ValidationError(f"{name} = {value!r} gives a non-finite rate 1/{name}")
 
     @property
     def relaxation_rate(self) -> float:

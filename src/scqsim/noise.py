@@ -67,10 +67,6 @@ class FluctuatorEnsemble:
 
     @property
     def rates(self) -> np.ndarray:
-        # the same value as geomspace over one point, at 1/60 of its cost: a
-        # single fluctuator's sample paths are drawn thousands of times
-        if self.count == 1:
-            return np.array([self.gamma_min])
         return np.geomspace(self.gamma_min, self.gamma_max, self.count)
 
     @property
@@ -85,25 +81,36 @@ def _check_grid(ens: FluctuatorEnsemble, t_grid: np.ndarray) -> np.ndarray:
         raise ValidationError(f"time grid must be one-dimensional, got shape {t_grid.shape}")
     if not np.isfinite(t_grid).all():
         raise ValidationError("time grid has non-finite times")
-    dt = np.diff(t_grid)
-    if t_grid.size < 2 or np.any(dt <= 0):
+    dt = t_grid[1:] - t_grid[:-1]
+    if t_grid.size < 2 or (dt <= 0).any():
         raise ValidationError("t_grid must be ascending with at least two points")
-    if dt.max() > (0.1 / ens.gamma_max) * (1.0 + 1e-9):
+    step = dt.max()
+    if step > (0.1 / ens.gamma_max) * (1.0 + 1e-9):
         raise ValidationError(
-            f"grid step {dt.max():.3g} ns under-resolves the fastest fluctuator; "
+            f"grid step {step:.3g} ns under-resolves the fastest fluctuator; "
             f"need <= {0.1 / ens.gamma_max:.3g} ns"
         )
     return dt
 
 
 def _check_trajectory(trajectory) -> None:
-    _check_integral(trajectory=trajectory)
+    if not isinstance(trajectory, int):
+        _check_integral(trajectory=trajectory)
     if trajectory < 0:
         raise ValidationError(f"trajectory must be >= 0, got {trajectory}")
 
 
 def _stream(ens: FluctuatorEnsemble, trajectory: int, fluctuator: int) -> np.random.Generator:
-    return np.random.default_rng([ens.seed, trajectory, fluctuator])
+    """The generator of ``default_rng([seed, trajectory, fluctuator])``.
+
+    Keys below 2**32 go in as one uint32 array, which is the same seed
+    entropy as the list at two thirds of the cost; a larger key spans
+    several words, so it keeps the list form.
+    """
+    key = (ens.seed, trajectory, fluctuator)
+    if max(key) < 2**32:
+        key = np.array(key, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(key))
 
 
 def _flips(rng: np.random.Generator, gamma: float, t_grid: np.ndarray) -> tuple[float, np.ndarray]:
@@ -119,7 +126,15 @@ def _flips(rng: np.random.Generator, gamma: float, t_grid: np.ndarray) -> tuple[
     s0 = -1.0 if rng.random() < 0.5 else 1.0
     span = t_grid[-1] - t_grid[0]
     times = t_grid[0] + span * rng.random(rng.poisson(gamma * span))
-    return s0, np.searchsorted(t_grid, np.sort(times), side="right")
+    times.sort()
+    return s0, t_grid.searchsorted(times, side="right")
+
+
+def _rates(ens: FluctuatorEnsemble):
+    """``ens.rates`` (geomspace over one point is its start, to the bit); a
+    single fluctuator's paths are drawn thousands of times, so it skips the
+    array and its numpy scalar."""
+    return (ens.gamma_min,) if ens.count == 1 else ens.rates
 
 
 def rtn_trajectory(ens: FluctuatorEnsemble, t_grid, trajectory: int = 0) -> np.ndarray:
@@ -135,11 +150,11 @@ def rtn_trajectory(ens: FluctuatorEnsemble, t_grid, trajectory: int = 0) -> np.n
     t_grid = np.asarray(t_grid, dtype=float)
     _check_grid(ens, t_grid)
     n = t_grid.size
-    rates, couplings = ens.rates, ens.couplings
+    rates, couplings = _rates(ens), ens.couplings
     xi = np.zeros(n)
     for v in np.unique(couplings[couplings != 0.0]):
         at, steps = [], []
-        for i in np.flatnonzero(couplings == v):
+        for i in np.flatnonzero(couplings == v).tolist():
             s0, flips = _flips(_stream(ens, trajectory, i), rates[i], t_grid)
             w = np.empty(flips.size + 1)
             w[0] = s0  # the initial value, at index 0
@@ -163,10 +178,13 @@ def fluctuator_states(ens: FluctuatorEnsemble, t_grid, trajectory: int = 0) -> n
     _check_grid(ens, t_grid)
     n = t_grid.size
     out = np.empty((ens.count, n))
-    for i, gamma in enumerate(ens.rates):
+    for i, gamma in enumerate(_rates(ens)):
         s0, flips = _flips(_stream(ens, trajectory, i), gamma, t_grid)
-        odd = np.cumsum(np.bincount(flips, minlength=n + 1)[:n]) & 1
-        out[i] = s0 * (1 - 2 * odd)
+        if flips.size:
+            odd = np.cumsum(np.bincount(flips, minlength=n + 1)[:n]) & 1
+            out[i] = np.where(odd, -s0, s0)
+        else:
+            out[i] = s0
     return out
 
 
@@ -192,6 +210,8 @@ def psd_welch(
     ``n_samples``.
     """
     _check_integral(n_samples=n_samples, n_trajectories=n_trajectories)
+    if n_samples < 2:
+        raise ValidationError(f"n_samples must be >= 2, got {n_samples}")
     if n_trajectories < 1:
         raise ValidationError("need at least one trajectory")
     if nperseg is not None:
@@ -200,6 +220,8 @@ def psd_welch(
             raise ValidationError("nperseg must be >= 2")
     if not math.isfinite(n_samples * dt):  # before numpy overflows building the grid
         raise ValidationError("time grid has non-finite times")
+    if dt <= 0:
+        raise ValidationError(f"dt must be > 0, got {dt!r}")
     t_grid = np.arange(n_samples) * dt
     nperseg = n_samples if nperseg is None else min(nperseg, n_samples)
     acc = None

@@ -658,6 +658,35 @@ class TestFailurePaths:
         assert_one_line_failure(proc, 1, "error: time grid has non-finite times")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "dt, samples, message",
+        [
+            ("-0.01", 1000, "error: dt must be > 0, got -0.01"),
+            ("0", 1000, "error: dt must be > 0, got 0.0"),
+            ("0.05", 1, "error: n_samples must be >= 2, got 1"),
+        ],
+    )
+    def test_bad_noise_step_or_sample_count_exits_1(self, tmp_path, dt, samples, message):
+        # psd_welch names the input, not the grid it would build from it
+        cfg = tmp_path / "psd.ini"
+        cfg.write_text(
+            "[noise]\ncount = 4\ngamma_min = 1e-2\ngamma_max = 1.0\ncoupling = 1e-3\n"
+            f"dt = {dt}\nsamples = {samples}\ntrajectories = 2\n"
+        )
+        out = tmp_path / "o.csv"
+        proc = run_cli("noise-psd", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 1, message)
+        assert not out.exists()
+
+    def test_subnormal_t1_exits_1(self, tmp_path):
+        # 1/T1 overflows to inf: the parameters name T1, no trace is run
+        cfg = tmp_path / "t1.ini"
+        cfg.write_text("[decoherence]\nt1_us = 5e-324\nt2_us = 5e-324\n[time]\nstop = 10.0\npoints = 3\n")
+        out = tmp_path / "o.csv"
+        proc = run_cli("t1", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 1, "error: t1_us = 5e-324 gives a non-finite rate 1/t1_us")
+        assert not out.exists()
+
     def test_negative_noise_seed_exits_1(self, tmp_path):
         cfg = tmp_path / "psd.ini"
         cfg.write_text(

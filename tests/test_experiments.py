@@ -60,6 +60,23 @@ class TestDecoherenceParams:
         with pytest.raises(ValidationError, match="must be finite"):
             DecoherenceParams(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, name",
+        [
+            (dict(t1_us=5e-324, t2_us=5e-324), "t1_us"),
+            (dict(t1_us=1.0, t2_us=5e-324), "t2_us"),
+            (dict(t1_us=1e-300, t2_us=1e-320), "t2_us"),
+        ],
+    )
+    def test_overflowing_rates_rejected(self, kw, name):
+        # 1/T overflows to inf, and 1/T2 - 1/(2 T1) could become inf - inf = NaN
+        with pytest.raises(ValidationError, match=f"^{name} = .* gives a non-finite rate 1/{name}$"):
+            DecoherenceParams(**kw)
+
+    def test_shortest_finite_rates_accepted(self):
+        dec = DecoherenceParams(t1_us=1e-305, t2_us=1e-305)
+        assert math.isfinite(dec.relaxation_rate) and math.isfinite(dec.dephasing_channel_rate)
+
 
 class TestRabi:
     def test_resonant_matches_rotating_frame_formula(self):
@@ -80,12 +97,10 @@ class TestRabi:
         assert res.fitted.visibility == pytest.approx(1.0, abs=5e-3)
 
     def test_overflowing_decay_rate_rejected(self):
-        # a subnormal T1 passes DecoherenceParams, but its rate 1/T1 overflows
-        # to inf; the superoperator's channel check names it instead of
-        # letting the RK4 steps turn it into NaN
-        dec = DecoherenceParams(t1_us=5e-324, t2_us=5e-324)
-        with pytest.raises(ValidationError, match="channel 0 rate must be finite, got inf"):
-            rabi(qubit_h(), drive(0.05), dec, [0.0, 1.0])
+        # a subnormal T1's rate 1/T1 overflows to inf; the parameters name
+        # T1 before any trace is integrated
+        with pytest.raises(ValidationError, match="t1_us = 5e-324 gives a non-finite rate"):
+            rabi(qubit_h(), drive(0.05), DecoherenceParams(t1_us=5e-324, t2_us=5e-324), [0.0, 1.0])
 
     def test_decoherence_reduces_visibility(self):
         dec = DecoherenceParams(t1_us=1.0, t2_us=1.0)

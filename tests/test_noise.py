@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from scqsim import noise
 from scqsim.core import ValidationError
 from scqsim.noise import (
     FluctuatorEnsemble,
+    _stream,
     _welch,
     dephasing_under_rtn,
     fit_loglog_slope,
@@ -33,9 +35,11 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("gamma", [1e-3, 0.1, 1.0 / 3.0, math.pi, 7.3e4])
     def test_single_rate_is_the_geomspace_value_to_the_bit(self, gamma):
-        # the one-fluctuator shortcut returns what geomspace over one point does
-        rates = FluctuatorEnsemble.single(gamma, 1.0).rates
-        assert np.array_equal(rates, np.geomspace(gamma, gamma, 1)) and rates[0] == gamma
+        # the samplers' one-fluctuator shortcut returns what geomspace over one point does
+        ens = FluctuatorEnsemble.single(gamma, 1.0)
+        rates = noise._rates(ens)
+        assert np.array_equal(rates, ens.rates) and np.array_equal(rates, np.geomspace(gamma, gamma, 1))
+        assert type(rates[0]) is float and rates[0] == gamma
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -109,6 +113,23 @@ class TestEnsemble:
         with pytest.raises(ValidationError, match="non-finite"):
             sampler(ens, grid)
 
+    @pytest.mark.parametrize("sampler", [rtn_trajectory, fluctuator_states])
+    @pytest.mark.parametrize(
+        "grid", [[0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0], [0.5], []],
+        ids=["descending", "repeated", "single", "empty"],
+    )
+    def test_unordered_or_short_grid_rejected(self, sampler, grid):
+        ens = FluctuatorEnsemble.single(0.1, 0.5)
+        with pytest.raises(ValidationError, match="^t_grid must be ascending with at least two points$"):
+            sampler(ens, grid)
+
+    @pytest.mark.parametrize("sampler", [rtn_trajectory, fluctuator_states])
+    def test_under_resolved_step_named(self, sampler):
+        # the widest step counts, here the last one: 0.1 / gamma_max = 0.01 ns
+        ens = FluctuatorEnsemble(count=3, gamma_min=0.1, gamma_max=10.0, coupling=0.5)
+        with pytest.raises(ValidationError, match="^grid step 0.011 ns under-resolves .* need <= 0.01 ns$"):
+            sampler(ens, [0.0, 0.005, 0.01, 0.021])
+        assert sampler(ens, [0.0, 0.005, 0.01, 0.02]).shape[-1] == 4
 
     @pytest.mark.parametrize("sampler", [rtn_trajectory, fluctuator_states])
     @pytest.mark.parametrize(
@@ -227,6 +248,16 @@ class TestPsd:
         ens = FluctuatorEnsemble(count=4, gamma_min=1e-2, gamma_max=1.0, coupling=1e-3, seed=2)
         with pytest.raises(ValidationError, match="non-finite"):
             psd_welch(ens, math.nan, 1000, 2)
+
+    @pytest.mark.parametrize(
+        "dt, n_samples, message",
+        [(-0.05, 1000, "dt must be > 0, got -0.05"), (0.0, 1000, "dt must be > 0, got 0.0"),
+         (0.05, 1, "n_samples must be >= 2, got 1"), (0.05, 0, "n_samples must be >= 2, got 0")],
+    )
+    def test_bad_step_or_sample_count_named(self, dt, n_samples, message):
+        ens = FluctuatorEnsemble(count=4, gamma_min=1e-2, gamma_max=1.0, coupling=1e-3, seed=2)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            psd_welch(ens, dt, n_samples, 2)
 
 
 # (samples, nperseg): whole trace, half-overlapping pairs, a remainder that
@@ -378,3 +409,110 @@ class TestEventSampler:
             exact = math.exp(-2.0 * gamma * (grid[lag] - grid[0]))
             sigma = math.sqrt((1.0 - exact**2) / m)
             assert abs(est - exact) <= 3.0 * sigma
+
+
+# The plain sampler, kept as the bit-identity oracle: a list-keyed default_rng
+# per path, np.diff grid checks and s0 (1 - 2 parity) rows.  It is compared
+# with the module in the same run, never with stored hashes, since numpy may
+# change its poisson stream between versions.
+
+
+def _oracle_grid(ens, t_grid):
+    dt = np.diff(t_grid)
+    if t_grid.size < 2 or np.any(dt <= 0) or dt.max() > (0.1 / ens.gamma_max) * (1.0 + 1e-9):
+        raise AssertionError("the oracle takes valid grids only")
+    return dt
+
+
+def _oracle_flips(ens, trajectory, i, gamma, t_grid):
+    rng = np.random.default_rng([ens.seed, trajectory, i])
+    s0 = -1.0 if rng.random() < 0.5 else 1.0
+    span = t_grid[-1] - t_grid[0]
+    times = t_grid[0] + span * rng.random(rng.poisson(gamma * span))
+    return s0, np.searchsorted(t_grid, np.sort(times), side="right")
+
+
+def _oracle_states(ens, t_grid, trajectory=0):
+    t_grid = np.asarray(t_grid, dtype=float)
+    _oracle_grid(ens, t_grid)
+    n = t_grid.size
+    out = np.empty((ens.count, n))
+    for i, gamma in enumerate(ens.rates):
+        s0, flips = _oracle_flips(ens, trajectory, i, gamma, t_grid)
+        odd = np.cumsum(np.bincount(flips, minlength=n + 1)[:n]) & 1
+        out[i] = s0 * (1 - 2 * odd)
+    return out
+
+
+def _oracle_rtn(ens, t_grid, trajectory=0):
+    t_grid = np.asarray(t_grid, dtype=float)
+    _oracle_grid(ens, t_grid)
+    n = t_grid.size
+    rates, couplings = ens.rates, ens.couplings
+    xi = np.zeros(n)
+    for v in np.unique(couplings[couplings != 0.0]):
+        at, steps = [], []
+        for i in np.flatnonzero(couplings == v):
+            s0, flips = _oracle_flips(ens, trajectory, i, rates[i], t_grid)
+            w = np.empty(flips.size + 1)
+            w[0] = s0
+            w[1::2] = -2.0 * s0
+            w[2::2] = 2.0 * s0
+            at += [[0], flips]
+            steps.append(w)
+        diff = np.bincount(np.concatenate(at), weights=np.concatenate(steps), minlength=n + 1)
+        xi += v * np.cumsum(diff[:n])
+    return xi
+
+
+# seeds and trajectories on both sides of 2**32, where a key word splits in two
+KEYS = [0, 2**32 - 1, 2**32, 2**40 + 3]
+ENSEMBLES = [
+    FluctuatorEnsemble.single(0.2, 1.0, seed=77),
+    FluctuatorEnsemble(count=20, gamma_min=1e-3, gamma_max=10.0, coupling=1e-3, seed=2**32),
+    FluctuatorEnsemble(count=6, gamma_min=0.02, gamma_max=2.0, coupling=(0.3, -0.2, 0.5, 0.3, 0.0, 0.25),
+                       seed=2**32 - 1),
+]
+
+
+class TestBitIdentity:
+    """Every draw equals the oracle's to the bit, whatever the key size."""
+
+    @pytest.mark.parametrize("position", ["seed", "trajectory", "fluctuator"])
+    @pytest.mark.parametrize("key", KEYS)
+    def test_stream_is_the_list_keyed_generator(self, key, position):
+        words = {"seed": 5, "trajectory": 9, "fluctuator": 2, position: key}
+        ens = FluctuatorEnsemble.single(0.1, 1.0, seed=words["seed"])
+        got = _stream(ens, words["trajectory"], words["fluctuator"])
+        want = np.random.default_rng([words["seed"], words["trajectory"], words["fluctuator"]])
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.random(8), want.random(8))
+        assert np.array_equal(got.poisson(3.0, 8), want.poisson(3.0, 8))
+
+    @pytest.mark.parametrize("ens", ENSEMBLES, ids=["single", "scalar-20", "per-fluctuator"])
+    @pytest.mark.parametrize("trajectory", [0, 3, 2**32 - 1, 2**32, 2**40 + 3])
+    def test_paths_match_the_oracle(self, ens, trajectory):
+        grid = np.concatenate([[0.0], np.cumsum(np.tile([0.002, 0.009], 400))])
+        assert np.array_equal(fluctuator_states(ens, grid, trajectory), _oracle_states(ens, grid, trajectory))
+        assert np.array_equal(rtn_trajectory(ens, grid, trajectory), _oracle_rtn(ens, grid, trajectory))
+
+    def test_single_paths_match_the_oracle(self):
+        # the decoherence benchmark's case: many short single-fluctuator paths
+        ens = FluctuatorEnsemble.single(0.2, 1.0, seed=2024)
+        grid = np.arange(0.0, 2.01, 0.05)
+        for m in range(500):
+            assert np.array_equal(fluctuator_states(ens, grid, m), _oracle_states(ens, grid, m))
+
+    def test_psd_welch_matches_the_oracle(self, monkeypatch):
+        ens = ENSEMBLES[1]
+        f, p = psd_welch(ens, 0.01, 4096, 3, nperseg=1024)
+        monkeypatch.setattr(noise, "rtn_trajectory", _oracle_rtn)
+        f_ref, p_ref = psd_welch(ens, 0.01, 4096, 3, nperseg=1024)
+        assert np.array_equal(f, f_ref) and np.array_equal(p, p_ref)
+
+    @pytest.mark.parametrize("ens", ENSEMBLES[1:], ids=["scalar-20", "per-fluctuator"])
+    def test_dephasing_matches_the_oracle(self, ens, monkeypatch):
+        grid = np.arange(0.0, 5.0, 0.01)
+        coh = dephasing_under_rtn(10.0, ens, 100, grid)
+        monkeypatch.setattr(noise, "rtn_trajectory", _oracle_rtn)
+        assert np.array_equal(coh, dephasing_under_rtn(10.0, ens, 100, grid))
