@@ -1,19 +1,19 @@
 """Command-line front end: config parsing, dispatch, CSV emission.
 
 Config files are flat INI text (``key = value`` under one level of
-``[section]`` blocks).  Each input has one source: the subcommand comes
-from the command line only, the circuit from the config's one circuit
-block only.  A usage error (an unknown flag, a missing ``--config``)
-prints one ``config error:`` line, as a config error does.
-Every CSV starts with ``#`` comment lines recording the tool version, the
-configuration with every parameter-block default filled in (``[cpb]
-cutoff = 10`` or ``[pulse] phase = 0`` when the file gives none; a swept
-key is left to ``[sweep]``; a ``[run]`` key the file sets records its
-flag's value when ``--out``, ``--seed`` or ``--threads`` overrides it), and
-the seed; data rows carry 15 significant digits.
-Identical config + seed produce byte-identical output.  Sweeps run in one process: ``--threads`` and ``[run] threads``
-are validated and otherwise ignored.  A spectrum with ``[precision]``
-re-solves its mid-sweep point at ``cutoff + 4``, for every circuit.
+``[section]`` blocks), each section's keys declared once in ``_SECTIONS``.
+The subcommand comes from the command line only and reads the sections
+``_COMMANDS`` lists for it, no others.  A usage error (an unknown flag, a
+missing ``--config``) prints one ``config error:`` line, as a config error
+does.  Every CSV starts with ``#`` comment lines recording the tool
+version, the configuration with every parameter-block default filled in
+(``[cpb] cutoff = 10`` or ``[pulse] phase = 0`` when the file gives none;
+a swept key is left to ``[sweep]``; a ``[run]`` key the file sets records
+its flag's value when ``--out`` or ``--seed`` overrides it), and the seed;
+data rows carry 15 significant digits.  Identical config + seed produce
+byte-identical output.  Sweeps run in one process: ``--threads`` is
+validated and otherwise ignored.  A spectrum with ``[precision]``
+re-solves its mid-sweep point at ``cutoff + 4``, for either circuit.
 
 Exit codes: 0 success, 1 config error (or a run out of memory), 2
 numerical non-convergence or a failed fit.
@@ -27,7 +27,7 @@ import dataclasses
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -68,11 +68,12 @@ class ConfigError(Exception):
 
 
 def _fields_schema(cls, omit=(), **extra) -> dict:
-    """``{key: (converter, required)}`` for the fields of a parameter dataclass.
+    """``{key: (converter, default)}`` for the fields of a parameter dataclass.
 
     ``int`` fields parse as int, ``float`` ones (also ``float | None``) as
-    float; a field without a default is required.  Any other annotation
-    raises, so a new non-numeric field cannot silently parse as a float.
+    float; the default is the field's, ``MISSING`` when it has none.  Any
+    other annotation raises, so a new non-numeric field cannot silently
+    parse as a float.
     """
     schema = {}
     for f in dataclasses.fields(cls):
@@ -81,8 +82,7 @@ def _fields_schema(cls, omit=(), **extra) -> dict:
         head = getattr(f.type, "__name__", str(f.type)).split("|")[0].strip()
         if head not in ("int", "float"):
             raise TypeError(f"{cls.__name__}.{f.name}: no config converter for {f.type!r}")
-        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        schema[f.name] = (int if head == "int" else float, required)
+        schema[f.name] = (int if head == "int" else float, f.default)
     return {**schema, **extra}
 
 
@@ -93,55 +93,36 @@ _PARAM_BLOCKS = {
     "flux3": (ThreeJunctionParams, (), {}),
     "rf-squid": (RfSquidParams, (), {}),
     "coupled": (CoupledParams, (), {}),
-    "jc": (JaynesCummingsParams, ("dec",), {"margin": (float, False)}),
+    "jc": (JaynesCummingsParams, ("dec",), {"margin": (float, None)}),
     "noise": (
         FluctuatorEnsemble,
         ("seed",),  # from [run] seed
-        {"dt": (float, True), "samples": (int, True), "trajectories": (int, True),
-         "nperseg": (int, False)},
+        {"dt": (float, MISSING), "samples": (int, MISSING), "trajectories": (int, MISSING),
+         "nperseg": (int, None)},
     ),
     "decoherence": (DecoherenceParams, (), {}),
     # the command sets target; duration's default depends on it (0 for rabi,
     # the pi pulse for cnot)
-    "pulse": (DrivePulse, ("target",), {"duration": (float, False)}),
+    "pulse": (DrivePulse, ("target",), {"duration": (float, None)}),
 }
-_SCHEMAS = {
-    name: _fields_schema(cls, omit, **extra) for name, (cls, omit, extra) in _PARAM_BLOCKS.items()
-}
-# the dataclass defaults a parameter block resolves to; a None default is an
-# unset option (the SQUID fields of [cpb]) and stays out of the config
-_DEFAULTS = {
-    name: {
-        f.name: f.default
-        for f in dataclasses.fields(cls)
-        if f.name in _SCHEMAS[name] and f.default not in (dataclasses.MISSING, None)
-    }
-    for name, (cls, _, _) in _PARAM_BLOCKS.items()
-}
-
-# section -> key -> (converter, required)
-_CIRCUIT_SCHEMAS = {
-    **{name: _SCHEMAS[name] for name in ("cpb", "flux3", "rf-squid", "coupled", "jc", "noise")},
-    "qubit": {"nu01": (float, True), "detuning": (float, False)},
-}
-
-_OTHER_SCHEMAS = {
-    "run": {
-        "out": (str, False),
-        "seed": (int, False),
-        "threads": (int, False),  # accepted and validated; sweeps run in one process
-    },
+# section -> {key: (converter, default)}: MISSING marks a required key; any
+# other default but None is filled in, so the CSV header records it (a None
+# default is an unset option, such as the SQUID fields of [cpb])
+_SECTIONS = {
+    **{name: _fields_schema(cls, omit, **extra) for name, (cls, omit, extra) in _PARAM_BLOCKS.items()},
+    "qubit": {"nu01": (float, MISSING), "detuning": (float, None)},
+    "run": {"out": (str, None), "seed": (int, None)},
     "sweep": {
-        "parameter": (str, True),
-        "start": (float, True),
-        "stop": (float, True),
-        "points": (int, True),
-        "levels": (int, False),
+        "parameter": (str, MISSING),
+        "start": (float, MISSING),
+        "stop": (float, MISSING),
+        "points": (int, MISSING),
+        "levels": (int, None),
     },
-    **{name: _SCHEMAS[name] for name in ("pulse", "decoherence")},
-    "time": {"start": (float, False), "stop": (float, True), "points": (int, True)},
-    "precision": {"verify_grid_tol": (float, False)},
+    "time": {"start": (float, None), "stop": (float, MISSING), "points": (int, MISSING)},
+    "precision": {"verify_grid_tol": (float, None)},
 }
+
 
 @dataclass
 class RunConfig:
@@ -159,13 +140,12 @@ def _parse_sections(text: str, errors: list[str]) -> dict:
     except configparser.Error as exc:
         errors.append(f"malformed config: {exc}")
         return {}
-    known = {**_CIRCUIT_SCHEMAS, **_OTHER_SCHEMAS}
     sections: dict = {}
     for name in parser.sections():
-        if name not in known:
+        if name not in _SECTIONS:
             errors.append(f"unknown section [{name}]")
             continue
-        schema = known[name]
+        schema = _SECTIONS[name]
         values = {}
         for key, raw in parser.items(name):
             if key not in schema:
@@ -179,10 +159,11 @@ def _parse_sections(text: str, errors: list[str]) -> dict:
                 continue
             if conv is float and not math.isfinite(values[key]):
                 errors.append(f"key '{key}' in [{name}]: {raw!r} is not a finite number")
-        for key, (_, required) in schema.items():
-            if required and key not in values:
+        for key, (_, default) in schema.items():
+            if default is MISSING and key not in values:
                 errors.append(f"missing required key '{key}' in [{name}]")
-        sections[name] = {**_DEFAULTS.get(name, {}), **values}
+        defaults = {k: d for k, (_, d) in schema.items() if d is not MISSING and d is not None}
+        sections[name] = {**defaults, **values}
     return sections
 
 
@@ -191,36 +172,22 @@ def parse_config(text: str, command: str) -> RunConfig:
     errors: list[str] = []
     sections = _parse_sections(text, errors)
 
-    run = sections.get("run", {})
+    circuit_kind = None
     if command not in _COMMANDS:
         errors.append(f"unknown subcommand '{command}'")
-
-    circuit_kind = None
-    present_circuits = [name for name in _CIRCUIT_SCHEMAS if name in sections]
-    if len(present_circuits) > 1:
-        errors.append(
-            "exactly one circuit block is allowed, found: "
-            + ", ".join(f"[{n}]" for n in present_circuits)
-        )
-    elif present_circuits:
-        circuit_kind = present_circuits[0]
-
-    if command in _COMMANDS:
-        _, circuits, needs, optional = _COMMANDS[command]
-        if circuits:
-            if circuit_kind is None:
+    else:
+        _, needs, optional = _COMMANDS[command]
+        for choices in needs:
+            present = [name for name in choices if name in sections]
+            if len(choices) == 1 and not present:
+                errors.append(f"'{command}' needs a [{choices[0]}] section")
+            elif len(present) != 1:
                 errors.append(
-                    f"'{command}' needs a circuit block: one of "
-                    + ", ".join(f"[{n}]" for n in circuits)
+                    f"'{command}' needs exactly one of " + ", ".join(f"[{n}]" for n in choices)
                 )
-            elif circuit_kind not in circuits:
-                errors.append(
-                    f"'{command}' does not accept circuit block [{circuit_kind}]"
-                )
-        for needed in needs:
-            if needed not in sections:
-                errors.append(f"'{command}' needs a [{needed}] section")
-        allowed = {*circuits, *needs, *optional, "run"}
+            elif len(choices) > 1:
+                circuit_kind = present[0]  # the circuit a spectrum sweeps
+        allowed = {"run", *optional, *(name for choices in needs for name in choices)}
         for name in sections:
             if name not in allowed:
                 errors.append(f"section [{name}] is not used by '{command}'")
@@ -231,7 +198,7 @@ def parse_config(text: str, command: str) -> RunConfig:
     if "sweep" in sections and circuit_kind is not None and "parameter" in sections["sweep"]:
         sweep = sections["sweep"]
         param = sweep["parameter"]
-        schema = _CIRCUIT_SCHEMAS[circuit_kind]  # every circuit key is numeric
+        schema = _SECTIONS[circuit_kind]  # every circuit key is numeric
         if param not in schema:
             errors.append(
                 f"sweep parameter '{param}' does not exist on [{circuit_kind}] "
@@ -247,16 +214,13 @@ def parse_config(text: str, command: str) -> RunConfig:
                     f"points give non-integral values"
                 )
 
-    if "sweep" in sections and sections["sweep"].get("levels", 1) < 1:
-        errors.append("sweep levels must be >= 1")
     if "time" in sections and sections["time"].get("points", 1) < 1:
         errors.append("time points must be >= 1")
-    if run.get("threads", 0) < 0:
-        errors.append(f"threads must be >= 0, got {run['threads']}")
 
     if errors:
         raise ConfigError(errors)
 
+    run = sections.get("run", {})
     return RunConfig(
         command=command,
         circuit_kind=circuit_kind,
@@ -313,7 +277,7 @@ def _write_csv(path: str, cfg: RunConfig, columns, rows, extra_comments=()):
 def _sweep_values(cfg: RunConfig) -> list:
     """Sweep points, converted by the swept key's schema type."""
     s = cfg.sections["sweep"]
-    conv = _CIRCUIT_SCHEMAS[cfg.circuit_kind][s["parameter"]][0]
+    conv = _SECTIONS[cfg.circuit_kind][s["parameter"]][0]
     # integral grids are exact in linspace; parse_config rejects the others
     return [conv(x) for x in np.linspace(s["start"], s["stop"], s["points"])]
 
@@ -363,6 +327,8 @@ def _cmd_evolve(cfg: RunConfig):
 def _cmd_rabi(cfg: RunConfig):
     pulse = _params(cfg, "pulse", duration=0.0, target="sigma_x")
     nu01 = cfg.sections["qubit"]["nu01"]
+    if nu01 <= 0:  # ramsey's rule; the Hamiltonian below would blame Ej
+        raise ValidationError("nu01 must be > 0")
     h = reduced_two_level(CpbParams(ec=1.0, ej=nu01, ng=0.5))
     grid = _time_grid(cfg)
     result = rabi(h, pulse, _decoherence(cfg), grid)
@@ -452,18 +418,19 @@ def _cmd_fluxoid(cfg: RunConfig):
     return ["phi_star", "m", "residual"], rows, []
 
 
-# command -> handler, the circuit blocks it accepts (one is required when
-# any are listed), the sections it needs and those it may also read
+# command -> handler, the sections it needs (each a tuple of alternatives, of
+# which the config gives exactly one) and those it may also read; every
+# command may read [run]
 _COMMANDS = {
-    "spectrum": (_cmd_spectrum, ("cpb", "flux3"), ("sweep",), ("precision",)),
-    "evolve": (_cmd_evolve, ("cpb",), ("time",), ()),
-    "rabi": (_cmd_rabi, ("qubit",), ("pulse", "time"), ("decoherence",)),
-    "ramsey": (_cmd_ramsey, ("qubit",), ("decoherence", "time"), ()),
-    "t1": (_cmd_t1, (), ("decoherence", "time"), ()),
-    "cnot": (_cmd_cnot, ("coupled",), ("pulse",), ()),
-    "noise-psd": (_cmd_noise_psd, ("noise",), (), ()),
-    "jc": (_cmd_jc, ("jc",), ("time",), ("decoherence",)),
-    "fluxoid": (_cmd_fluxoid, ("rf-squid",), (), ()),
+    "spectrum": (_cmd_spectrum, (("cpb", "flux3"), ("sweep",)), ("precision",)),
+    "evolve": (_cmd_evolve, (("cpb",), ("time",)), ()),
+    "rabi": (_cmd_rabi, (("qubit",), ("pulse",), ("time",)), ("decoherence",)),
+    "ramsey": (_cmd_ramsey, (("qubit",), ("decoherence",), ("time",)), ()),
+    "t1": (_cmd_t1, (("decoherence",), ("time",)), ()),
+    "cnot": (_cmd_cnot, (("coupled",), ("pulse",)), ()),
+    "noise-psd": (_cmd_noise_psd, (("noise",),), ()),
+    "jc": (_cmd_jc, (("jc",), ("time",)), ("decoherence",)),
+    "fluxoid": (_cmd_fluxoid, (("rf-squid",),), ()),
 }
 # (section, key) pairs a command does not read, so a config may not set them:
 # rabi's drive stays on over the whole time grid, and its detuning is the
@@ -529,7 +496,7 @@ def main(argv=None) -> int:
         cfg.seed = args.seed
     # the header's [run] block records what the run used: a flag wins
     run_block = cfg.sections.get("run", {})
-    for key, flag in (("out", args.out), ("seed", args.seed), ("threads", args.threads)):
+    for key, flag in (("out", args.out), ("seed", args.seed)):
         if flag is not None and key in run_block:
             run_block[key] = flag
     return run(cfg)

@@ -143,6 +143,9 @@ def _minima_grid(p: RfSquidParams) -> np.ndarray:
     the grid neighbours of an edge minimum inside.  The spacing is
     3 pi / _MINIMA_STEPS, so W rounds up to whole steps; a window above
     _MINIMA_MAX_POINTS points raises ValidationError before any allocation.
+    So does a phi_ext so large that the float spacing of phi there, times
+    the curvature bound Ej + 2 inductive_scale, exceeds the 1e-8 Ej of U'
+    that ``classify_fluxoid`` allows: no float near a minimum would pass.
     """
     reach = p.ej / (2.0 * p.inductive_scale)
     steps = _MINIMA_STEPS * (reach + math.pi) / (3.0 * math.pi)  # on each side of phi_ext
@@ -150,6 +153,12 @@ def _minima_grid(p: RfSquidParams) -> np.ndarray:
         raise ValidationError(
             f"rf-SQUID minima lie up to Ej/(2 inductive_scale) = {reach:.4g} rad from "
             f"phi_ext; a search grid that wide exceeds {_MINIMA_MAX_POINTS} points"
+        )
+    floor = (p.ej + 2.0 * p.inductive_scale) * math.ulp(abs(p.phi_ext) + reach)
+    if floor > 1e-8 * p.ej:
+        raise ValidationError(
+            f"phi_ext = {p.phi_ext:g} is too large: U' cannot be resolved below "
+            f"(Ej + 2 inductive_scale) ulp(phi) = {floor:.3e} > 1e-8 * Ej there"
         )
     steps = max(_MINIMA_STEPS, math.ceil(steps))
     half = 3.0 * math.pi * (steps / _MINIMA_STEPS)

@@ -105,9 +105,10 @@ def _stream(ens: FluctuatorEnsemble, trajectory: int, fluctuator: int) -> np.ran
 
     Keys below 2**32 go in as one uint32 array, which is the same seed
     entropy as the list at two thirds of the cost; a larger key spans
-    several words, so it keeps the list form.
+    several words, so it keeps the list form.  The words are made plain
+    ints first, so a numpy-integer key takes the same path as an int.
     """
-    key = (ens.seed, trajectory, fluctuator)
+    key = (int(ens.seed), int(trajectory), int(fluctuator))
     if max(key) < 2**32:
         key = np.array(key, dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(key))

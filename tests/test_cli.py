@@ -60,7 +60,7 @@ class TestParseConfig:
 
     def test_two_circuit_blocks_rejected(self):
         text = CPB_SPECTRUM + "\n[flux3]\nej = 40\nec = 1\n"
-        with pytest.raises(ConfigError, match="exactly one circuit block"):
+        with pytest.raises(ConfigError, match=r"'spectrum' needs exactly one of \[cpb\], \[flux3\]"):
             parse_config(text, command="spectrum")
 
     def test_missing_sweep_key_listed(self):
@@ -96,6 +96,61 @@ class TestParseConfig:
         text = CPB_SPECTRUM + "\n[pulse]\namplitude = 1\nfrequency = 2\n"
         with pytest.raises(ConfigError, match="not used by 'spectrum'"):
             parse_config(text, command="spectrum")
+
+
+# a valid body for every config section
+SECTION_TEXT = {
+    "cpb": "ec = 5.0\nej = 1.0\n",
+    "flux3": "ej = 40.0\nec = 1.0\n",
+    "rf-squid": "ej = 5.0\nec = 0.15\ninductive_scale = 0.5\n",
+    "coupled": "ej1 = 10.0\nej2 = 7.0\n",
+    "jc": "nu01 = 5.0\nnu_c = 5.0\ng = 0.1\n",
+    "noise": "count = 4\ngamma_min = 1e-2\ngamma_max = 1.0\ndt = 0.05\nsamples = 1000\ntrajectories = 2\n",
+    "decoherence": "t1_us = 10.0\nt2_us = 1.0\n",
+    "pulse": "amplitude = 0.2\nfrequency = 10.0\n",
+    "qubit": "nu01 = 10.0\n",
+    "run": "seed = 1\n",
+    "sweep": "parameter = ng\nstart = 0.0\nstop = 1.0\npoints = 3\n",
+    "time": "stop = 1.0\npoints = 3\n",
+    "precision": "verify_grid_tol = 1e-3\n",
+}
+
+
+def config_of(sections):
+    return "".join(f"[{name}]\n{SECTION_TEXT[name]}" for name in sections)
+
+
+class TestCommandTable:
+    """Each command reads the sections ``_COMMANDS`` lists for it, and no others."""
+
+    @staticmethod
+    def failure(tmp_path, capsys, command, sections):
+        cfg = tmp_path / "in.ini"
+        cfg.write_text(config_of(sections))
+        out = tmp_path / "o.csv"
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+        return code, capsys.readouterr().err.splitlines()
+
+    def test_every_section_has_a_valid_body(self):
+        assert SECTION_TEXT.keys() == cli._SECTIONS.keys()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_needed_sections_and_no_others(self, tmp_path, capsys, command):
+        _, needs, optional = cli._COMMANDS[command]
+        needed = [choices[0] for choices in needs]
+        parse_config(config_of(["run", *needed, *optional]), command)
+        for choices, name in zip(needs, needed):
+            if len(choices) == 1:
+                message = f"config error: '{command}' needs a [{name}] section"
+            else:
+                message = "config error: 'spectrum' needs exactly one of [cpb], [flux3]"
+            rest = [n for n in needed if n != name]
+            assert self.failure(tmp_path, capsys, command, rest) == (1, [message])
+        read = {"run", *optional, *(name for choices in needs for name in choices)}
+        for name in sorted(cli._SECTIONS.keys() - read):
+            message = f"config error: section [{name}] is not used by '{command}'"
+            assert self.failure(tmp_path, capsys, command, [*needed, name]) == (1, [message])
 
 
 # the hand-written key tables the derived schemas replaced, kept as an oracle
@@ -160,8 +215,10 @@ class TestDerivedSchemas:
         expected = dict(HAND_WRITTEN_SCHEMAS[block])
         if block == "noise":
             expected["coupling"] = (float, False)  # now the dataclass default, 1e-3
-        derived = {**cli._CIRCUIT_SCHEMAS, **cli._OTHER_SCHEMAS}[block]
-        assert list(derived.items()) == list(expected.items())
+        derived = [
+            (key, (conv, default is dataclasses.MISSING)) for key, (conv, default) in cli._SECTIONS[block].items()
+        ]
+        assert derived == list(expected.items())
 
     def test_unmappable_annotation_raises(self):
         @dataclasses.dataclass
@@ -169,7 +226,7 @@ class TestDerivedSchemas:
             x: float
             label: str = "a"
 
-        assert cli._fields_schema(Labelled, omit=("label",)) == {"x": (float, True)}
+        assert cli._fields_schema(Labelled, omit=("label",)) == {"x": (float, dataclasses.MISSING)}
         with pytest.raises(TypeError, match="Labelled.label"):
             cli._fields_schema(Labelled)
 
@@ -731,8 +788,30 @@ class TestFailurePaths:
                 "config error: unrecognized arguments: --circuit cpb",
             ),
             ("spectrum", CPB_SPECTRUM, ("--bogus", "1"), "config error: unrecognized arguments: --bogus 1"),
+            *(
+                (
+                    "rabi",
+                    f"[qubit]\nnu01 = {nu01}\n[pulse]\namplitude = 0.2\nfrequency = 10.0\n"
+                    "[time]\nstop = 1.0\npoints = 3\n",
+                    (),
+                    "error: nu01 must be > 0",
+                )
+                for nu01 in ("-1", "0")
+            ),
+            *(
+                (
+                    "fluxoid",
+                    f"[rf-squid]\nej = 10.0\nec = 0.1\ninductive_scale = 2.0\nphi_ext = {phi_ext}\n",
+                    (),
+                    f"error: phi_ext = {phi_ext} is too large",
+                )
+                for phi_ext in ("1e+12", "1e+17")
+            ),
         ],
-        ids=["cpb-cutoff", "jc-n-ph", "evolve-descending", "run-command", "circuit-flag", "unknown-flag"],
+        ids=[
+            "cpb-cutoff", "jc-n-ph", "evolve-descending", "run-command", "circuit-flag", "unknown-flag",
+            "rabi-nu01-negative", "rabi-nu01-zero", "fluxoid-phi-ext-1e12", "fluxoid-phi-ext-1e17",
+        ],
     )
     def test_refused_inputs_exit_1(self, tmp_path, command, text, extra, message):
         # each input has one source and one check: one line, no CSV
@@ -782,16 +861,19 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_threads_exits_1(self, tmp_path, where):
+        # the flag is accepted and ignored; [run] has no threads key
         cfg = tmp_path / "cpb.ini"
         extra = ()
         if where == "flag":
             cfg.write_text(CPB_SPECTRUM)
             extra = ("--threads", "-1")
+            message = "config error: threads must be >= 0, got -1"
         else:
             cfg.write_text(CPB_SPECTRUM.replace("seed = 42", "seed = 42\nthreads = -1"))
+            message = "config error: unknown key 'threads' in [run]"
         out = tmp_path / "o.csv"
         proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out), *extra)
-        assert_one_line_failure(proc, 1, "config error: threads must be >= 0, got -1")
+        assert_one_line_failure(proc, 1, message)
         assert not out.exists()
 
     @pytest.mark.parametrize("levels", [-1, 0])
@@ -800,7 +882,8 @@ class TestFailurePaths:
         cfg.write_text(CPB_SPECTRUM.replace("levels = 5", f"levels = {levels}"))
         out = tmp_path / "o.csv"
         proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
-        assert_one_line_failure(proc, 1, "config error: sweep levels must be >= 1")
+        # the solvers' one level-count rule, before any solve
+        assert_one_line_failure(proc, 1, f"error: need at least one level, got k = {levels}")
         assert not out.exists()
 
     @pytest.mark.parametrize(

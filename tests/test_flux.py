@@ -1,6 +1,7 @@
 """Flux-qubit tests: potentials, 1D/2D solvers, currents, fluxoid."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -52,6 +53,23 @@ class TestRfSquidPotential:
     def test_validation(self):
         with pytest.raises(ValidationError):
             RfSquidParams(ej=0.0, ec=1.0, inductive_scale=1.0)
+
+    @pytest.mark.parametrize("phi_ext", [1e12, 1e17])
+    def test_phi_ext_past_the_float_resolution_refused(self, phi_ext):
+        # U' rounds in steps above the 1e-8 Ej a minimum must meet: refused by
+        # name, where the search found no minimum or a non-stationary one
+        p = RfSquidParams(ej=10.0, ec=0.1, inductive_scale=2.0, phi_ext=phi_ext)
+        with pytest.raises(ValidationError, match=re.escape(f"phi_ext = {phi_ext:g} is too large")):
+            rf_squid_minima(p)
+
+    def test_large_phi_ext_still_classifies(self):
+        p = RfSquidParams(ej=10.0, ec=0.1, inductive_scale=2.0, phi_ext=1e4 + 0.3)
+        minima = rf_squid_minima(p)
+        assert minima
+        for phi_star in minima:
+            rec = classify_fluxoid(p, phi_star)
+            assert rec.m == round(phi_star / (2 * np.pi))
+            assert abs(phi_star - p.phi_ext) <= p.ej / (2 * p.inductive_scale)
 
     @pytest.mark.parametrize("field", ["ej", "ec", "inductive_scale", "phi_ext"])
     def test_non_finite_rejected(self, field):

@@ -496,6 +496,16 @@ class TestBitIdentity:
         assert np.array_equal(fluctuator_states(ens, grid, trajectory), _oracle_states(ens, grid, trajectory))
         assert np.array_equal(rtn_trajectory(ens, grid, trajectory), _oracle_rtn(ens, grid, trajectory))
 
+    @pytest.mark.parametrize("key", KEYS)
+    def test_numpy_integer_keys_draw_as_plain_ints(self, key):
+        grid = np.arange(0.0, 2.01, 0.05)
+        for word in (np.int64, np.uint64):
+            plain = FluctuatorEnsemble(count=3, gamma_min=0.1, gamma_max=1.0, seed=key)
+            typed = FluctuatorEnsemble(count=3, gamma_min=0.1, gamma_max=1.0, seed=word(key))
+            for trajectory in (key, word(key)):
+                assert np.array_equal(fluctuator_states(typed, grid, trajectory), fluctuator_states(plain, grid, key))
+                assert np.array_equal(rtn_trajectory(typed, grid, trajectory), rtn_trajectory(plain, grid, key))
+
     def test_single_paths_match_the_oracle(self):
         # the decoherence benchmark's case: many short single-fluctuator paths
         ens = FluctuatorEnsemble.single(0.2, 1.0, seed=2024)
