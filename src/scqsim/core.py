@@ -361,20 +361,14 @@ def _jump_terms(shape, channels):
 
 
 def _liouvillian(h, channels):
-    """The GKLS generator of ``_lindblad_generator`` acting on the row-major vec(rho).
+    """The matrix of ``_lindblad_generator``'s map on the row-major vec(rho).
 
-    With K = -i*2*pi*H - sum_k g_k L+L/2 the generator is K rho + rho K+ +
-    sum_k g_k L rho L+, and vec(A X B) = (A (x) B^T) vec(X).  Without
-    channels it is the commutator part alone, which is how a drive term
-    H = c(t) V enters as its own generator.
+    Column i d + j is G(|i><j|) flattened.  Without channels it is the
+    commutator part alone, how a drive term H = c(t) V enters ``_driven_trace``.
     """
-    jumps, decay = _jump_terms(h.shape, channels)
-    k = -1j * _TWO_PI * h - decay
-    eye = np.eye(h.shape[0])
-    gen = np.kron(k, eye) + np.kron(eye, k.conj())
-    for rate, L in jumps:
-        gen += rate * np.kron(L, L.conj())
-    return gen
+    gen, _ = _lindblad_generator(h, channels)
+    d = h.shape[0]
+    return np.stack([gen(e.reshape(d, d)).ravel() for e in np.eye(d * d, dtype=complex)], axis=1)
 
 
 def _lindblad_generator(h, channels):
@@ -479,15 +473,6 @@ def _rk4_driven(a0, a1, coeff, y0, t_grid, steps_per_ns):
     return out
 
 
-def _check_norm_drift(norms_squared, steps_per_ns) -> None:
-    """The closed driven traces' drift check: each squared norm within 1e-6 of 1."""
-    drift = float(np.abs(np.asarray(norms_squared) - 1.0).max())
-    if not drift <= 1e-6:
-        raise ConvergenceError(
-            f"pulse integration lost {drift:.2e} of norm at {steps_per_ns:.4g} RK4 steps per ns"
-        )
-
-
 def _checked_states(t_grid, rhos) -> list[DensityMatrix]:
     """Propagated matrices as DensityMatrix; drift raises ConvergenceError.
 
@@ -504,6 +489,32 @@ def _checked_states(t_grid, rhos) -> list[DensityMatrix]:
         except ValidationError as exc:
             raise ConvergenceError(f"propagated state at t = {tk} ns: {exc}") from exc
     return out
+
+
+def _driven_trace(h0, v, pulse, y0, t_grid, channels=None):
+    """RK4 trace under H(t) = H0 + c(t) V from t = 0, c = ``pulse.coefficient``.
+
+    Closed (no channels): y0 holds state columns, and each grid time and
+    column must keep its squared norm within 1e-6 of 1.  Open: y0 is a
+    density matrix evolved by ``_liouvillian`` and checked as in
+    ``evolve_lindblad``.  Steps per ns: 250 max(||H0||_2 + A ||V||_2, |nu|,
+    1), A and nu the pulse amplitude and frequency, so the fastest rate in
+    H(t) gets at least 250 steps per cycle.  Drift is a ConvergenceError.
+    """
+    rate = np.linalg.norm(h0, 2) + pulse.amplitude * np.linalg.norm(v, 2)
+    steps_per_ns = 250.0 * max(rate, abs(pulse.frequency), 1.0)
+    if channels is None:
+        a0, a1 = -1j * _TWO_PI * h0, -1j * _TWO_PI * v
+        states = _rk4_driven(a0, a1, pulse.coefficient, y0, t_grid, steps_per_ns)
+        drift = max(float(np.abs((np.abs(y) ** 2).sum(axis=0) - 1.0).max()) for y in states)
+        if not drift <= 1e-6:
+            raise ConvergenceError(
+                f"pulse integration lost {drift:.2e} of norm at {steps_per_ns:.4g} RK4 steps per ns"
+            )
+        return states
+    a0, a1 = _liouvillian(h0, channels), _liouvillian(v, [])
+    vecs = _rk4_driven(a0, a1, pulse.coefficient, y0.ravel(), t_grid, steps_per_ns)
+    return _checked_states(t_grid, [_hermitian(y.reshape(y0.shape)) for y in vecs])
 
 
 # Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM

@@ -34,9 +34,7 @@ from .core import (
     ValidationError,
     _check_finite,
     _check_finite_values,
-    _check_norm_drift,
-    _rk4_driven,
-    _TWO_PI,
+    _driven_trace,
     tensor_product,
 )
 
@@ -189,14 +187,8 @@ def simulate_cnot(p: CoupledParams, pulse: DrivePulse) -> TruthTable:
     detuning = min(abs(pulse.frequency - f) for f in freqs)
     off_resonant = pulse.amplitude > 0 and detuning > 10.0 * pulse.amplitude
 
-    scale = max(np.linalg.norm(h0, 2) + pulse.amplitude, pulse.frequency, 1.0)
-    steps_per_ns = 250.0 * scale
-
-    a0, a1 = -1j * _TWO_PI * h0, -1j * _TWO_PI * drive_op
-    final = _rk4_driven(a0, a1, pulse.coefficient, states, [pulse.duration], steps_per_ns)[-1]
-    pops = np.abs(states.conj().T @ final) ** 2  # [j, i] = P(j | started in i)
-    pops = pops.T
-    _check_norm_drift(pops.sum(axis=1), steps_per_ns)
+    final = _driven_trace(h0, drive_op, pulse, states, [pulse.duration])[-1]
+    pops = (np.abs(states.conj().T @ final) ** 2).T  # [i, j] = P(j | started in i)
     fidelity = float(np.mean([pops[i, _CNOT_MAP[i]] for i in range(4)]))
     return TruthTable(populations=pops, fidelity=fidelity, off_resonant=off_resonant)
 

@@ -21,7 +21,7 @@ S-even and S-odd sectors of (m^2 + m)/2 and (m^2 - m)/2 states
 
 Each search owns its limits: ``solve_three_junction`` bounds the level
 count by the (2N + 1)^2 charge states, ``solve_levels_1d`` chooses its
-own DVR points, and ``rf_squid_minima`` derives its window from the
+own DVR points, and ``rf_squid_minima`` bisects the wells of the
 potential; callers pass only the physics and k.
 """
 
@@ -50,10 +50,8 @@ from .core import (
 _START_POINTS = 64
 _LEVEL_TOL = 1e-6
 _MAX_POINTS = DIMENSION_CAP
-# rf_squid_minima: grid steps per 3 pi of phase (2001 points on phi_ext +- 3 pi)
-# and the most grid points it allocates
-_MINIMA_STEPS = 1000
-_MINIMA_MAX_POINTS = 2**22
+# rf_squid_minima: the most wells of U it searches
+_MAX_WELLS = 2**13
 
 
 @dataclass(frozen=True)
@@ -131,28 +129,34 @@ def rf_squid_potential(phi, p: RfSquidParams):
     return -p.ej * np.cos(phi) + p.inductive_scale * (phi - p.phi_ext) ** 2
 
 
-def _rf_squid_slope(phi, p: RfSquidParams):
-    return p.ej * np.sin(phi) + 2.0 * p.inductive_scale * (phi - p.phi_ext)
+def _rf_squid_slope(phi: float, p: RfSquidParams) -> float:
+    """U'(phi) = Ej sin(phi) + 2 inductive_scale (phi - phi_ext), in plain floats."""
+    return p.ej * math.sin(phi) + 2.0 * p.inductive_scale * (phi - p.phi_ext)
 
 
-def _minima_grid(p: RfSquidParams) -> np.ndarray:
-    """The search grid of ``rf_squid_minima``: phi_ext +- W, W = max(3 pi, r + pi).
+def rf_squid_minima(p: RfSquidParams):
+    """Every local minimum of the rf-SQUID potential (ascending).
 
-    Every stationary point of U satisfies |phi - phi_ext| = Ej |sin phi| /
-    (2 inductive_scale) <= r = Ej / (2 inductive_scale); the extra pi keeps
-    the grid neighbours of an edge minimum inside.  The spacing is
-    3 pi / _MINIMA_STEPS, so W rounds up to whole steps; a window above
-    _MINIMA_MAX_POINTS points raises ValidationError before any allocation.
-    So does a phi_ext so large that the float spacing of phi there, times
-    the curvature bound Ej + 2 inductive_scale, exceeds the 1e-8 Ej of U'
-    that ``classify_fluxoid`` allows: no float near a minimum would pass.
+    U'' = Ej cos(phi) + 2 inductive_scale is >= 0 everywhere if r =
+    Ej/(2 inductive_scale) <= 1, else > 0 exactly on the wells 2 pi k +-
+    theta, cos(theta) = -1/r.  U' increases strictly on each well (on
+    phi_ext +- (r + 1) if r <= 1), so a well holds one minimum if U' goes
+    from < 0 to > 0 across it, else none.  Only wells within r of phi_ext
+    are searched: every stationary point has |phi - phi_ext| = r |sin phi|.
+    Each sign change is bisected until no float lies between its ends, then
+    steps to a neighbouring float while that has a smaller |U'| (rounding
+    leaves U' non-monotone over a few floats).  ValidationError, before any
+    search: more than _MAX_WELLS wells (an infinite r included), or a
+    phi_ext so large that its float spacing, times the curvature bound
+    Ej + 2 inductive_scale, exceeds the 1e-8 Ej of U' that
+    ``classify_fluxoid`` allows.
     """
     reach = p.ej / (2.0 * p.inductive_scale)
-    steps = _MINIMA_STEPS * (reach + math.pi) / (3.0 * math.pi)  # on each side of phi_ext
-    if not steps <= (_MINIMA_MAX_POINTS - 1) // 2:
+    theta = math.acos(-1.0 / reach) if reach > 1.0 else math.pi
+    if not (reach + theta) / math.pi + 3.0 <= _MAX_WELLS:
         raise ValidationError(
             f"rf-SQUID minima lie up to Ej/(2 inductive_scale) = {reach:.4g} rad from "
-            f"phi_ext; a search grid that wide exceeds {_MINIMA_MAX_POINTS} points"
+            f"phi_ext, across more than {_MAX_WELLS} wells of U"
         )
     floor = (p.ej + 2.0 * p.inductive_scale) * math.ulp(abs(p.phi_ext) + reach)
     if floor > 1e-8 * p.ej:
@@ -160,33 +164,26 @@ def _minima_grid(p: RfSquidParams) -> np.ndarray:
             f"phi_ext = {p.phi_ext:g} is too large: U' cannot be resolved below "
             f"(Ej + 2 inductive_scale) ulp(phi) = {floor:.3e} > 1e-8 * Ej there"
         )
-    steps = max(_MINIMA_STEPS, math.ceil(steps))
-    half = 3.0 * math.pi * (steps / _MINIMA_STEPS)
-    return np.linspace(p.phi_ext - half, p.phi_ext + half, 2 * steps + 1)
+    if reach <= 1.0:
+        wells = [(p.phi_ext - reach - 1.0, p.phi_ext + reach + 1.0)]
+    else:
+        first = math.floor((p.phi_ext - reach - theta) / (2.0 * math.pi))
+        last = math.ceil((p.phi_ext + reach + theta) / (2.0 * math.pi))
+        centres = (2.0 * math.pi * np.arange(first, last + 1)).tolist()
+        wells = [(c - theta, c + theta) for c in centres]
 
+    def size(x):
+        return abs(_rf_squid_slope(x, p))
 
-def rf_squid_minima(p: RfSquidParams):
-    """Every local minimum of the rf-SQUID potential (ascending).
-
-    The search grid (``_minima_grid``) covers every stationary point of U.
-    Each grid minimum phi[i] starts a Newton iteration on U' that stays in
-    the bracket [phi[i-1], phi[i+1]]: a step that leaves it, or one taken
-    where the curvature is not positive, is replaced by bisection.  The
-    iteration stops once |U'| < 1e-13 Ej.
-    """
-    phi = _minima_grid(p)
-    u = rf_squid_potential(phi, p)
     mins = []
-    for i in np.flatnonzero((u[1:-1] < u[:-2]) & (u[1:-1] < u[2:])) + 1:
-        lo, x, hi = (float(v) for v in phi[i - 1 : i + 2])
-        for _ in range(100):
-            slope = float(_rf_squid_slope(x, p))
-            if abs(slope) < 1e-13 * p.ej:
-                break
-            lo, hi = (lo, x) if slope > 0 else (x, hi)  # U' < 0 < U' across the minimum
-            curv = p.ej * math.cos(x) + 2.0 * p.inductive_scale
-            newton = x - slope / curv if curv > 0 else math.nan  # nan fails the bracket test
-            x = newton if lo < newton < hi else 0.5 * (lo + hi)
+    for lo, hi in wells:
+        if not _rf_squid_slope(lo, p) < 0.0 < _rf_squid_slope(hi, p):
+            continue
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if _rf_squid_slope(mid, p) > 0.0 else (mid, hi)
+        x = lo
+        while size(y := min(np.nextafter(x, [-np.inf, np.inf]).tolist(), key=size)) < size(x):
+            x = y
         mins.append(x)
     return mins
 
@@ -200,9 +197,10 @@ def classify_fluxoid(p: RfSquidParams, phi_star: float) -> FluxoidRecord:
     (the Josephson phase representative is then 2 pi m - phi_star).  The
     residual is the loop current-conservation mismatch between the
     junction and the inductor, in units of Phi0; it vanishes at true
-    stationary points.
+    stationary points.  A non-finite phi_star raises ValidationError.
     """
-    slope = float(_rf_squid_slope(phi_star, p))
+    _check_finite_values(phi_star=phi_star)
+    slope = _rf_squid_slope(phi_star, p)
     if abs(slope) > 1e-8 * p.ej:
         raise ValidationError(
             f"phi_star = {phi_star} is not stationary: |U'| = {abs(slope):.3e} "

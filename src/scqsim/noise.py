@@ -254,9 +254,11 @@ def _welch(x: np.ndarray, fs: float, nperseg: int):
 
 
 def fit_loglog_slope(freq, psd, band: tuple[float, float]) -> float:
-    """Least-squares slope of log10(psd) vs log10(f) inside the band."""
-    freq = np.asarray(freq, dtype=float)
-    psd = np.asarray(psd, dtype=float)
+    """Least-squares slope of log10(psd) vs log10(f) on the band's bins with f, psd > 0."""
+    freq, psd = np.asarray(freq, dtype=float), np.asarray(psd, dtype=float)
+    for name, values in (("freq", freq), ("psd", psd)):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{name} has non-finite values")
     mask = (freq >= band[0]) & (freq <= band[1]) & (freq > 0) & (psd > 0)
     if mask.sum() < 4:
         raise ValidationError("fit band holds fewer than 4 spectral points")

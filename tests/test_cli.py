@@ -463,6 +463,20 @@ phi_ext = 3.141592653589793
         _, _, rows = read_csv(out)
         assert [int(r[1]) for r in rows] == [-2, -1, 0, 1, 2]
 
+    def test_fluxoid_lists_a_shallow_minimum_near_its_critical_flux(self, tmp_path):
+        # Ej = 10, inductive_scale = 2: the m = 1 minimum vanishes at
+        # x_c = 2 pi - theta - 2.5 sin(theta), cos(theta) = -0.4; 1e-5 above x_c
+        # it is still there, a shallow metastable well at phi = 4.30383
+        theta = np.arccos(-0.4)
+        x_c = 2.0 * np.pi - theta - 2.5 * np.sin(theta)
+        cfg = tmp_path / "fx.ini"
+        cfg.write_text(f"[rf-squid]\nej = 10\nec = 0.1\ninductive_scale = 2\nphi_ext = {float(x_c) + 1e-5!r}\n")
+        out = tmp_path / "fx.csv"
+        assert run_cli("fluxoid", "--config", str(cfg), "--out", str(out)).returncode == 0
+        _, _, rows = read_csv(out)
+        assert [int(r[1]) for r in rows] == [0, 1]
+        assert float(rows[1][0]) == pytest.approx(4.30383, abs=1e-5)
+
     def test_jc_run(self, tmp_path):
         cfg = tmp_path / "jc.ini"
         cfg.write_text(

@@ -10,6 +10,7 @@ from scipy.special import gammaln
 from scqsim.cavity import JaynesCummingsParams
 from scqsim import core
 from scqsim.charge import CpbParams
+from scqsim.coupled import DrivePulse
 from scqsim.core import (
     SIGMA_X,
     SIGMA_Z,
@@ -519,8 +520,9 @@ class TestPropagatorProperties:
         def coeff(t):
             return amp * np.cos(2.0 * np.pi * freq * t)
 
-        # rabi's step density; RK4 shrinks the norm by up to ~2e-13 per step
-        # here, so 1 ns stays well inside 1e-9 even for the largest ||H||
+        # 400 steps per ns per GHz of ||H0|| + A, 1.6x the density of
+        # _driven_trace; RK4 shrinks the norm by up to ~2e-13 per step here,
+        # so 1 ns stays well inside 1e-9 even for the largest ||H||
         steps_per_ns = 400.0 * max(np.linalg.norm(h0, 2) + amp, freq, 1.0)
         a0, a1 = -2j * np.pi * h0, -2j * np.pi * v
         states = _rk4_driven(a0, a1, coeff, psi0, np.linspace(0.0, 1.0, 5), steps_per_ns)
@@ -619,6 +621,34 @@ class TestStepMatrixPropagator:
             m = state.entries
             assert np.abs(m - superoperator_exponential(h, channels, rho, t)).max() <= 1e-12
             assert np.array_equal(m, m.conj().T)
+
+
+class TestDrivenTrace:
+    PULSE = DrivePulse(amplitude=0.3, frequency=3.0, duration=1.0, target="sigma_x")
+
+    def test_step_density_follows_the_drive(self, monkeypatch):
+        # 250 max(||H0||_2 + A ||V||_2, |nu|, 1) steps per ns
+        seen = []
+        rk4 = core._rk4_driven
+        monkeypatch.setattr(
+            core, "_rk4_driven", lambda *args: seen.append(args[-1]) or rk4(*args)
+        )
+        h0, v = np.diag([-4.0, 4.0]), 2.0 * SIGMA_X
+        core._driven_trace(h0, v, self.PULSE, np.array([1.0, 0.0], complex), [0.1])
+        core._driven_trace(h0, v, self.PULSE, np.diag([1.0, 0.0]).astype(complex), [0.1], [])
+        slow = DrivePulse(amplitude=0.0, frequency=-9.0, duration=1.0)
+        core._driven_trace(0.0 * h0, v, slow, np.array([1.0, 0.0], complex), [0.1])
+        assert seen == [250.0 * (4.0 + 0.3 * 2.0)] * 2 + [250.0 * 9.0]
+
+    def test_closed_drift_is_checked_in_every_column(self, monkeypatch):
+        # only |1> gains norm: the first column stays at 1, the second drifts
+        step_matrix = core._rk4_step_matrix
+        monkeypatch.setattr(
+            core, "_rk4_step_matrix", lambda *args: step_matrix(*args) @ np.diag([1.0, 1.0 + 1e-5])
+        )
+        zero, slow = np.zeros((2, 2)), DrivePulse(amplitude=0.3, frequency=0.5, duration=1.0)
+        with pytest.raises(ConvergenceError, match="lost .* of norm at 250 RK4 steps per ns"):
+            core._driven_trace(zero, zero, slow, np.eye(2, dtype=complex), [0.5, 1.0])
 
 
 class TestTimeGrid:

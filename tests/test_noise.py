@@ -223,6 +223,20 @@ class TestPsd:
         with pytest.raises(ValidationError):
             fit_loglog_slope(np.array([1.0, 2.0]), np.array([1.0, 0.5]), (1.0, 2.0))
 
+    @pytest.mark.parametrize("name", ["freq", "psd"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_slope_fit_refuses_non_finite_input(self, name, bad):
+        # a bin the psd > 0 mask would drop silently is refused by name
+        arrays = {"freq": [1.0, 2.0, 3.0, 4.0, 5.0], "psd": [1.0, 2.0, 3.0, 4.0, 5.0]}
+        arrays[name][2] = bad
+        with pytest.raises(ValidationError, match=f"{name} has non-finite values"):
+            fit_loglog_slope(arrays["freq"], arrays["psd"], (0.5, 10.0))
+
+    def test_slope_fit_still_drops_empty_bins(self):
+        # bins with a PSD of 0 or below stay out of the fit
+        freq = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert fit_loglog_slope(freq, [1.0, 2.0, 0.0, 4.0, -1.0, 6.0], (0.5, 10.0)) == pytest.approx(1.0)
+
     def test_long_segment_clamped_to_the_trace(self):
         ens = FluctuatorEnsemble(count=4, gamma_min=1e-2, gamma_max=1.0, coupling=1e-3, seed=2)
         with warnings.catch_warnings():
