@@ -125,8 +125,9 @@ def rabi(
     eigenbasis (sigma_x: unit matrix element) and stays on over the whole
     time grid: ``drive.duration`` is not read.  On resonance and without
     decoherence a sigma_x trace follows sin^2(pi A t) up to
-    counter-rotating corrections.  ``core._driven_trace`` integrates it,
-    chooses the steps from the drive and checks the drift: a closed trace
+    counter-rotating corrections.  ``core._driven_trace`` integrates it
+    over one drive period and raises that to powers for the later grid
+    times, chooses the steps from the drive and checks the drift: a closed trace
     keeps each squared norm within 1e-6 of 1, and with decoherence every
     state is checked as in ``evolve_lindblad`` (trace 1e-8, positivity -1e-7).
     """

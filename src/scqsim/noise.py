@@ -225,32 +225,44 @@ def psd_welch(
         raise ValidationError(f"dt must be > 0, got {dt!r}")
     t_grid = np.arange(n_samples) * dt
     nperseg = n_samples if nperseg is None else min(nperseg, n_samples)
+    fs = 1.0 / dt
+    win = _welch_window(nperseg, fs)
     acc = None
     for m in range(n_trajectories):
-        xi = rtn_trajectory(ens, t_grid, trajectory=m)
-        f, p = _welch(xi, 1.0 / dt, nperseg)
+        p = _welch_density(rtn_trajectory(ens, t_grid, trajectory=m), win)
         acc = p if acc is None else acc + p
-    return f, acc / n_trajectories
+    return np.fft.rfftfreq(nperseg, 1 / fs), acc / n_trajectories
 
 
 def _welch(x: np.ndarray, fs: float, nperseg: int):
-    """One-sided Welch PSD: periodic Hann window, half-overlapping segments.
+    """(frequencies, PSD) of one trajectory, the pair ``scipy.signal.welch`` returns."""
+    return np.fft.rfftfreq(nperseg, 1 / fs), _welch_density(x, _welch_window(nperseg, fs))
 
-    Each segment loses its mean before windowing.  The operations and
-    their order follow ``scipy.signal.welch`` (scipy 1.17, density
-    scaling), so the two agree to rounding without importing scipy.
-    """
+
+def _welch_window(nperseg: int, fs: float) -> np.ndarray:
+    """Periodic Hann window of nperseg points, scaled for a density at sampling rate fs."""
     fac = np.linspace(-math.pi, math.pi, nperseg + 1)
     win = (0.5 + 0.5 * np.cos(fac))[:-1]
     # density scaling; the squares are summed in order, not pairwise
-    win = win * (1 / np.sqrt(np.cumsum(win * win)[-1] / (1 / fs)))
+    return win * (1 / np.sqrt(np.cumsum(win * win)[-1] / (1 / fs)))
+
+
+def _welch_density(x: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """One-sided Welch PSD of x: segments of len(win) points, half-overlapping.
+
+    Each segment loses its mean before windowing by ``win`` (from
+    ``_welch_window``).  The operations and their order follow
+    ``scipy.signal.welch`` (scipy 1.17, Hann window, density scaling), so
+    the two agree to rounding without importing scipy.
+    """
+    nperseg = win.size
     hop = nperseg - nperseg // 2
     count = (x.size - nperseg // 2) // hop
     seg = np.lib.stride_tricks.sliding_window_view(x, nperseg)[: count * hop : hop]
     spec = np.fft.rfft((seg - seg.mean(axis=-1, keepdims=True)) * win)
     p = spec.real**2 + spec.imag**2
     p[:, 1 : None if nperseg % 2 else -1] *= 2
-    return np.fft.rfftfreq(nperseg, 1 / fs), np.ascontiguousarray(p.T).mean(axis=-1)
+    return np.ascontiguousarray(p.T).mean(axis=-1)
 
 
 def fit_loglog_slope(freq, psd, band: tuple[float, float]) -> float:

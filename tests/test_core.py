@@ -1,5 +1,7 @@
 """Core linear algebra and propagation tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,6 @@ from scqsim.core import (
     ValidationError,
     _CHUNK_STEPS,
     _checked_states,
-    _grid_spans,
     _hermitian,
     _least_squares,
     _lindblad_generator,
@@ -466,7 +467,9 @@ class TestPropagatorProperties:
         a0 = _liouvillian(h, channels)
         # h ||A||_1 = 1/200: the global error is below about 1e-9 for these norms
         steps_per_ns = 200.0 * max(np.linalg.norm(a0, 1), 1.0)
-        vecs = _rk4_driven(a0, np.zeros_like(a0), np.zeros_like, rho.ravel(), grid, steps_per_ns)
+        vecs = _rk4_driven(
+            a0, np.zeros_like(a0), np.zeros_like, math.inf, rho.ravel(), grid, steps_per_ns
+        )
         for t, v in zip(grid, vecs):
             state = _hermitian(v.reshape(dim, dim))
             assert np.abs(state - superoperator_exponential(h, channels, rho, t)).max() <= 1e-8
@@ -525,34 +528,57 @@ class TestPropagatorProperties:
         # so 1 ns stays well inside 1e-9 even for the largest ||H||
         steps_per_ns = 400.0 * max(np.linalg.norm(h0, 2) + amp, freq, 1.0)
         a0, a1 = -2j * np.pi * h0, -2j * np.pi * v
-        states = _rk4_driven(a0, a1, coeff, psi0, np.linspace(0.0, 1.0, 5), steps_per_ns)
+        period = 1.0 / freq if freq else math.inf
+        states = _rk4_driven(a0, a1, coeff, period, psi0, np.linspace(0.0, 1.0, 5), steps_per_ns)
         for psi in states:
             assert abs(np.linalg.norm(psi) - 1.0) <= 1e-9
 
 
+# drive frequencies (GHz) of random_drive: at the fastest, one period of
+# DRIVEN_DENSITY steps still crosses a chunk boundary, and DRIVEN_GRID spans
+# three periods of the slowest
+DRIVEN_FREQUENCIES = (1.0, 1.9)
+DRIVEN_GRID = [0.0, 0.2, 0.2, 0.55, 1.7, 3.0]  # t = 0 and a repeated time
+DRIVEN_DENSITY = 500.0  # steps per ns: 264 to 500 steps per period
+
+
 def random_drive(seed):
-    """Drive coefficient amp cos(2 pi nu t + phi) with amp, nu in [0, 1) and phi in [0, 2 pi)."""
-    amp, freq, phase = np.random.default_rng(seed).uniform(0.0, 1.0, 3) * [1.0, 1.0, 2.0 * np.pi]
-    return lambda t: amp * np.cos(2.0 * np.pi * freq * t + phase)
+    """(coefficient, period): amp cos(2 pi nu t + phi), amp in [0, 1), nu in DRIVEN_FREQUENCIES."""
+    amp, u, phase = np.random.default_rng(seed).uniform(0.0, 1.0, 3) * [1.0, 1.0, 2.0 * np.pi]
+    lo, hi = DRIVEN_FREQUENCIES
+    freq = lo + (hi - lo) * u
+    return (lambda t: amp * np.cos(2.0 * np.pi * freq * t + phase)), 1.0 / freq
 
 
-# the last span takes more than _CHUNK_STEPS steps; the repeated time is a zero span
-DRIVEN_GRID = [0.2, 0.2, 0.55, 3.0]
-DRIVEN_DENSITY = 500.0  # steps per ns: 1225 steps in the last span, in several chunks
+def rk4_stage_loop(rhs, y0, t_grid, period, steps_per_ns):
+    """Classical RK4 stage loop for y' = rhs(t, y) from t = 0, on the drive's step grid.
 
+    A period T holds m = ceil(T steps_per_ns) steps of h = T/m; without a
+    period (T = inf), h = 1/steps_per_ns.  The loop steps from 0 through
+    every period in turn, with no powers; step j of each period starts at
+    phase j h of rhs.  Each grid time t then takes one partial step from the
+    start of the step holding t.
+    """
+    if math.isfinite(period):
+        m = math.ceil(period * steps_per_ns)
+        h = period / m
+    else:
+        m, h = math.inf, 1.0 / steps_per_ns
 
-def rk4_stage_loop(rhs, y0, t_grid, steps_per_ns):
-    """Classical RK4 stage loop for y' = rhs(t, y) from t = 0, on the steps of _grid_spans."""
-    y, out = y0, []
-    for t0, n, h in _grid_spans(t_grid, steps_per_ns):
-        for j in range(n):
-            t = t0 + j * h
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(y)
+    def step(y, t, size):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * size, y + 0.5 * size * k1)
+        k3 = rhs(t + 0.5 * size, y + 0.5 * size * k2)
+        k4 = rhs(t + size, y + size * k3)
+        return y + (size / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    y, p, j, out = y0, 0, 0, []  # y at step j of period p, which starts at p T + j h
+    for tk in t_grid:
+        while (p * period if p else 0.0) + (j + 1) * h <= tk:
+            y, j = step(y, j * h, h), j + 1
+            if j == m:
+                p, j = p + 1, 0
+        out.append(step(y, j * h, tk - (p * period if p else 0.0) - j * h))
     return out
 
 
@@ -568,27 +594,32 @@ def lindblad_rhs(h_of_t, channels):
     return rhs
 
 
+def closed_rhs(h0, v, coeff):
+    def rhs(t, y):
+        return -2j * np.pi * (h0 + coeff(t) * v) @ y
+
+    return rhs
+
+
 class TestStepMatrixPropagator:
     """The driven step-matrix propagator against the RK4 stage loop it replaces."""
 
     def test_grid_covers_a_chunk_boundary(self):
-        assert (DRIVEN_GRID[-1] - DRIVEN_GRID[-2]) * DRIVEN_DENSITY > _CHUNK_STEPS
+        lo, hi = DRIVEN_FREQUENCIES
+        assert math.ceil(DRIVEN_DENSITY / hi) > _CHUNK_STEPS
+        assert DRIVEN_GRID[-1] * lo >= 3.0
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), columns=st.integers(1, 4))
     def test_driven_schrodinger_matches_stage_loop(self, seed, dim, columns):
         h0, _, _ = random_system(seed, dim, 0)
         v, _, _ = random_system(seed + 1, dim, 0)
-        coeff = random_drive(seed)
+        coeff, period = random_drive(seed)
         rng = np.random.default_rng(seed)
         y0 = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
         a0, a1 = -2j * np.pi * h0, -2j * np.pi * v
-
-        def rhs(t, y):
-            return (a0 + coeff(t) * a1) @ y
-
-        ref = rk4_stage_loop(rhs, y0, DRIVEN_GRID, DRIVEN_DENSITY)
-        got = _rk4_driven(a0, a1, coeff, y0, DRIVEN_GRID, DRIVEN_DENSITY)
+        ref = rk4_stage_loop(closed_rhs(h0, v, coeff), y0, DRIVEN_GRID, period, DRIVEN_DENSITY)
+        got = _rk4_driven(a0, a1, coeff, period, y0, DRIVEN_GRID, DRIVEN_DENSITY)
         for a, b in zip(got, ref):
             assert np.abs(a - b).max() <= 1e-12
 
@@ -597,13 +628,88 @@ class TestStepMatrixPropagator:
     def test_driven_lindblad_matches_stage_loop(self, seed, dim, n_channels):
         h0, channels, rho = random_system(seed, dim, n_channels)
         v, _, _ = random_system(seed + 1, dim, 0)
-        coeff = random_drive(seed)
+        coeff, period = random_drive(seed)
         rhs = lindblad_rhs(lambda t: h0 + coeff(t) * v, channels)
-        ref = rk4_stage_loop(rhs, rho, DRIVEN_GRID, DRIVEN_DENSITY)
+        ref = rk4_stage_loop(rhs, rho, DRIVEN_GRID, period, DRIVEN_DENSITY)
         a0, a1 = _liouvillian(h0, channels), _liouvillian(v, [])
-        got = _rk4_driven(a0, a1, coeff, rho.ravel(), DRIVEN_GRID, DRIVEN_DENSITY)
+        got = _rk4_driven(a0, a1, coeff, period, rho.ravel(), DRIVEN_GRID, DRIVEN_DENSITY)
         for a, b in zip(got, ref):
             assert np.abs(a.reshape(dim, dim) - b).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "amplitude, frequency, grid",
+        [
+            (0.4, 0.0, [0.3, 1.1, 2.5]),  # no period
+            (0.4, -1.3, [0.3, 1.1, 2.5]),  # the period of |nu|
+            (0.0, 1.3, [0.3, 1.1, 2.5]),  # no drive
+            (0.4, 0.3, [0.3, 1.1, 2.5]),  # the grid ends inside the first period
+            (0.4, 1.3, [0.0, 0.0, 1.1, 1.1, 1.1, 2.5]),  # t = 0 and repeated times
+        ],
+    )
+    def test_driven_trace_edge_cases_match_stage_loop(self, amplitude, frequency, grid):
+        # through _driven_trace, which takes the period and step density from the pulse
+        h0, _, _ = random_system(7, 3, 0)
+        v, _, _ = random_system(8, 3, 0)
+        pulse = DrivePulse(amplitude=amplitude, frequency=frequency, duration=0.0, phase=0.7)
+        psi0 = np.eye(3, dtype=complex)
+        steps_per_ns = 250.0 * max(
+            np.linalg.norm(h0, 2) + amplitude * np.linalg.norm(v, 2), abs(frequency), 1.0
+        )
+        period = 1.0 / abs(frequency) if frequency else math.inf
+        ref = rk4_stage_loop(closed_rhs(h0, v, pulse.coefficient), psi0, grid, period, steps_per_ns)
+        got = core._driven_trace(h0, v, pulse, psi0, grid)
+        assert len(got) == len(grid)
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-12
+        if grid[0] == 0.0:
+            assert np.array_equal(got[0], psi0)
+
+    def test_whole_periods_match_stage_loop(self):
+        # t = k/nu for k up to 1e4: in floating point t/T lands on either side
+        # of k, so t falls just below q = k whole periods or just past it, and
+        # the whole periods (t - r)/T below r = t mod T may fall short of an integer
+        freq = 0.7
+        period = 1.0 / freq
+        ks = [1, 2, 3, 6, 7, 12, 27, 99, 100, 1000, 8186, 9996, 9998, 9999, 10000]
+        grid = [k / freq for k in ks]
+        r = np.fmod(grid, period)
+        assert (r > 0.5 * period).any() and (r < 0.5 * period).any()
+        whole = (grid - r) / period
+        assert (whole < np.rint(whole)).any()
+        h0, _, _ = random_system(3, 2, 0)
+        v, _, _ = random_system(4, 2, 0)
+        h0, v = 0.02 * h0, 0.02 * v
+
+        def coeff(t):
+            return 0.5 * np.cos(2.0 * np.pi * freq * t + 0.3)
+
+        steps_per_ns = 2.0  # three steps per period keep the stage loop short
+        psi0 = np.array([1.0, 0.0], complex)
+        ref = rk4_stage_loop(closed_rhs(h0, v, coeff), psi0, grid, period, steps_per_ns)
+        a0, a1 = -2j * np.pi * h0, -2j * np.pi * v
+        got = _rk4_driven(a0, a1, coeff, period, psi0, grid, steps_per_ns)
+        for k, a, b in zip(ks, got, ref):
+            # U_T^k repeats the rounding of one period k times, where the stage
+            # loop rounds afresh: allow 2^-50 more per step taken
+            assert np.abs(a - b).max() <= 1e-12 + 3 * k * 2.0**-50
+
+    def test_builds_one_period_of_steps(self, monkeypatch):
+        # a trace over 30 periods builds the m steps of one period and one
+        # partial step per grid time
+        rows = []
+        step_matrix = core._rk4_step_matrix
+
+        def counted(a_start, *rest):
+            rows.append(a_start.shape[0])
+            return step_matrix(a_start, *rest)
+
+        monkeypatch.setattr(core, "_rk4_step_matrix", counted)
+        pulse = DrivePulse(amplitude=0.2, frequency=10.0, duration=0.0, target="sigma_x")
+        h0, grid = np.diag([-5.0, 5.0]), np.linspace(0.0, 3.0, 31)
+        core._driven_trace(h0, SIGMA_X, pulse, np.array([1.0, 0.0], complex), grid)
+        m = math.ceil(0.1 * 250.0 * 10.0)  # T = 1/nu; |nu| is the fastest rate
+        assert 0 < sum(rows) <= m + grid.size
+
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -628,17 +734,23 @@ class TestDrivenTrace:
 
     def test_step_density_follows_the_drive(self, monkeypatch):
         # 250 max(||H0||_2 + A ||V||_2, |nu|, 1) steps per ns
+        # and the period 1/|nu|, none at nu = 0
         seen = []
         rk4 = core._rk4_driven
         monkeypatch.setattr(
-            core, "_rk4_driven", lambda *args: seen.append(args[-1]) or rk4(*args)
+            core, "_rk4_driven", lambda *args: seen.append((args[3], args[-1])) or rk4(*args)
         )
         h0, v = np.diag([-4.0, 4.0]), 2.0 * SIGMA_X
         core._driven_trace(h0, v, self.PULSE, np.array([1.0, 0.0], complex), [0.1])
         core._driven_trace(h0, v, self.PULSE, np.diag([1.0, 0.0]).astype(complex), [0.1], [])
         slow = DrivePulse(amplitude=0.0, frequency=-9.0, duration=1.0)
         core._driven_trace(0.0 * h0, v, slow, np.array([1.0, 0.0], complex), [0.1])
-        assert seen == [250.0 * (4.0 + 0.3 * 2.0)] * 2 + [250.0 * 9.0]
+        still = DrivePulse(amplitude=0.0, frequency=0.0, duration=1.0)
+        core._driven_trace(0.0 * h0, v, still, np.array([1.0, 0.0], complex), [0.1])
+        assert seen == [(1.0 / 3.0, 250.0 * (4.0 + 0.3 * 2.0))] * 2 + [
+            (1.0 / 9.0, 250.0 * 9.0),
+            (math.inf, 250.0),
+        ]
 
     def test_closed_drift_is_checked_in_every_column(self, monkeypatch):
         # only |1> gains norm: the first column stays at 1, the second drifts
