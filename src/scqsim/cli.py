@@ -253,6 +253,11 @@ def _format(x) -> str:
     return str(x)
 
 
+def _columns(*arrays) -> list:
+    """Rows of the given equal-length arrays side by side, as Python numbers."""
+    return np.column_stack(arrays).tolist()
+
+
 def _write_csv(path: str, cfg: RunConfig, columns, rows, extra_comments=()):
     buf = io.StringIO()
     buf.write(f"# scqsim {__version__}\n")
@@ -312,7 +317,7 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
         comments.append(f"grid verification: levels moved {moved:.3e} GHz {change}")
 
     columns = [param] + [f"E{i}" for i in range(k)]
-    data = [[x, *levels(_params(cfg, kind, **{param: x}))] for x in values]
+    data = [[x, *levels(_params(cfg, kind, **{param: x})).tolist()] for x in values]
     return columns, data, comments
 
 
@@ -321,7 +326,7 @@ def _cmd_evolve(cfg: RunConfig):
     h = reduced_two_level(p)
     grid = _checked_time_grid(_time_grid(cfg))
     states = _unitary_trace(h, basis_state(2, 0), grid)
-    return ["t_ns", "p1"], [[t, psi.population(1)] for t, psi in zip(grid, states)], []
+    return ["t_ns", "p1"], [[t, psi.population(1)] for t, psi in zip(grid.tolist(), states)], []
 
 
 def _cmd_rabi(cfg: RunConfig):
@@ -333,8 +338,7 @@ def _cmd_rabi(cfg: RunConfig):
     grid = _time_grid(cfg)
     result = rabi(h, pulse, _decoherence(cfg), grid)
     comments = [f"visibility = {_format(result.fitted.visibility)}"]
-    rows = [[t, p] for t, p in zip(result.time_grid, result.population)]
-    return ["t_ns", "p_excited"], rows, comments
+    return ["t_ns", "p_excited"], _columns(result.time_grid, result.population), comments
 
 
 def _cmd_ramsey(cfg: RunConfig):
@@ -346,15 +350,13 @@ def _cmd_ramsey(cfg: RunConfig):
         f"fitted_detuning_ghz = {_format(result.fitted.detuning)}",
         f"quality_factor = {_format(result.fitted.quality)}",
     ]
-    rows = [[t, p] for t, p in zip(result.time_grid, result.population)]
-    return ["delay_ns", "p_excited"], rows, comments
+    return ["delay_ns", "p_excited"], _columns(result.time_grid, result.population), comments
 
 
 def _cmd_t1(cfg: RunConfig):
     result = t1_decay(_params(cfg, "decoherence"), _time_grid(cfg))
     comments = [f"fitted_t1_us = {_format(result.fitted.t1_us)}"]
-    rows = [[t, p] for t, p in zip(result.time_grid, result.population)]
-    return ["t_ns", "p_excited"], rows, comments
+    return ["t_ns", "p_excited"], _columns(result.time_grid, result.population), comments
 
 
 def _cmd_cnot(cfg: RunConfig):
@@ -367,7 +369,7 @@ def _cmd_cnot(cfg: RunConfig):
     comments = [f"fidelity = {_format(table.fidelity)}"]
     if table.off_resonant:
         comments.append("warning: pulse is off-resonant from both transitions")
-    rows = [[label, *pops] for label, pops in zip(_EIGENBASIS_LABELS, table.populations)]
+    rows = [[label, *pops] for label, pops in zip(_EIGENBASIS_LABELS, table.populations.tolist())]
     return ["initial", "P_pp", "P_pm", "P_mp", "P_mm"], rows, comments
 
 
@@ -388,8 +390,7 @@ def _cmd_noise_psd(cfg: RunConfig):
         f"fit_band_ghz = {_format(band[0])} .. {_format(band[1])}",
         f"loglog_slope = {_format(slope)}",
     ]
-    rows = [[f, p] for f, p in zip(freq[1:], psd[1:])]  # drop the DC bin
-    return ["frequency_ghz", "psd"], rows, comments
+    return ["frequency_ghz", "psd"], _columns(freq[1:], psd[1:]), comments  # drop the DC bin
 
 
 def _cmd_jc(cfg: RunConfig):
@@ -404,8 +405,7 @@ def _cmd_jc(cfg: RunConfig):
             f"marginal = {report.marginal}",
             f"rabi_period_ns = {_format(report.rabi_period_ns)}",
         ]
-    rows = [[t, pop] for t, pop in zip(result.time_grid, result.population)]
-    return ["t_ns", "p_excited"], rows, comments
+    return ["t_ns", "p_excited"], _columns(result.time_grid, result.population), comments
 
 
 def _cmd_fluxoid(cfg: RunConfig):

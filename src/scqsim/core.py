@@ -440,26 +440,25 @@ def _rk4_driven(a0, a1, coeff, period, y0, t_grid, steps_per_ns):
     """RK4 for y' = (A0 + coeff(t) A1) y from t = 0; y at each grid time.
 
     ``coeff`` maps an array of times to an array and repeats with
-    ``period`` T (``math.inf``: no period).  Step j starts at j h, with
-    h = T/m and m = ceil(T steps_per_ns), or h = 1/steps_per_ns without a
-    period; each is an exact RK4 step matrix.  Only the steps of one period
-    are built (fewer if the grid ends first), up to ``_CHUNK_STEPS`` at a
-    time, and their product is kept at the phases the grid needs.  A grid
-    time t = q T + r is then one partial step from j h to r, j = floor(r/h),
-    times the product of steps 0 .. j-1, times U_T^q: U_T is the product of
-    one period's m steps (Floquet), and its powers come from repeated
-    squaring.
+    ``period`` T.  ``math.inf`` means a constant coefficient: any interval
+    is then a period, and T is one step of 1/steps_per_ns (so is a T
+    whose step count overflows).  Step j starts at j h, with h = T/m and
+    m = ceil(T steps_per_ns); each is an exact RK4 step matrix.  Only the
+    steps of one period are built (fewer if the grid ends first), up to ``_CHUNK_STEPS``
+    at a time, and their product is kept at the phases the grid needs.  A
+    grid time t = q T + r is then one partial step from j h to r, j =
+    floor(r/h), times the product of steps 0 .. j-1, times U_T^q: U_T is
+    the product of one period's m steps (Floquet), and its powers come from
+    repeated squaring.
     """
+    per_period = period * steps_per_ns
+    if not math.isfinite(per_period):
+        period, per_period = 1.0 / steps_per_ns, 1.0
     t = np.asarray(t_grid, dtype=float)
     r = np.fmod(t, period)  # exact, in [0, T): no rounding puts it below 0 or at T
-    q = np.rint((t - r) / period).astype(int)  # 0 without a period
-    per_period = period * steps_per_ns
-    if math.isfinite(per_period):
-        m = math.ceil(per_period)
-        h = period / m
-    else:
-        h = 1.0 / steps_per_ns
-        m = int(t[-1] // h) + 1
+    q = np.rint((t - r) / period).astype(int)
+    m = math.ceil(per_period)
+    h = period / m
     j = (r // h).astype(int)
 
     def gen(times):
@@ -512,9 +511,10 @@ def _driven_trace(h0, v, pulse, y0, t_grid, channels=None):
     density matrix evolved by ``_liouvillian`` and checked as in
     ``evolve_lindblad``.  Steps per ns: 250 max(||H0||_2 + A ||V||_2, |nu|,
     1), A and nu the pulse amplitude and frequency, so the fastest rate in
-    H(t) gets at least 250 steps per cycle.  c repeats every 1/|nu| ns (no
-    period at nu = 0), so ``_rk4_driven`` integrates one period and raises
-    it to powers.  Drift is a ConvergenceError.
+    H(t) gets at least 250 steps per cycle.  c repeats every 1/|nu| ns (and
+    is constant at nu = 0, passed as period ``math.inf``), so
+    ``_rk4_driven`` integrates one period and raises it to powers.  Drift
+    is a ConvergenceError.
     """
     rate = np.linalg.norm(h0, 2) + pulse.amplitude * np.linalg.norm(v, 2)
     steps_per_ns = 250.0 * max(rate, abs(pulse.frequency), 1.0)
@@ -541,6 +541,8 @@ _TAYLOR_THETA = {
     35: 4.73, 40: 5.97, 45: 7.25, 50: 8.55, 55: 9.87,
 }
 _UNIT_ROUNDOFF = 2.0**-53
+# grid times per weighted sum of a Taylor term in ``_taylor_trace``
+_DENSE_BLOCK = 64
 
 
 def _taylor_plan(norm: float) -> tuple[int, int]:
@@ -549,23 +551,51 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     return m, cost // m
 
 
-def _taylor_action(gen, x, tau: float, m: int, s: int):
-    """exp(tau G) x as s substeps of a Taylor series of degree <= m.
+def _taylor_trace(gen, x, t_grid, nu: float, refine: int = 1) -> np.ndarray:
+    """exp(t G) x at each time t of an ascending grid from t = 0, as one Taylor run.
 
-    A series stops once two successive terms together fall below the unit
-    roundoff times the partial sum (max-abs norms).
+    (m, s) = ``_taylor_plan(T nu)`` for the last grid time T, and the run
+    takes ``refine s`` equal substeps of h.  A substep forms the terms
+    (hG)^j y / j! of its start state y once, j <= m, and stops once two
+    successive terms together fall below the unit roundoff times the
+    partial sum (max-abs norms).  Each grid time ``start + delta`` before
+    T inside it sums the same terms weighted by (delta/h)^j: the Taylor
+    polynomial of exp(delta G) y, whose theta_m bound holds for every
+    delta <= h.  T itself is the end of the last substep.  Returns a
+    (len(t_grid), d, d) array; the weighted terms are added
+    ``_DENSE_BLOCK`` grid times at a time, so no other temporary grows
+    with the grid.
     """
-    step = tau / s
-    for _ in range(s):
+    t = np.asarray(t_grid, dtype=float)
+    out = np.empty(t.shape + x.shape, dtype=complex)
+    m, s = _taylor_plan(t[-1] * nu)
+    s *= refine
+    h = t[-1] / s
+    if h == 0:  # every grid time is 0
+        out[:] = x
+        return out
+    ratio = t / h
+    # the substep of each grid time before T; T ends substep s - 1
+    sub = np.where(t < t[-1], np.minimum(np.floor(ratio), s - 1), s)
+    ratio -= sub
+    weight = np.ones_like(t)  # (delta/h)^j of each grid time
+    bounds = np.searchsorted(sub, np.arange(s + 1)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        out[lo:hi] = x
         term, last = x, np.abs(x).max()
         for j in range(1, m + 1):
-            term = gen(term) * (step / j)
+            term = gen(term) * (h / j)
             x = x + term
+            weight[lo:hi] *= ratio[lo:hi]
+            for a in range(lo, hi, _DENSE_BLOCK):
+                b = min(a + _DENSE_BLOCK, hi)
+                out[a:b] += weight[a:b, None, None] * term
             size = np.abs(term).max()
             if last + size <= _UNIT_ROUNDOFF * np.abs(x).max():
                 break
             last = size
-    return x
+    out[bounds[-1]:] = x
+    return out
 
 
 def evolve_lindblad(
@@ -590,14 +620,18 @@ def evolve_lindblad(
     t_grid : sequence of float
         At least one ascending output time (ns), from >= 0 (an empty grid is a ValidationError).
     verify : bool
-        Rerun with twice the substeps and require agreement within 1e-7
+        Reach every grid time again as the end of its own substeps, span by
+        span at twice the substeps, and require agreement within 1e-7
         (raises ConvergenceError naming the first bad grid time).  The
         check does not change the returned states.
 
-    Each grid span tau applies exp(tau G) to rho in matrix form, with G
-    the GKLS generator of ``_lindblad_generator``: s substeps of a Taylor
-    series of degree <= m, (m, s) chosen from the bound nu >= ||G||_1 and
-    the theta_m of Al-Mohy & Higham (2011).  No d^2 x d^2 matrix is built
+    The states are exp(t G) rho0 with G the GKLS generator of
+    ``_lindblad_generator``, in matrix form: one truncated-Taylor run over
+    the whole grid (``_taylor_trace``), its degree m and substeps s chosen
+    from the bound nu >= ||G||_1, the last grid time and the theta_m of
+    Al-Mohy & Higham (2011).  Each grid time is read off the terms of the
+    substep it falls in (dense output), so the cost is set by the span of
+    the grid, not by its number of points.  No d^2 x d^2 matrix is built
     at any dimension.  Each state is symmetrized once, (X + X+)/2, and
     checked for trace (1e-8) and positivity (-1e-7) at every grid point.
     """
@@ -605,21 +639,14 @@ def evolve_lindblad(
     if op.dimension != rho0.dimension:
         raise ValidationError("Hamiltonian and state dimensions differ")
     gen, nu = _lindblad_generator(op.entries, channels)
-    spans = np.diff(t_grid, prepend=0.0)
-
-    def run(refine):
-        rho, out = _hermitian(rho0.entries), []
-        for tau in spans:
-            if tau > 0:
-                m, s = _taylor_plan(tau * nu)
-                rho = _hermitian(_taylor_action(gen, rho, tau, m, refine * s))
-            out.append(rho)
-        return out
-
-    states = run(1)
+    rho = _hermitian(rho0.entries)
+    states = _taylor_trace(gen, rho, t_grid, nu)
+    for k, state in enumerate(states):
+        states[k] = _hermitian(state)
     if verify:
-        for tk, a, b in zip(t_grid, states, run(2)):
-            delta = np.abs(a - b).max()
+        for tk, tau, state in zip(t_grid, np.diff(t_grid, prepend=0.0), states):
+            rho = _hermitian(_taylor_trace(gen, rho, [tau], nu, refine=2)[0])
+            delta = np.abs(state - rho).max()
             if not delta <= 1e-7:
                 raise ConvergenceError(
                     f"substep-doubling disagreement {delta:.2e} > 1e-7 at t = {tk} ns"

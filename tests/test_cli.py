@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from scqsim.charge import CpbParams, cpb_hamiltonian
-from scqsim import cli
+from scqsim import cli, core
 from scqsim.cli import ConfigError, parse_config
 from scqsim.flux import ThreeJunctionParams, solve_three_junction
 
@@ -29,6 +29,16 @@ stop = 1.0
 points = 11
 levels = 5
 """
+
+
+# the README-style configs of the three commands that run evolve_lindblad
+LINDBLAD_CONFIGS = {
+    "ramsey": "[qubit]\nnu01 = 10.0\ndetuning = 0.002\n"
+    "[decoherence]\nt1_us = 10.0\nt2_us = 1.0\n[time]\nstop = 2500.0\npoints = 101\n",
+    "t1": "[decoherence]\nt1_us = 2.0\nt2_us = 2.0\n[time]\nstop = 6000.0\npoints = 61\n",
+    "jc": "[jc]\nnu01 = 10.0\nnu_c = 10.0\ng = 0.1\nn_ph = 4\nkappa_per_us = 10.0\n"
+    "[decoherence]\nt1_us = 5.0\nt2_us = 0.5\n[time]\nstop = 3.0\npoints = 31\n",
+}
 
 
 def run_cli(*args):
@@ -529,6 +539,24 @@ points = 11
         assert proc.returncode == 0 and proc.stdout.startswith("usage: scqsim")
         assert "--circuit" not in proc.stdout
 
+    @pytest.mark.parametrize("command, most", [("ramsey", 200), ("t1", 40), ("jc", 60)])
+    def test_lindblad_commands_take_one_taylor_run(self, command, most, tmp_path, monkeypatch):
+        # one Taylor plan per trace, every grid time read off its substep:
+        # the generator is applied about as often as one series over the
+        # whole span needs, not once per grid span (1400, 586 and 360 times)
+        applied = []
+        make = core._lindblad_generator
+
+        def counted(h, channels):
+            gen, nu = make(h, channels)
+            return (lambda x: applied.append(1) or gen(x)), nu
+
+        monkeypatch.setattr(core, "_lindblad_generator", counted)
+        cfg = tmp_path / f"{command}.ini"
+        cfg.write_text(LINDBLAD_CONFIGS[command])
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert 0 < len(applied) <= most
+
 
 def assert_one_line_failure(proc, code, prefix):
     assert proc.returncode == code, proc.stderr
@@ -979,16 +1007,9 @@ class TestColdStart:
 
     def test_lindblad_commands_load_no_scipy(self, tmp_path):
         # ramsey, t1 and open jc evolve through evolve_lindblad's Taylor
-        # action, which needs no scipy.linalg.expm
-        configs = {
-            "ramsey": "[qubit]\nnu01 = 10.0\ndetuning = 0.002\n"
-            "[decoherence]\nt1_us = 10.0\nt2_us = 1.0\n[time]\nstop = 2500.0\npoints = 101\n",
-            "t1": "[decoherence]\nt1_us = 2.0\nt2_us = 2.0\n[time]\nstop = 6000.0\npoints = 61\n",
-            "jc": "[jc]\nnu01 = 10.0\nnu_c = 10.0\ng = 0.1\nn_ph = 4\nkappa_per_us = 10.0\n"
-            "[decoherence]\nt1_us = 5.0\nt2_us = 0.5\n[time]\nstop = 3.0\npoints = 31\n",
-        }
+        # run, which needs no scipy.linalg.expm
         calls = []
-        for command, text in configs.items():
+        for command, text in LINDBLAD_CONFIGS.items():
             cfg = tmp_path / f"{command}.ini"
             cfg.write_text(text)
             out = tmp_path / f"{command}.csv"

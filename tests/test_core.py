@@ -1,6 +1,7 @@
 """Core linear algebra and propagation tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,15 @@ class TestUnitaryEvolution:
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 
 
+def traced_peak(call):
+    """(call(), the peak bytes traced by tracemalloc while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestLindblad:
     def test_amplitude_damping(self):
         t1 = 800.0  # ns
@@ -329,6 +339,35 @@ class TestLindblad:
         rho0 = DensityMatrix(np.diag([0.0, 1.0]))
         with pytest.raises(ValidationError, match=message):
             evolve_lindblad(herm(np.zeros((2, 2))), [(SIGMA_Z, 0.1), channel], rho0, [1.0])
+
+    def test_all_zero_grid_returns_rho0(self):
+        h = herm(np.array([[1.0, 0.2 - 0.1j], [0.2 + 0.1j, -1.0]]))
+        rho0 = DensityMatrix(np.array([[0.3, 0.1j], [-0.1j, 0.7]]))
+        rhos = evolve_lindblad(h, [(SIGMA_MINUS, 0.3)], rho0, [0.0, 0.0, 0.0])
+        assert len(rhos) == 3
+        for rho in rhos:
+            assert np.array_equal(rho.entries, rho0.entries)
+
+    def test_memory_grows_with_the_returned_states_only(self):
+        # 4000 grid times inside one substep at d = 16: the Taylor run holds
+        # its output and blocks of _DENSE_BLOCK weighted terms, and the
+        # public call adds the DensityMatrix copies
+        rng = np.random.default_rng(1)
+        d = 16
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = 0.02 * (a + a.conj().T)
+        channels = [(np.diag(np.sqrt(np.arange(1.0, d)), 1), 0.05)]
+        gen, nu = _lindblad_generator(h, channels)
+        assert core._taylor_plan(nu)[1] == 1
+        rho0 = DensityMatrix(np.diag(np.eye(d)[-1]))
+        grid = np.linspace(0.0, 1.0, 4000)
+
+        states, peak = traced_peak(lambda: core._taylor_trace(gen, rho0.entries, grid, nu))
+        assert peak <= 1.1 * states.nbytes
+        del states
+        op = HermitianOperator(h)
+        rhos, peak = traced_peak(lambda: evolve_lindblad(op, channels, rho0, grid, verify=False))
+        assert peak <= 2.5 * sum(rho.entries.nbytes for rho in rhos)
 
     def test_verify_failure_names_the_first_bad_time(self, monkeypatch):
         # one degree-5 substep per span, far too few for tau ||G|| ~ 30; the
@@ -474,6 +513,26 @@ class TestPropagatorProperties:
             state = _hermitian(v.reshape(dim, dim))
             assert np.abs(state - superoperator_exponential(h, channels, rho, t)).max() <= 1e-8
             assert np.array_equal(state, state.conj().T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        **SYSTEMS,
+        stop=st.floats(0.05, 3.0),
+        zeros=st.integers(1, 3),
+        inside=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=2, max_size=5),
+    )
+    def test_grid_times_inside_one_substep(self, seed, dim, n_channels, stop, zeros, inside):
+        # leading zeros, then several times strictly inside the first substep,
+        # each read off that substep's terms, then the last time
+        h, channels, rho = random_system(seed, dim, n_channels)
+        _, nu = _lindblad_generator(h, channels)
+        first = stop / core._taylor_plan(stop * nu)[1]
+        grid = [0.0] * zeros + sorted(first * u for u in inside) + [stop]
+        rhos = evolve_lindblad(HermitianOperator(h), channels, DensityMatrix(rho), grid)
+        for t, state in zip(grid, rhos):
+            m = state.entries
+            assert np.array_equal(m, m.conj().T)
+            assert np.abs(m - superoperator_exponential(h, channels, rho, t)).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(**SYSTEMS, t1=st.floats(0.0, 1.0), dt=st.floats(0.0, 1.0))
@@ -751,6 +810,38 @@ class TestDrivenTrace:
             (1.0 / 9.0, 250.0 * 9.0),
             (math.inf, 250.0),
         ]
+
+    def test_constant_drive_builds_one_step(self, monkeypatch):
+        # at nu = 0 one step of 1/steps_per_ns is the period: a 30 ns trace
+        # builds it and one partial step per grid time, not 39 000 steps
+        rows = []
+        step_matrix = core._rk4_step_matrix
+
+        def counted(a_start, *rest):
+            rows.append(a_start.shape[0])
+            return step_matrix(a_start, *rest)
+
+        monkeypatch.setattr(core, "_rk4_step_matrix", counted)
+        pulse = DrivePulse(amplitude=0.2, frequency=0.0, duration=0.0, target="sigma_x")
+        grid = np.linspace(0.0, 30.0, 31)
+        core._driven_trace(np.diag([-5.0, 5.0]), SIGMA_X, pulse, np.array([1.0, 0.0], complex), grid)
+        assert 0 < sum(rows) <= 1 + grid.size
+
+    def test_constant_drive_matches_the_exact_propagator(self):
+        # H = H0 + A cos(phase) V is constant; RK4 at h = 1/steps_per_ns has
+        # a local error of about (2 pi ||H|| h)^5 / 120 per step, and the
+        # amplitudes stay within that times the steps taken
+        h0, v = np.diag([-5.0, 5.0]), SIGMA_X
+        pulse = DrivePulse(amplitude=0.2, frequency=0.0, duration=0.0, phase=0.4, target="sigma_x")
+        grid = np.linspace(0.0, 30.0, 31)
+        psi0 = basis_state(2, 0)
+        got = core._driven_trace(h0, v, pulse, psi0.amplitudes, grid)
+        h = h0 + 0.2 * math.cos(0.4) * v
+        exact = _unitary_trace(herm(h), psi0, grid)
+        steps_per_ns = 250.0 * (5.0 + 0.2)
+        local = (2.0 * math.pi * np.linalg.norm(h, 2) / steps_per_ns) ** 5 / 120.0
+        for t, a, b in zip(grid, got, exact):
+            assert np.abs(a - b.amplitudes).max() <= 2.0 * local * (t * steps_per_ns + 1.0)
 
     def test_closed_drift_is_checked_in_every_column(self, monkeypatch):
         # only |1> gains norm: the first column stays at 1, the second drifts
