@@ -244,6 +244,13 @@ class DensityMatrix:
             raise ValidationError(f"negative eigenvalue {lo} below floor {eig_floor}")
         object.__setattr__(self, "entries", _freeze(m))
 
+    @classmethod
+    def _checked(cls, entries: np.ndarray) -> "DensityMatrix":
+        """A state of read-only entries that have passed these checks already."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "entries", entries)
+        return rho
+
     @property
     def dimension(self) -> int:
         return self.entries.shape[0]
@@ -485,22 +492,55 @@ def _rk4_driven(a0, a1, coeff, period, y0, t_grid, steps_per_ns):
     return [p @ (prefix[jk] @ periods[qk]) for p, jk, qk in zip(partial, j.tolist(), q.tolist())]
 
 
+# stacked states per batch of checks in ``_checked_states``
+_STATE_BLOCK = 64
+
+
 def _checked_states(t_grid, rhos) -> list[DensityMatrix]:
-    """Propagated matrices as DensityMatrix; drift raises ConvergenceError.
+    """Propagated (points, d, d) matrices as DensityMatrix; drift raises ConvergenceError.
 
     Each state must keep its trace within 1e-8 and its eigenvalues above
-    -1e-7 (the integrator-error allowance of DensityMatrix).
+    -1e-7 (the integrator-error allowance of DensityMatrix).  The checks
+    run over ``_STATE_BLOCK`` stacked states at a time; a state that fails
+    one is checked again alone (``_check_state``), so the first failure
+    in grid order raises with its own message.  The stack is made
+    read-only and the returned states are its rows.
     """
-    out = []
-    for tk, rho in zip(t_grid, rhos):
-        drift = abs(np.trace(rho) - 1.0)
-        if not drift <= 1e-8:
-            raise ConvergenceError(f"trace drift {drift:.2e} > 1e-8 at t = {tk} ns")
-        try:
-            out.append(DensityMatrix(rho, trace_tol=1e-8, eig_floor=-1e-7))
-        except ValidationError as exc:
-            raise ConvergenceError(f"propagated state at t = {tk} ns: {exc}") from exc
-    return out
+    rhos = _freeze(np.asarray(rhos, dtype=complex))
+    for a in range(0, len(rhos), _STATE_BLOCK):
+        for k in a + np.flatnonzero(~_passing(rhos[a : a + _STATE_BLOCK])):
+            _check_state(t_grid[k], rhos[k])
+    return [DensityMatrix._checked(rho) for rho in rhos]
+
+
+def _passing(block: np.ndarray) -> np.ndarray:
+    """Which stacked states pass ``_check_state``: trace drift, then DensityMatrix's checks.
+
+    The norms and |rho - rho+| come from real and imaginary parts (views),
+    so no temporary holds more than the block's real parts.
+    """
+    ok = np.abs(np.trace(block, axis1=1, axis2=2) - 1.0) <= 1e-8
+    ok &= np.isfinite(block).all(axis=(1, 2))
+    if not ok.all():
+        block = block[ok]
+    re, im = block.real, block.imag
+    scale = np.maximum(np.sqrt(np.sum(re * re, axis=(1, 2)) + np.sum(im * im, axis=(1, 2))), 1.0)
+    asym = re - re.swapaxes(1, 2)
+    np.hypot(asym, im + im.swapaxes(1, 2), out=asym)
+    hermitian = asym.max(axis=(1, 2)) <= 1e-10 * scale
+    ok[ok] = hermitian & ~(np.linalg.eigvalsh(block).min(axis=1) < -1e-7)
+    return ok
+
+
+def _check_state(tk, rho) -> None:
+    """Raise ConvergenceError, naming time tk, if one propagated state fails its checks."""
+    drift = abs(np.trace(rho) - 1.0)
+    if not drift <= 1e-8:
+        raise ConvergenceError(f"trace drift {drift:.2e} > 1e-8 at t = {tk} ns")
+    try:
+        DensityMatrix(rho, trace_tol=1e-8, eig_floor=-1e-7)
+    except ValidationError as exc:
+        raise ConvergenceError(f"propagated state at t = {tk} ns: {exc}") from exc
 
 
 def _driven_trace(h0, v, pulse, y0, t_grid, channels=None):

@@ -882,6 +882,35 @@ class TestStateChecks:
         with pytest.raises(ConvergenceError):
             _checked_states([1.0], [rho.astype(complex)])
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({150: np.diag([0.6, 0.5]), 130: np.diag([1.0 + 1e-6, -1e-6])},
+             r"^propagated state at t = 130.0 ns: negative eigenvalue -1e-06 below floor -1e-07$"),
+            ({70: np.array([[0.5, 0.1], [0.2, 0.5]]), 10: np.diag([np.inf, 0.0])},
+             r"^trace drift inf > 1e-8 at t = 10.0 ns$"),
+            ({199: np.array([[0.5, np.nan], [0.0, 0.5]])},
+             r"^propagated state at t = 199.0 ns: matrix has non-finite entries$"),
+            ({64: np.array([[0.5, 0.1], [0.2, 0.5]])},
+             r"^propagated state at t = 64.0 ns: density matrix is not Hermitian$"),
+        ],
+        ids=["eigenvalue-before-drift", "drift-before-hermiticity", "last", "block-start"],
+    )
+    def test_first_failing_state_is_named(self, bad, message):
+        # the stacked checks run in blocks; the earliest failing grid time
+        # raises, with the message of its first failing check
+        rhos = np.tile(np.diag([0.5, 0.5]).astype(complex), (200, 1, 1))
+        for k, rho in bad.items():
+            rhos[k] = rho
+        with pytest.raises(ConvergenceError, match=message):
+            _checked_states(np.arange(200.0), rhos)
+
+    def test_states_are_read_only_rows(self):
+        rhos = np.tile(np.diag([0.25, 0.75]).astype(complex), (3, 1, 1))
+        states = _checked_states([0.0, 1.0, 2.0], rhos)
+        assert all(np.array_equal(s.entries, r) and not s.entries.flags.writeable for s, r in zip(states, rhos))
+        assert states[2].population(1) == 0.75 and states[2].dimension == 2
+
 
 class TestLeastSquares:
     X = np.linspace(0.0, 1.0, 7)

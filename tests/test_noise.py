@@ -140,6 +140,67 @@ class TestEnsemble:
         with pytest.raises(ValidationError, match=f"trajectory {message}"):
             sampler(ens, [0.0, 0.5, 1.0], trajectory=trajectory)
 
+    def test_grid_checked_once_per_call(self, monkeypatch):
+        # the trajectories of one call share its grid, so they share its check
+        sizes = []
+        check = noise._check_grid
+        monkeypatch.setattr(noise, "_check_grid", lambda ens, t_grid: sizes.append(t_grid.size) or check(ens, t_grid))
+        ens = FluctuatorEnsemble(count=4, gamma_min=0.05, gamma_max=2.0, coupling=0.02, seed=3)
+        psd_welch(ens, 0.01, 4096, 24, nperseg=1024)
+        assert sizes == [4096]
+        sizes.clear()
+        dephasing_under_rtn(10.0, ens, 100, np.arange(2000) * 0.01)
+        assert sizes == [2000]
+
+
+class TestGridIndex:
+    """The verified grid index of a flip equals the binary search on any ascending grid."""
+
+    @staticmethod
+    def _grid(kind, n, start, rng):
+        if kind == "uniform":
+            return start + np.arange(n) * 0.01
+        if kind == "jittered":
+            return start + (np.arange(n) + rng.uniform(-0.45, 0.45, n)) * 0.01
+        if kind == "geometric":
+            return start + np.geomspace(1.0, 1e3, n)
+        if kind == "ties":  # repeated times, as the index rule allows
+            return start + np.round(np.sort(rng.uniform(0.0, n * 0.003, n)), 2)
+        # all but the last point crowd the first thousandth of the span, so the
+        # uniform model is more than one place off for every time between them
+        return start + np.concatenate([np.linspace(0.0, 1e-3, n - 1), [1.0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "jittered", "geometric", "ties", "all-miss"]),
+        n=st.integers(6, 3000),
+        start=st.floats(-100.0, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+        on_grid=st.integers(0, 50),
+        draws=st.integers(0, 500),
+    )
+    def test_index_is_the_binary_search(self, kind, n, start, seed, on_grid, draws):
+        rng = np.random.default_rng(seed)
+        grid = self._grid(kind, n, start, rng)
+        t0, span = noise._span(grid)
+        if span <= 0.0:
+            return
+        if kind == "all-miss":
+            times = t0 + span * rng.uniform(0.002, (n - 3) / (n - 1), draws)
+            guess = 1 + np.floor((times - t0) * ((n - 1) / span))
+            assert np.all(np.abs(guess - grid.searchsorted(times, side="right")) > 1)
+        else:
+            # draws as the sampler makes them, grid points, both ends and the
+            # largest draw t_0 + span (1 - 2^-53), which may round past t_last
+            times = np.concatenate([
+                t0 + span * rng.random(draws), grid[rng.integers(0, n, on_grid)],
+                [t0, grid[-1], t0 + span * np.nextafter(1.0, 0.0)],
+            ])
+        times.sort()
+        got = noise._grid_index(grid, times)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, grid.searchsorted(times, side="right"))
+
 
 class TestTrajectories:
     def test_deterministic_per_seed(self):
@@ -479,6 +540,11 @@ def _oracle_rtn(ens, t_grid, trajectory=0):
     return xi
 
 
+def _oracle_trace(ens, t_grid, trajectory, groups):
+    """``_oracle_rtn`` with the signature of ``noise._rtn_trace``, which the loops call."""
+    return _oracle_rtn(ens, t_grid, trajectory)
+
+
 # seeds and trajectories on both sides of 2**32, where a key word splits in two
 KEYS = [0, 2**32 - 1, 2**32, 2**40 + 3]
 ENSEMBLES = [
@@ -510,6 +576,16 @@ class TestBitIdentity:
         assert np.array_equal(fluctuator_states(ens, grid, trajectory), _oracle_states(ens, grid, trajectory))
         assert np.array_equal(rtn_trajectory(ens, grid, trajectory), _oracle_rtn(ens, grid, trajectory))
 
+    @pytest.mark.parametrize("ens", ENSEMBLES, ids=["single", "scalar-20", "per-fluctuator"])
+    @pytest.mark.parametrize(
+        "grid", [_uneven_grid(0.002, 0.009, 10000), 0.5 + np.arange(20000) * 0.01], ids=["uneven", "uniform"]
+    )
+    def test_long_paths_match_the_oracle(self, ens, grid):
+        # on 20 000 points the fast fluctuators flip more often than a binary search is used for
+        for trajectory in (0, 3, 2**40 + 3):
+            assert np.array_equal(fluctuator_states(ens, grid, trajectory), _oracle_states(ens, grid, trajectory))
+            assert np.array_equal(rtn_trajectory(ens, grid, trajectory), _oracle_rtn(ens, grid, trajectory))
+
     @pytest.mark.parametrize("key", KEYS)
     def test_numpy_integer_keys_draw_as_plain_ints(self, key):
         grid = np.arange(0.0, 2.01, 0.05)
@@ -530,7 +606,7 @@ class TestBitIdentity:
     def test_psd_welch_matches_the_oracle(self, monkeypatch):
         ens = ENSEMBLES[1]
         f, p = psd_welch(ens, 0.01, 4096, 3, nperseg=1024)
-        monkeypatch.setattr(noise, "rtn_trajectory", _oracle_rtn)
+        monkeypatch.setattr(noise, "_rtn_trace", _oracle_trace)
         f_ref, p_ref = psd_welch(ens, 0.01, 4096, 3, nperseg=1024)
         assert np.array_equal(f, f_ref) and np.array_equal(p, p_ref)
 
@@ -538,5 +614,5 @@ class TestBitIdentity:
     def test_dephasing_matches_the_oracle(self, ens, monkeypatch):
         grid = np.arange(0.0, 5.0, 0.01)
         coh = dephasing_under_rtn(10.0, ens, 100, grid)
-        monkeypatch.setattr(noise, "rtn_trajectory", _oracle_rtn)
+        monkeypatch.setattr(noise, "_rtn_trace", _oracle_trace)
         assert np.array_equal(coh, dephasing_under_rtn(10.0, ens, 100, grid))
