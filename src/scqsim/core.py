@@ -494,6 +494,9 @@ def _rk4_driven(a0, a1, coeff, period, y0, t_grid, steps_per_ns):
 
 # stacked states per batch of checks in ``_checked_states``
 _STATE_BLOCK = 64
+# ``_passing`` flags a state within this relative margin of a bound: its sums
+# round in another order than those of ``_check_state``, which judges it
+_FLAG_MARGIN = 1.0 - 1e-4
 
 
 def _checked_states(t_grid, rhos) -> list[DensityMatrix]:
@@ -501,10 +504,12 @@ def _checked_states(t_grid, rhos) -> list[DensityMatrix]:
 
     Each state must keep its trace within 1e-8 and its eigenvalues above
     -1e-7 (the integrator-error allowance of DensityMatrix).  The checks
-    run over ``_STATE_BLOCK`` stacked states at a time; a state that fails
-    one is checked again alone (``_check_state``), so the first failure
-    in grid order raises with its own message.  The stack is made
-    read-only and the returned states are its rows.
+    run over ``_STATE_BLOCK`` stacked states at a time and flag every state
+    that fails one or comes within ``_FLAG_MARGIN`` of its bound; a flagged
+    state is checked again alone (``_check_state``), which decides, so the
+    first failure in grid order raises with its own message.  The stack is
+    made read-only and the returned states are views of its rows: a caller
+    that keeps one state keeps the memory of the whole trace.
     """
     rhos = _freeze(np.asarray(rhos, dtype=complex))
     for a in range(0, len(rhos), _STATE_BLOCK):
@@ -514,12 +519,12 @@ def _checked_states(t_grid, rhos) -> list[DensityMatrix]:
 
 
 def _passing(block: np.ndarray) -> np.ndarray:
-    """Which stacked states pass ``_check_state``: trace drift, then DensityMatrix's checks.
+    """Which stacked states clear the checks of ``_check_state`` by ``_FLAG_MARGIN``.
 
     The norms and |rho - rho+| come from real and imaginary parts (views),
     so no temporary holds more than the block's real parts.
     """
-    ok = np.abs(np.trace(block, axis1=1, axis2=2) - 1.0) <= 1e-8
+    ok = np.abs(np.trace(block, axis1=1, axis2=2) - 1.0) <= 1e-8 * _FLAG_MARGIN
     ok &= np.isfinite(block).all(axis=(1, 2))
     if not ok.all():
         block = block[ok]
@@ -527,8 +532,8 @@ def _passing(block: np.ndarray) -> np.ndarray:
     scale = np.maximum(np.sqrt(np.sum(re * re, axis=(1, 2)) + np.sum(im * im, axis=(1, 2))), 1.0)
     asym = re - re.swapaxes(1, 2)
     np.hypot(asym, im + im.swapaxes(1, 2), out=asym)
-    hermitian = asym.max(axis=(1, 2)) <= 1e-10 * scale
-    ok[ok] = hermitian & ~(np.linalg.eigvalsh(block).min(axis=1) < -1e-7)
+    hermitian = asym.max(axis=(1, 2)) <= (1e-10 * _FLAG_MARGIN) * scale
+    ok[ok] = hermitian & (np.linalg.eigvalsh(block).min(axis=1) >= -1e-7 * _FLAG_MARGIN)
     return ok
 
 

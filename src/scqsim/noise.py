@@ -8,10 +8,10 @@ exactly and event by event: each fluctuator draws its initial sign, a
 Poisson flip count over the grid span and uniform flip times, and a flip
 changes every grid sample after it.  Every (seed, trajectory, fluctuator)
 triple owns an independent RNG stream, so results do not depend on
-evaluation order.  A flip's grid index is read off a uniform model of
-the grid and verified against the two grid points around it; only a
-flip that fails goes to a binary search.  The ensemble calls check their
-grid once and draw every trajectory from it.
+evaluation order.  On a path with many flips, a flip's grid index is
+read off a uniform model of the grid and verified against the two grid
+points around it; only a flip that fails goes to a binary search.  The
+ensemble calls check their grid once and draw every trajectory from it.
 
 By default the noise couples along sz (pure dephasing); the trajectory
 generator returns the bare frequency-shift trace xi(t) in GHz, which a
@@ -83,26 +83,21 @@ def _check_grid(ens: FluctuatorEnsemble, t_grid: np.ndarray) -> np.ndarray:
     """The grid steps; a grid that is not 1-D, finite, ascending with two or
     more points and fine enough for the fastest rate is a ValidationError.
 
-    A valid grid costs one subtraction and two reductions: steps all > 0
-    between finite end points leave no room for a non-finite time.  Any
-    failure there runs the checks in their documented order, so the
-    message is the first one that applies.
+    Strictly ascending times between finite end points are all finite, so
+    a valid grid costs one comparison, one subtraction and two reductions;
+    the finiteness of every time is read only to name a failure.
     """
-    bound = (0.1 / ens.gamma_max) * (1.0 + 1e-9)
-    if t_grid.ndim == 1 and t_grid.size > 1:
-        dt = t_grid[1:] - t_grid[:-1]
-        if (dt.min() > 0 and math.isfinite(t_grid[0]) and math.isfinite(t_grid[-1])
-                and dt.max() <= bound):
-            return dt
     if t_grid.ndim != 1:
         raise ValidationError(f"time grid must be one-dimensional, got shape {t_grid.shape}")
-    if not np.isfinite(t_grid).all():
-        raise ValidationError("time grid has non-finite times")
-    dt = t_grid[1:] - t_grid[:-1]
-    if t_grid.size < 2 or (dt <= 0).any():
+    lo, hi = t_grid[:-1], t_grid[1:]
+    if not (t_grid.size > 1 and math.isfinite(t_grid[0]) and math.isfinite(t_grid[-1])
+            and (hi > lo).all()):
+        if not np.isfinite(t_grid).all():
+            raise ValidationError("time grid has non-finite times")
         raise ValidationError("t_grid must be ascending with at least two points")
+    dt = hi - lo
     step = dt.max()
-    if step > bound:
+    if step > (0.1 / ens.gamma_max) * (1.0 + 1e-9):
         raise ValidationError(
             f"grid step {step:.3g} ns under-resolves the fastest fluctuator; "
             f"need <= {0.1 / ens.gamma_max:.3g} ns"
@@ -254,10 +249,7 @@ def fluctuator_states(ens: FluctuatorEnsemble, t_grid, trajectory: int = 0) -> n
     """Raw fluctuator sample paths, one row per fluctuator (for statistics).
 
     Each row is s0 (-1)^k with k the number of flips up to that sample; it
-    draws the same numbers as ``rtn_trajectory``.  A row with few flips is
-    filled span by span between them, one with many from the parity of a
-    flip count per sample; both cost O(flips + samples).  A slice costs
-    about as much as 64 samples of the parity sum, which sets the switch.
+    draws the same numbers as ``rtn_trajectory``.
     """
     _check_trajectory(trajectory)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -267,16 +259,11 @@ def fluctuator_states(ens: FluctuatorEnsemble, t_grid, trajectory: int = 0) -> n
     out = np.empty((ens.count, n))
     for i, gamma in enumerate(_rates(ens)):
         s0, flips = _flips(_stream(ens, trajectory, i), gamma, t_grid, t0, span)
-        row = out[i]
-        if 64 * flips.size <= n + 512:
-            start = 0
-            for stop in flips.tolist():
-                row[start:stop] = s0
-                s0, start = -s0, stop
-            row[start:] = s0
-        else:
+        if flips.size:
             odd = np.cumsum(np.bincount(flips, minlength=n + 1)[:n]) & 1
-            row[:] = np.where(odd, -s0, s0)
+            out[i] = np.where(odd, -s0, s0)
+        else:
+            out[i] = s0
     return out
 
 

@@ -1,6 +1,7 @@
 """Core linear algebra and propagation tests."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -904,6 +905,48 @@ class TestStateChecks:
             rhos[k] = rho
         with pytest.raises(ConvergenceError, match=message):
             _checked_states(np.arange(200.0), rhos)
+
+    @staticmethod
+    def one_at_a_time(t_grid, rhos):
+        """The checks of ``_checked_states`` run state by state through DensityMatrix."""
+        for tk, rho in zip(t_grid, rhos):
+            drift = abs(np.trace(rho) - 1.0)
+            if not drift <= 1e-8:
+                raise ConvergenceError(f"trace drift {drift:.2e} > 1e-8 at t = {tk} ns")
+            try:
+                DensityMatrix(rho, trace_tol=1e-8, eig_floor=-1e-7)
+            except ValidationError as exc:
+                raise ConvergenceError(f"propagated state at t = {tk} ns: {exc}") from exc
+
+    @pytest.mark.parametrize(
+        "state, inside, past",
+        [
+            # trace 1 + e: sums of multiples of 2^-52 are exact, so drift = e
+            (lambda e: np.diag([0.5 + e, 0.5]), math.floor(1e-8 * 2.0**52) * 2.0**-52,
+             (math.floor(1e-8 * 2.0**52) + 1) * 2.0**-52),
+            # |rho - rho+| = e at a norm below 1, against 1e-10 * 1
+            (lambda e: np.array([[0.5, e], [0.0, 0.5]]), 1e-10, np.nextafter(1e-10, 1.0)),
+            (lambda e: np.diag([1.0 - e, e]), -1e-7, np.nextafter(-1e-7, -1.0)),
+        ],
+        ids=["trace", "hermiticity", "eigenvalue"],
+    )
+    @pytest.mark.parametrize("at", [0, 63, 64, 69])
+    def test_bounds_match_the_checks_one_at_a_time(self, state, inside, past, at):
+        # a state one float inside a bound passes and one past it raises, in
+        # the stacked checks as in the checks of each state alone
+        grid = np.arange(70.0)
+        for e, fails in ((inside, False), (past, True)):
+            rhos = np.tile(np.diag([0.5, 0.5]).astype(complex), (70, 1, 1))
+            rhos[at] = state(e)
+            if not fails:
+                self.one_at_a_time(grid, rhos)
+                assert np.array_equal(np.array([s.entries for s in _checked_states(grid, rhos)]), rhos)
+                continue
+            with pytest.raises(ConvergenceError) as alone:
+                self.one_at_a_time(grid, rhos)
+            assert f"t = {float(at)} ns" in str(alone.value)
+            with pytest.raises(ConvergenceError, match=f"^{re.escape(str(alone.value))}$"):
+                _checked_states(grid, rhos)
 
     def test_states_are_read_only_rows(self):
         rhos = np.tile(np.diag([0.25, 0.75]).astype(complex), (3, 1, 1))

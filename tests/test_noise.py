@@ -113,6 +113,17 @@ class TestEnsemble:
         with pytest.raises(ValidationError, match="non-finite"):
             sampler(ens, grid)
 
+    @pytest.mark.parametrize(
+        "grid", [[0.0, math.inf, math.inf, 1.0], [-math.inf, -math.inf], [math.nan, 0.0, 1.0]]
+    )
+    def test_non_finite_grid_rejected_without_a_warning(self, grid):
+        # the grid is read for order before any step is taken, so no inf - inf
+        ens = FluctuatorEnsemble.single(0.1, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^time grid has non-finite times$"):
+                rtn_trajectory(ens, grid)
+
     @pytest.mark.parametrize("sampler", [rtn_trajectory, fluctuator_states])
     @pytest.mark.parametrize(
         "grid", [[0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0], [0.5], []],
