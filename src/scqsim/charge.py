@@ -9,18 +9,26 @@ Near ``ng = 1/2`` the two lowest charge states give the reduced qubit
 degeneracy point the eigenstates are ``|-+> = (|0> -+ |1>)/sqrt(2)`` --
 that sign convention is used package-wide.
 
-``cpb_levels`` is the one place that bounds a level count by the 2N + 1
-charge states; the ``ng`` sweep and the CLI go through it.
+One builder, ``_cpb_matrices``, lays out the Hamiltonian for any number
+of ng values, and one routine, ``_stacked_levels``, solves it: real
+symmetric stacks of at most ``_STACK_ENTRIES`` floats (DIMENSION_CAP^2, the
+size of one matrix at the dense cap), one ``eigvalsh`` call each.
+``cpb_levels`` is its one-point case and ``spectrum_vs_ng`` its whole grid,
+so every row equals the ``cpb_levels`` of its ng bit for bit; it is also
+the complex solve of ``cpb_hamiltonian`` bit for bit (H is real and
+already tridiagonal, so LAPACK's reduction is the identity either way).
+The level count is bounded by the 2N + 1 charge states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    DIMENSION_CAP,
     HermitianOperator,
     QuantumState,
     ValidationError,
@@ -124,15 +132,35 @@ def charge_operator(cutoff: int) -> np.ndarray:
     return np.diag(np.arange(-cutoff, cutoff + 1, dtype=float))
 
 
+def _cpb_matrices(p: CpbParams, ng: np.ndarray) -> np.ndarray:
+    """The real CPB Hamiltonian at each offset charge in ``ng``: a (len(ng), 2N+1, 2N+1) stack."""
+    n = np.arange(-p.cutoff, p.cutoff + 1, dtype=float)
+    i = np.arange(n.size)
+    h = np.zeros((ng.size, n.size, n.size))
+    h[:, i, i] = p.ec * (n - ng[:, None]) ** 2
+    h[:, i[:-1], i[1:]] = h[:, i[1:], i[:-1]] = -p.effective_ej / 2.0
+    return h
+
+
+# entries of one stacked solve: as many as one matrix at the dense cap
+_STACK_ENTRIES = DIMENSION_CAP**2
+
+
+def _stacked_levels(p: CpbParams, ng: np.ndarray, k: int) -> np.ndarray:
+    """Lowest k CPB levels at each offset charge in ``ng``, one row per value.
+
+    The stack is solved in blocks of at most ``_STACK_ENTRIES`` floats, so a
+    sweep's memory does not grow with its number of points.
+    """
+    _check_level_count(k, p.cutoff, 2 * p.cutoff + 1)
+    per = max(1, _STACK_ENTRIES // (2 * p.cutoff + 1) ** 2)
+    blocks = (_cpb_matrices(p, ng[i : i + per]) for i in range(0, ng.size, per))
+    return np.concatenate([np.linalg.eigvalsh(h)[:, :k] for h in blocks])
+
+
 def cpb_hamiltonian(p: CpbParams) -> HermitianOperator:
     """Full CPB Hamiltonian in the truncated charge basis, (2N+1)-dim."""
-    n = np.arange(-p.cutoff, p.cutoff + 1, dtype=float)
-    h = np.diag(p.ec * (n - p.ng) ** 2).astype(complex)
-    off = -p.effective_ej / 2.0
-    idx = np.arange(2 * p.cutoff)
-    h[idx, idx + 1] = off
-    h[idx + 1, idx] = off
-    return HermitianOperator(h)
+    return HermitianOperator(_cpb_matrices(p, np.array([p.ng]))[0])
 
 
 def reduced_two_level(p: CpbParams) -> HermitianOperator:
@@ -158,16 +186,15 @@ def minus_state() -> QuantumState:
 
 def cpb_levels(p: CpbParams, k: int = 5) -> np.ndarray:
     """Lowest k CPB levels; the 2N + 1 charge states bound k."""
-    _check_level_count(k, p.cutoff, 2 * p.cutoff + 1)
-    return np.linalg.eigvalsh(cpb_hamiltonian(p).entries)[:k]
+    return _stacked_levels(p, np.array([p.ng]), k)[0]
 
 
 def spectrum_vs_ng(p: CpbParams, ng_grid, k: int = 5) -> SpectrumTable:
-    """Lowest k CPB levels over an offset-charge grid in [0, 1]."""
+    """Lowest k CPB levels over an offset-charge grid in [0, 1], solved as stacks."""
     ng_grid = _checked_sweep_grid(ng_grid, "ng")
     if np.any((ng_grid < 0.0) | (ng_grid > 1.0)):
         raise ValidationError("ng grid must lie within [0, 1]")
-    return SpectrumTable(ng_grid, [cpb_levels(replace(p, ng=float(ng)), k) for ng in ng_grid])
+    return SpectrumTable(ng_grid, _stacked_levels(p, ng_grid, k))
 
 
 def ground_charge_expectation(p: CpbParams) -> float:

@@ -100,13 +100,15 @@ def _checked_time_grid(t_grid) -> np.ndarray:
 
 
 def _checked_sweep_grid(grid, name: str) -> np.ndarray:
-    """A sweep's control values as a 1-D float array of at least one value."""
+    """A sweep's control values as a 1-D float array of at least one value, all finite."""
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValidationError(
             f"{name} grid must be one-dimensional with at least one control value, "
             f"got shape {g.shape}"
         )
+    if not np.isfinite(g).all():
+        raise ValidationError(f"{name} grid has non-finite values")
     return g
 
 

@@ -18,7 +18,10 @@ refinement to about 1.5 n must reproduce the returned energies within
 5e-6 plasma spacings and the bound/unbound verdict of every level.  The
 in-well probability is exact in the basis: ``c^T S_well c``, with c the
 box-mode coefficients and ``S_well`` the closed-form overlap of the box
-modes over the well region.
+modes over the well region.  ``S_well`` is a Toeplitz-minus-Hankel matrix
+like the DVR's kinetic matrix and is built by the same helper
+(``flux._toeplitz_minus_hankel``) from a 2n + 1 entry table; the turning
+point that bounds the well region is bisected once per ``well_levels`` call.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DIMENSION_CAP, ConvergenceError, ValidationError, _check_finite, _check_integral
-from .flux import _sine_dvr
+from .flux import _sine_dvr, _toeplitz_minus_hankel
 
 _POINT_FACTOR = 1.4  # box modes per classical momentum quantum pi/L at E_top
 _POINT_MARGIN = 32  # extra modes for the momentum tails of shallow wells
@@ -91,26 +94,30 @@ def plasma_spacing(p: PhaseQubitParams) -> float:
     return (1.0 - p.s**2) ** 0.25 * math.sqrt(2.0 * p.ec * p.ej)
 
 
-def _well_overlap(p: PhaseQubitParams, n: int) -> np.ndarray:
-    """``S_mn = integral of phi_m phi_n`` over the well region, n box modes.
-
-    The region runs from the left turning point at the barrier-top energy
-    to the right wall.  With ``theta = pi x / L`` from the left wall,
-    ``phi_m phi_n = (cos((m - n) theta) - cos((m + n) theta)) / L``, so
-    ``S_mn = (F(m - n) - F(m + n)) / pi`` with ``F(j)`` the integral of
-    ``cos(j theta)`` from the turning point to pi.
-    """
+def _turning_angle(p: PhaseQubitParams) -> float:
+    """``pi (x - lo)/L`` of the left turning point x at the barrier-top energy."""
     lo, hi = well_domain(p)
     barrier = float(washboard_potential(hi, p))
     left, right = lo, math.asin(p.s)  # U falls from the left wall to the minimum
     for _ in range(60):
         mid = 0.5 * (left + right)
         left, right = (mid, right) if washboard_potential(mid, p) > barrier else (left, mid)
-    theta = math.pi * (left - lo) / (hi - lo)
+    return math.pi * (left - lo) / (hi - lo)
+
+
+def _well_overlap(theta: float, n: int) -> np.ndarray:
+    """``S_mn = integral of phi_m phi_n`` over the well region, n box modes.
+
+    The region runs from the left turning point at the barrier-top energy,
+    ``theta = pi x / L`` from the left wall (``_turning_angle``), to the
+    right wall.  There ``phi_m phi_n = (cos((m - n) theta) - cos((m + n)
+    theta)) / L``, so ``S_mn = (F(|m - n|) - F(m + n)) / pi`` with ``F(j)``
+    the integral of ``cos(j theta)`` from theta to pi: the
+    Toeplitz-minus-Hankel form of the DVR kinetic matrix.
+    """
     j = np.arange(1, 2 * n + 1)
     f = np.concatenate(([math.pi - theta], -np.sin(j * theta) / j))
-    m = np.arange(1, n + 1)
-    return (f[np.abs(m[:, None] - m)] - f[m[:, None] + m]) / math.pi
+    return _toeplitz_minus_hankel(f, n) / math.pi
 
 
 def well_levels(p: PhaseQubitParams, k: int = 3) -> WellLevels:
@@ -134,6 +141,7 @@ def well_levels(p: PhaseQubitParams, k: int = 3) -> WellLevels:
     barrier = float(washboard_potential(hi, p))
     spacing = plasma_spacing(p)
     tol = max(0.5e-5 * spacing, 1e-10)
+    theta = _turning_angle(p)
 
     for e_top in (min(u_min + (k + 4) * spacing, barrier), barrier):
         modes = (hi - lo) * math.sqrt((e_top - u_min) / p.ec) / math.pi
@@ -153,7 +161,7 @@ def well_levels(p: PhaseQubitParams, k: int = 3) -> WellLevels:
         levels, verdicts = [], []
         for size, (s, w, v) in zip(sizes, solved):
             c = s @ v[:, :m]
-            in_well = np.einsum("ij,ij->j", c, _well_overlap(p, size) @ c)
+            in_well = np.einsum("ij,ij->j", c, _well_overlap(theta, size) @ c)
             levels.append(w[:m])
             verdicts.append((w[:m] < barrier) & (in_well >= 0.99))
         if not np.array_equal(*verdicts):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from scqsim import charge
 from scqsim.charge import (
     CpbParams,
     SpectrumTable,
@@ -26,7 +27,7 @@ from scqsim.charge import (
     spectrum_vs_ng,
     tunable_ej,
 )
-from scqsim.core import ValidationError, hermitian_eigen
+from scqsim.core import DIMENSION_CAP, ValidationError, hermitian_eigen
 
 # oracle values at ng = 0.5, frozen from eigh_tridiagonal
 GAP_EC5_EJ1_N10 = 0.997507662237  # E1 - E0 for Ec=5, Ej=1, N=10
@@ -258,6 +259,52 @@ class TestSpectrum:
     def test_grid_of_other_shape_rejected(self, grid):
         with pytest.raises(ValidationError, match="ng grid must be one-dimensional"):
             spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=2), grid, k=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # NaN passes the [0, 1] range test; the grid check itself refuses it
+        with pytest.raises(ValidationError, match="^ng grid has non-finite values$"):
+            spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=2), [0.5, bad], k=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ec=st.floats(0.01, 50.0),
+        ej=st.floats(0.0, 200.0),
+        cutoff=st.integers(2, 40),
+        grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+    )
+    def test_stacked_sweep_is_the_level_routine_bit_for_bit(self, ec, ej, cutoff, grid):
+        # one stacked real solve gives each point's own solve and the complex
+        # solve of its Hamiltonian, every level
+        k = 2 * cutoff + 1
+        rows = spectrum_vs_ng(CpbParams(ec=ec, ej=ej, cutoff=cutoff), grid, k=k).levels
+        for ng, row in zip(grid, rows):
+            p = CpbParams(ec=ec, ej=ej, ng=ng, cutoff=cutoff)
+            assert np.array_equal(row, cpb_levels(p, k))
+            assert np.array_equal(row, np.linalg.eigvalsh(cpb_hamiltonian(p).entries)[:k])
+
+    def test_stack_is_solved_in_blocks_within_the_budget(self, monkeypatch):
+        # a small budget splits the sweep; the rows are those of one stack
+        p = CpbParams(ec=5.0, ej=1.0, cutoff=10)
+        grid = np.linspace(0.0, 1.0, 8)
+        whole = spectrum_vs_ng(p, grid, k=5).levels
+        shapes = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+        monkeypatch.setattr(charge, "_STACK_ENTRIES", 3 * 21**2 + 20)
+        assert np.array_equal(spectrum_vs_ng(p, grid, k=5).levels, whole)
+        assert shapes == [(3, 21, 21), (3, 21, 21), (2, 21, 21)]
+
+    def test_sweep_at_the_dense_cap_solves_one_matrix_at_a_time(self, monkeypatch):
+        # 2N + 1 = 4095 states: each call holds one matrix, not the whole sweep
+        shapes = []
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or np.zeros(a.shape[:2])
+        )
+        table = spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=2047), [0.0, 0.5, 1.0], k=2)
+        assert table.levels.shape == (3, 2)
+        assert shapes == [(1, 4095, 4095)] * 3
+        assert charge._STACK_ENTRIES == DIMENSION_CAP**2
 
     def test_sweep_rows_are_the_level_routine(self):
         # the SQUID form sweeps through the same routine as its ej form

@@ -723,8 +723,10 @@ class TestFailurePaths:
                 "[time]\nstop = 1.0\npoints = 3\n",
             ),
             ("jc", "[jc]\nnu01 = inf\nnu_c = 10.0\ng = 0.1\n[time]\nstop = 1.0\npoints = 3\n"),
+            ("spectrum", CPB_SPECTRUM.replace("start = 0.0", "start = nan")),
+            ("spectrum", CPB_SPECTRUM.replace("stop = 1.0", "stop = -inf")),
         ],
-        ids=["cpb-ec-nan", "qubit-nu01-inf", "jc-nu01-inf"],
+        ids=["cpb-ec-nan", "qubit-nu01-inf", "jc-nu01-inf", "ng-start-nan", "ng-stop-inf"],
     )
     def test_non_finite_values_exit_1(self, tmp_path, command, text):
         cfg = tmp_path / "bad.ini"

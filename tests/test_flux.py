@@ -115,6 +115,17 @@ class TestSolve1D:
         fine = _sine_dvr(*case, 512)[2][:k]
         assert np.abs(lv.energies - fine).max() <= 1e-6
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 500])
+    @settings(max_examples=5, deadline=None)
+    @given(lo=st.floats(-50.0, 50.0), width=st.floats(0.01, 100.0), ec=st.floats(1e-3, 10.0))
+    def test_kinetic_closed_form_is_the_mode_sum(self, n, lo, width, ec):
+        hi = lo + width
+        s = _sine_dvr(lambda x: 0.0 * x, ec, lo, hi, n)[1]
+        m = np.arange(1, n + 1)
+        modes = (s * (ec * (np.pi * m / (hi - lo)) ** 2)) @ s
+        got = flux._dvr_kinetic(ec, hi - lo, n)
+        assert np.abs(got - modes).max() <= 1e-13 * np.abs(modes).max()
+
     def test_starts_at_k_points_above_the_default(self):
         # a flat box is exact at any point count, so the first growth converges
         flat = lambda x: x * 0.0  # noqa: E731
@@ -382,6 +393,16 @@ class TestFluxSweep:
         monkeypatch.setattr(flux, "solve_three_junction", no_solve)
         with pytest.raises(ValidationError, match="f grid must be one-dimensional"):
             sweep(self.params(), grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("sweep", [flux_spectrum_vs_f, ground_state_current_vs_f])
+    def test_non_finite_grid_rejected_before_any_solve(self, sweep, bad, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the grid")
+
+        monkeypatch.setattr(flux, "solve_three_junction", no_solve)
+        with pytest.raises(ValidationError, match="^f grid has non-finite values$"):
+            sweep(self.params(), [0.5, bad])
 
     def test_persistent_current_signs(self):
         for f, sign in ((0.48, -1.0), (0.52, +1.0)):

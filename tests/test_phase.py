@@ -168,7 +168,8 @@ class TestWellLevels:
         m = np.arange(1, 13)
         modes = math.sqrt(2.0 / (hi - lo)) * np.sin(np.pi * np.outer(m, x - lo) / (hi - lo))
         quad = simpson(modes[:, None, :] * modes[None, :, :], x=x)
-        np.testing.assert_allclose(phase._well_overlap(p, 12), quad, atol=1e-12)
+        overlap = phase._well_overlap(phase._turning_angle(p), 12)
+        np.testing.assert_allclose(overlap, quad, atol=1e-12)
 
 
 class TestReadout:
