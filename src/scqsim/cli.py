@@ -1,7 +1,8 @@
 """Command-line front end: config parsing, dispatch, CSV emission.
 
 Config files are flat INI text (``key = value`` under one level of
-``[section]`` blocks), each section's keys declared once in ``_SECTIONS``.
+``[section]`` blocks), each section's keys declared once: a parameter
+block's by its dataclass (``_PARAM_BLOCKS``), the others in ``_SECTIONS``.
 The subcommand comes from the command line only and reads the sections
 ``_COMMANDS`` lists for it, no others.  A usage error (an unknown flag, a
 missing ``--config``) prints one ``config error:`` line, as a config error
@@ -15,6 +16,10 @@ byte-identical output.  Sweeps run in one process: ``--threads`` is
 validated and otherwise ignored.  A spectrum with ``[precision]``
 re-solves its mid-sweep point at ``cutoff + 4``, for either circuit.
 
+A command imports the modules it runs; ``core`` always.  A parameter
+block's module loads when a config has the block, and each handler imports
+its solvers, so ``--help`` loads no solver module.
+
 Exit codes: 0 success, 1 config error (or a run out of memory), 2
 numerical non-convergence or a failed fit.
 """
@@ -24,6 +29,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import importlib
 import io
 import math
 import sys
@@ -32,31 +38,14 @@ from dataclasses import MISSING, dataclass
 import numpy as np
 
 from . import __version__
-from .cavity import JaynesCummingsParams, strong_coupling_check, vacuum_rabi
-from .charge import CpbParams, cpb_levels, reduced_two_level, spectrum_vs_ng
 from .core import (
     ConvergenceError,
+    FitError,
     ValidationError,
     _checked_time_grid,
     _unitary_trace,
     basis_state,
 )
-from .coupled import (
-    _EIGENBASIS_LABELS,
-    CoupledParams,
-    DrivePulse,
-    pi_pulse_duration,
-    simulate_cnot,
-)
-from .experiments import DecoherenceParams, FitError, rabi, ramsey, t1_decay
-from .flux import (
-    RfSquidParams,
-    ThreeJunctionParams,
-    classify_fluxoid,
-    rf_squid_minima,
-    solve_three_junction,
-)
-from .noise import FluctuatorEnsemble, fit_loglog_slope, psd_welch
 
 
 class ConfigError(Exception):
@@ -86,30 +75,31 @@ def _fields_schema(cls, omit=(), **extra) -> dict:
     return {**schema, **extra}
 
 
-# block -> (parameter dataclass, fields the config does not set, extra keys
-# the command reads); the block's other keys are the dataclass fields
+# block -> (its parameter dataclass, by its scqsim export name; fields the
+# config does not set; extra keys the command reads); the block's other keys
+# are the dataclass fields
 _PARAM_BLOCKS = {
-    "cpb": (CpbParams, (), {}),
-    "flux3": (ThreeJunctionParams, (), {}),
-    "rf-squid": (RfSquidParams, (), {}),
-    "coupled": (CoupledParams, (), {}),
-    "jc": (JaynesCummingsParams, ("dec",), {"margin": (float, None)}),
+    "cpb": ("CpbParams", (), {}),
+    "flux3": ("ThreeJunctionParams", (), {}),
+    "rf-squid": ("RfSquidParams", (), {}),
+    "coupled": ("CoupledParams", (), {}),
+    "jc": ("JaynesCummingsParams", ("dec",), {"margin": (float, None)}),
     "noise": (
-        FluctuatorEnsemble,
+        "FluctuatorEnsemble",
         ("seed",),  # from [run] seed
         {"dt": (float, MISSING), "samples": (int, MISSING), "trajectories": (int, MISSING),
          "nperseg": (int, None)},
     ),
-    "decoherence": (DecoherenceParams, (), {}),
+    "decoherence": ("DecoherenceParams", (), {}),
     # the command sets target; duration's default depends on it (0 for rabi,
     # the pi pulse for cnot)
-    "pulse": (DrivePulse, ("target",), {"duration": (float, None)}),
+    "pulse": ("DrivePulse", ("target",), {"duration": (float, None)}),
 }
-# section -> {key: (converter, default)}: MISSING marks a required key; any
-# other default but None is filled in, so the CSV header records it (a None
-# default is an unset option, such as the SQUID fields of [cpb])
+# the other sections' {key: (converter, default)}, the form _schema gives
+# every section: MISSING marks a required key; any other default but None is
+# filled in, so the CSV header records it (a None default is an unset
+# option, such as the SQUID fields of [cpb])
 _SECTIONS = {
-    **{name: _fields_schema(cls, omit, **extra) for name, (cls, omit, extra) in _PARAM_BLOCKS.items()},
     "qubit": {"nu01": (float, MISSING), "detuning": (float, None)},
     "run": {"out": (str, None), "seed": (int, None)},
     "sweep": {
@@ -122,6 +112,19 @@ _SECTIONS = {
     "time": {"start": (float, None), "stop": (float, MISSING), "points": (int, MISSING)},
     "precision": {"verify_grid_tol": (float, None)},
 }
+
+
+def _param_class(block: str) -> type:
+    """A block's parameter dataclass; the package's lazy export imports its module."""
+    return getattr(importlib.import_module(__package__), _PARAM_BLOCKS[block][0])
+
+
+def _schema(section: str) -> dict | None:
+    """``{key: (converter, default)}`` of a config section, None for an unknown one."""
+    if section in _PARAM_BLOCKS:
+        _, omit, extra = _PARAM_BLOCKS[section]
+        return _fields_schema(_param_class(section), omit, **extra)
+    return _SECTIONS.get(section)
 
 
 @dataclass
@@ -142,10 +145,10 @@ def _parse_sections(text: str, errors: list[str]) -> dict:
         return {}
     sections: dict = {}
     for name in parser.sections():
-        if name not in _SECTIONS:
+        schema = _schema(name)
+        if schema is None:
             errors.append(f"unknown section [{name}]")
             continue
-        schema = _SECTIONS[name]
         values = {}
         for key, raw in parser.items(name):
             if key not in schema:
@@ -198,7 +201,7 @@ def parse_config(text: str, command: str) -> RunConfig:
     if "sweep" in sections and circuit_kind is not None and "parameter" in sections["sweep"]:
         sweep = sections["sweep"]
         param = sweep["parameter"]
-        schema = _SECTIONS[circuit_kind]  # every circuit key is numeric
+        schema = _schema(circuit_kind)  # every circuit key is numeric
         if param not in schema:
             errors.append(
                 f"sweep parameter '{param}' does not exist on [{circuit_kind}] "
@@ -232,7 +235,7 @@ def parse_config(text: str, command: str) -> RunConfig:
 
 def _params(cfg: RunConfig, block: str, **overrides):
     """The parameter object of a block; its extra keys stay with the command."""
-    cls = _PARAM_BLOCKS[block][0]
+    cls = _param_class(block)
     names = {f.name for f in dataclasses.fields(cls)}
     values = {k: v for k, v in cfg.sections[block].items() if k in names}
     return cls(**{**values, **overrides})
@@ -282,7 +285,7 @@ def _write_csv(path: str, cfg: RunConfig, columns, rows, extra_comments=()):
 def _sweep_values(cfg: RunConfig) -> list:
     """Sweep points, converted by the swept key's schema type."""
     s = cfg.sections["sweep"]
-    conv = _SECTIONS[cfg.circuit_kind][s["parameter"]][0]
+    conv = _schema(cfg.circuit_kind)[s["parameter"]][0]
     # integral grids are exact in linspace; parse_config rejects the others
     return [conv(x) for x in np.linspace(s["start"], s["stop"], s["points"])]
 
@@ -294,13 +297,19 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
     kind = cfg.circuit_kind
     values = _sweep_values(cfg)
     comments = []
+    if kind == "flux3":
+        from .flux import solve_three_junction
 
-    def levels(p):
-        if kind == "flux3":
+        def levels(p):
             return solve_three_junction(p, k=k).energies
-        if param == "ng":
-            return spectrum_vs_ng(p, [p.ng], k=k).levels[0]
-        return cpb_levels(p, k)
+
+    else:
+        from .charge import cpb_levels, spectrum_vs_ng
+
+        def levels(p):
+            if param == "ng":
+                return spectrum_vs_ng(p, [p.ng], k=k).levels[0]
+            return cpb_levels(p, k)
 
     tol = cfg.sections.get("precision", {}).get("verify_grid_tol")
     if tol is not None:
@@ -317,11 +326,17 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
         comments.append(f"grid verification: levels moved {moved:.3e} GHz {change}")
 
     columns = [param] + [f"E{i}" for i in range(k)]
-    data = [[x, *levels(_params(cfg, kind, **{param: x})).tolist()] for x in values]
+    if kind == "cpb" and param == "ng":  # one stacked solve, row for row the per-point levels
+        table = spectrum_vs_ng(_params(cfg, kind), values, k=k).levels
+    else:
+        table = [levels(_params(cfg, kind, **{param: x})) for x in values]
+    data = [[x, *row] for x, row in zip(values, np.asarray(table).tolist())]
     return columns, data, comments
 
 
 def _cmd_evolve(cfg: RunConfig):
+    from .charge import reduced_two_level
+
     p = _params(cfg, "cpb")
     h = reduced_two_level(p)
     grid = _checked_time_grid(_time_grid(cfg))
@@ -330,6 +345,9 @@ def _cmd_evolve(cfg: RunConfig):
 
 
 def _cmd_rabi(cfg: RunConfig):
+    from .charge import CpbParams, reduced_two_level
+    from .experiments import rabi
+
     pulse = _params(cfg, "pulse", duration=0.0, target="sigma_x")
     nu01 = cfg.sections["qubit"]["nu01"]
     if nu01 <= 0:  # ramsey's rule; the Hamiltonian below would blame Ej
@@ -342,6 +360,8 @@ def _cmd_rabi(cfg: RunConfig):
 
 
 def _cmd_ramsey(cfg: RunConfig):
+    from .experiments import ramsey
+
     q = cfg.sections["qubit"]
     dec = _params(cfg, "decoherence")
     result = ramsey(q["nu01"], q.get("detuning", 0.0), dec, _time_grid(cfg))
@@ -354,12 +374,16 @@ def _cmd_ramsey(cfg: RunConfig):
 
 
 def _cmd_t1(cfg: RunConfig):
+    from .experiments import t1_decay
+
     result = t1_decay(_params(cfg, "decoherence"), _time_grid(cfg))
     comments = [f"fitted_t1_us = {_format(result.fitted.t1_us)}"]
     return ["t_ns", "p_excited"], _columns(result.time_grid, result.population), comments
 
 
 def _cmd_cnot(cfg: RunConfig):
+    from .coupled import _EIGENBASIS_LABELS, pi_pulse_duration, simulate_cnot
+
     p = _params(cfg, "coupled")
     pk = cfg.sections["pulse"]
     duration = pk.get("duration")
@@ -374,6 +398,8 @@ def _cmd_cnot(cfg: RunConfig):
 
 
 def _cmd_noise_psd(cfg: RunConfig):
+    from .noise import fit_loglog_slope, psd_welch
+
     n = cfg.sections["noise"]
     ens = _params(cfg, "noise", seed=cfg.seed)
     freq, psd = psd_welch(
@@ -394,6 +420,8 @@ def _cmd_noise_psd(cfg: RunConfig):
 
 
 def _cmd_jc(cfg: RunConfig):
+    from .cavity import strong_coupling_check, vacuum_rabi
+
     p = _params(cfg, "jc", dec=_decoherence(cfg))
     result = vacuum_rabi(p, _time_grid(cfg))
     margin = cfg.sections["jc"].get("margin", 10.0)
@@ -409,6 +437,8 @@ def _cmd_jc(cfg: RunConfig):
 
 
 def _cmd_fluxoid(cfg: RunConfig):
+    from .flux import classify_fluxoid, rf_squid_minima
+
     p = _params(cfg, "rf-squid")
     minima = rf_squid_minima(p)
     rows = []

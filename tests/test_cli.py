@@ -143,7 +143,8 @@ class TestCommandTable:
         return code, capsys.readouterr().err.splitlines()
 
     def test_every_section_has_a_valid_body(self):
-        assert SECTION_TEXT.keys() == cli._SECTIONS.keys()
+        assert not cli._PARAM_BLOCKS.keys() & cli._SECTIONS.keys()
+        assert SECTION_TEXT.keys() == cli._PARAM_BLOCKS.keys() | cli._SECTIONS.keys()
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_needed_sections_and_no_others(self, tmp_path, capsys, command):
@@ -158,7 +159,7 @@ class TestCommandTable:
             rest = [n for n in needed if n != name]
             assert self.failure(tmp_path, capsys, command, rest) == (1, [message])
         read = {"run", *optional, *(name for choices in needs for name in choices)}
-        for name in sorted(cli._SECTIONS.keys() - read):
+        for name in sorted((cli._PARAM_BLOCKS.keys() | cli._SECTIONS.keys()) - read):
             message = f"config error: section [{name}] is not used by '{command}'"
             assert self.failure(tmp_path, capsys, command, [*needed, name]) == (1, [message])
 
@@ -226,7 +227,7 @@ class TestDerivedSchemas:
         if block == "noise":
             expected["coupling"] = (float, False)  # now the dataclass default, 1e-3
         derived = [
-            (key, (conv, default is dataclasses.MISSING)) for key, (conv, default) in cli._SECTIONS[block].items()
+            (key, (conv, default is dataclasses.MISSING)) for key, (conv, default) in cli._schema(block).items()
         ]
         assert derived == list(expected.items())
 
@@ -978,6 +979,59 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    @staticmethod
+    def loaded_after(call):
+        # the exit code and the scqsim modules loaded, printed on the last line
+        probe = (
+            "import sys\n"
+            "from scqsim.cli import main\n"
+            f"code = {call}\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('scqsim.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, *modules = proc.stdout.splitlines()[-1].split()
+        return code, modules
+
+    def test_import_scqsim_loads_no_submodule(self):
+        probe = "import sys, scqsim\nprint(*sorted(m for m in sys.modules if m.startswith('scqsim')))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["scqsim"]
+
+    def test_help_loads_only_cli_and_core(self):
+        assert self.loaded_after("main(['--help'])") == ("0", ["scqsim.cli", "scqsim.core"])
+
+    @pytest.mark.parametrize(
+        "command, text, modules",
+        [
+            ("spectrum", CPB_SPECTRUM, ["charge"]),
+            ("evolve", config_of(["cpb", "time"]), ["charge"]),
+            (
+                "spectrum",
+                "[flux3]\nej = 40.0\nec = 1.0\ncutoff = 3\n"
+                "[sweep]\nparameter = f\nstart = 0.49\nstop = 0.51\npoints = 2\nlevels = 2\n",
+                ["charge", "flux"],
+            ),
+            ("fluxoid", config_of(["rf-squid"]), ["charge", "flux"]),
+            ("cnot", config_of(["coupled", "pulse"]), ["coupled"]),
+            ("ramsey", LINDBLAD_CONFIGS["ramsey"], ["coupled", "experiments"]),
+            ("t1", LINDBLAD_CONFIGS["t1"], ["coupled", "experiments"]),
+            ("rabi", config_of(["qubit", "pulse", "time"]), ["charge", "coupled", "experiments"]),
+            ("jc", LINDBLAD_CONFIGS["jc"], ["cavity", "coupled", "experiments"]),
+            ("noise-psd", config_of(["noise"]), ["noise"]),
+        ],
+        ids=["spectrum-cpb", "evolve", "spectrum-flux3", "fluxoid", "cnot", "ramsey", "t1", "rabi",
+             "jc", "noise-psd"],
+    )
+    def test_command_loads_the_modules_it_runs(self, tmp_path, command, text, modules):
+        # a command imports the modules it runs; core always
+        cfg = tmp_path / "in.ini"
+        cfg.write_text(text)
+        call = f"main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o.csv')!r}])"
+        expected = sorted(["scqsim.cli", "scqsim.core", *(f"scqsim.{m}" for m in modules)])
+        assert self.loaded_after(call) == ("0", expected)
 
     def test_fits_and_minima_load_no_scipy_optimize(self, tmp_path):
         # the Ramsey and T1 fits, the fluxoid minima and the two-level gap

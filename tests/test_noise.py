@@ -95,7 +95,7 @@ class TestEnsemble:
         def psd_on_2d_grid(ens, **_):
             rtn_trajectory(ens, [[0.0, 0.5], [1.0, 1.5]])
 
-        monkeypatch.setattr(cli, "psd_welch", psd_on_2d_grid)
+        monkeypatch.setattr(noise, "psd_welch", psd_on_2d_grid)  # the command imports it at call time
         cfg = tmp_path / "noise.ini"
         cfg.write_text(
             "[noise]\ncount = 1\ngamma_min = 0.1\ngamma_max = 0.1\ncoupling = 0.5\n"
