@@ -307,8 +307,6 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
         from .charge import cpb_levels, spectrum_vs_ng
 
         def levels(p):
-            if param == "ng":
-                return spectrum_vs_ng(p, [p.ng], k=k).levels[0]
             return cpb_levels(p, k)
 
     tol = cfg.sections.get("precision", {}).get("verify_grid_tol")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, InitVar
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,29 +221,47 @@ class HermitianOperator:
         return self.entries.shape[0]
 
 
+def _density_fault(rhos: np.ndarray, trace_tol: float, eig_floor: float):
+    """(k, check, message) of the first state of a (n, d, d) stack that is no density matrix, or None.
+
+    The checks, in order: "trace", |tr rho - 1| <= trace_tol; "finite";
+    "hermitian", |rho - rho+| <= 1e-10 max(||rho||_F, 1) entrywise;
+    "eigenvalue", the lowest eigenvalue >= eig_floor.  Each check sees only
+    the states before the first failure so far (a NaN never reaches
+    ``eigvalsh``), so the last failure found is the first failing state.
+    No temporary holds more than the stack's real parts.
+    """
+    fault = None  # each loop below runs at most once, on its first failing state
+    tr = np.trace(rhos, axis1=1, axis2=2)
+    for k in np.flatnonzero(~(np.abs(tr - 1.0) <= trace_tol))[:1]:
+        rhos, fault = rhos[:k], (k, "trace", f"trace {tr[k]!r} deviates from 1 beyond {trace_tol}")
+    for k in np.flatnonzero(~np.isfinite(rhos).all(axis=(1, 2)))[:1]:
+        rhos, fault = rhos[:k], (k, "finite", "matrix has non-finite entries")
+    re, im = rhos.real, rhos.imag
+    scale = np.maximum(np.sqrt(np.sum(re * re, axis=(1, 2)) + np.sum(im * im, axis=(1, 2))), 1.0)
+    asym = re - re.swapaxes(1, 2)
+    np.hypot(asym, im + im.swapaxes(1, 2), out=asym)
+    for k in np.flatnonzero(~(asym.max(axis=(1, 2)) <= 1e-10 * scale))[:1]:
+        rhos, fault = rhos[:k], (k, "hermitian", "density matrix is not Hermitian")
+    lowest = np.linalg.eigvalsh(rhos).min(axis=1)
+    for k in np.flatnonzero(~(lowest >= eig_floor))[:1]:
+        fault = (k, "eigenvalue", f"negative eigenvalue {lowest[k]} below floor {eig_floor}")
+    return fault
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, (approximately) positive state matrix.
-
-    ``trace_tol`` / ``eig_floor`` exist because propagated states carry
-    integrator error; user-constructed states keep the strict defaults.
+    """Hermitian, unit-trace, positive state matrix: ``_density_fault`` with trace within
+    1e-12 and no eigenvalue below -1e-10, else ValidationError naming the failed check.
     """
 
     entries: np.ndarray
-    trace_tol: InitVar[float] = 1e-12
-    eig_floor: InitVar[float] = -1e-10
 
-    def __post_init__(self, trace_tol, eig_floor):
+    def __post_init__(self):
         m = _complex_matrix(self.entries)
-        scale = max(np.linalg.norm(m), 1.0)
-        if np.abs(m - m.conj().T).max() > 1e-10 * scale:
-            raise ValidationError("density matrix is not Hermitian")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > trace_tol:
-            raise ValidationError(f"trace {tr!r} deviates from 1 beyond {trace_tol}")
-        lo = np.linalg.eigvalsh(m).min()
-        if lo < eig_floor:
-            raise ValidationError(f"negative eigenvalue {lo} below floor {eig_floor}")
+        fault = _density_fault(m[None], 1e-12, -1e-10)
+        if fault is not None:
+            raise ValidationError(fault[2])
         object.__setattr__(self, "entries", _freeze(m))
 
     @classmethod
@@ -494,60 +512,29 @@ def _rk4_driven(a0, a1, coeff, period, y0, t_grid, steps_per_ns):
     return [p @ (prefix[jk] @ periods[qk]) for p, jk, qk in zip(partial, j.tolist(), q.tolist())]
 
 
-# stacked states per batch of checks in ``_checked_states``
+# stacked states per call of ``_density_fault`` in ``_checked_states``
 _STATE_BLOCK = 64
-# ``_passing`` flags a state within this relative margin of a bound: its sums
-# round in another order than those of ``_check_state``, which judges it
-_FLAG_MARGIN = 1.0 - 1e-4
 
 
 def _checked_states(t_grid, rhos) -> list[DensityMatrix]:
     """Propagated (points, d, d) matrices as DensityMatrix; drift raises ConvergenceError.
 
-    Each state must keep its trace within 1e-8 and its eigenvalues above
-    -1e-7 (the integrator-error allowance of DensityMatrix).  The checks
-    run over ``_STATE_BLOCK`` stacked states at a time and flag every state
-    that fails one or comes within ``_FLAG_MARGIN`` of its bound; a flagged
-    state is checked again alone (``_check_state``), which decides, so the
-    first failure in grid order raises with its own message.  The stack is
-    made read-only and the returned states are views of its rows: a caller
-    that keeps one state keeps the memory of the whole trace.
+    ``_density_fault`` judges ``_STATE_BLOCK`` states at a time, trace within
+    1e-8 and no eigenvalue below -1e-7 (integrator error); the first failing
+    grid time raises.  The stack is made read-only and the states are views
+    of its rows: a caller that keeps one state keeps the whole trace.
     """
     rhos = _freeze(np.asarray(rhos, dtype=complex))
     for a in range(0, len(rhos), _STATE_BLOCK):
-        for k in a + np.flatnonzero(~_passing(rhos[a : a + _STATE_BLOCK])):
-            _check_state(t_grid[k], rhos[k])
+        fault = _density_fault(rhos[a : a + _STATE_BLOCK], 1e-8, -1e-7)
+        if fault is not None:
+            k, check, message = fault
+            tk = t_grid[a + k]
+            if check == "trace":
+                drift = abs(np.trace(rhos[a + k]) - 1.0)
+                raise ConvergenceError(f"trace drift {drift:.2e} > 1e-8 at t = {tk} ns")
+            raise ConvergenceError(f"propagated state at t = {tk} ns: {message}")
     return [DensityMatrix._checked(rho) for rho in rhos]
-
-
-def _passing(block: np.ndarray) -> np.ndarray:
-    """Which stacked states clear the checks of ``_check_state`` by ``_FLAG_MARGIN``.
-
-    The norms and |rho - rho+| come from real and imaginary parts (views),
-    so no temporary holds more than the block's real parts.
-    """
-    ok = np.abs(np.trace(block, axis1=1, axis2=2) - 1.0) <= 1e-8 * _FLAG_MARGIN
-    ok &= np.isfinite(block).all(axis=(1, 2))
-    if not ok.all():
-        block = block[ok]
-    re, im = block.real, block.imag
-    scale = np.maximum(np.sqrt(np.sum(re * re, axis=(1, 2)) + np.sum(im * im, axis=(1, 2))), 1.0)
-    asym = re - re.swapaxes(1, 2)
-    np.hypot(asym, im + im.swapaxes(1, 2), out=asym)
-    hermitian = asym.max(axis=(1, 2)) <= (1e-10 * _FLAG_MARGIN) * scale
-    ok[ok] = hermitian & (np.linalg.eigvalsh(block).min(axis=1) >= -1e-7 * _FLAG_MARGIN)
-    return ok
-
-
-def _check_state(tk, rho) -> None:
-    """Raise ConvergenceError, naming time tk, if one propagated state fails its checks."""
-    drift = abs(np.trace(rho) - 1.0)
-    if not drift <= 1e-8:
-        raise ConvergenceError(f"trace drift {drift:.2e} > 1e-8 at t = {tk} ns")
-    try:
-        DensityMatrix(rho, trace_tol=1e-8, eig_floor=-1e-7)
-    except ValidationError as exc:
-        raise ConvergenceError(f"propagated state at t = {tk} ns: {exc}") from exc
 
 
 def _driven_trace(h0, v, pulse, y0, t_grid, channels=None):
@@ -585,7 +572,7 @@ def _driven_trace(h0, v, pulse, y0, t_grid, channels=None):
 # step of tau G with tau ||G||_1 <= theta_m has backward error at most u.
 _TAYLOR_THETA = {
     5: 2.4e-3, 10: 0.144, 15: 0.641, 20: 1.44, 25: 2.43, 30: 3.54,
-    35: 4.73, 40: 5.97, 45: 7.25, 50: 8.55, 55: 9.87,
+    35: 4.73, 40: 5.97, 45: 7.25, 50: 8.55,
 }
 _UNIT_ROUNDOFF = 2.0**-53
 # grid times per weighted sum of a Taylor term in ``_taylor_trace``
@@ -593,7 +580,12 @@ _DENSE_BLOCK = 64
 
 
 def _taylor_plan(norm: float) -> tuple[int, int]:
-    """(m, s): degree and substep count with norm/s <= theta_m and the fewest products m s."""
+    """(m, s): degree and substep count with norm/s <= theta_m and the fewest products m s.
+
+    theta_m bounds truncation, not rounding: a substep's terms peak near e^theta /
+    sqrt(2 pi theta) before they cancel, so a degree is in ``_TAYLOR_THETA`` only if
+    2^-53 e^theta_m / sqrt(2 pi theta_m) <= 1e-13 (m = 50: 7.8e-14; m = 55: 2.7e-13).
+    """
     cost, m = min((m * max(1, math.ceil(norm / theta)), m) for m, theta in _TAYLOR_THETA.items())
     return m, cost // m
 
@@ -680,7 +672,8 @@ def evolve_lindblad(
     substep it falls in (dense output), so the cost is set by the span of
     the grid, not by its number of points.  No d^2 x d^2 matrix is built
     at any dimension.  Each state is symmetrized once, (X + X+)/2, and
-    checked for trace (1e-8) and positivity (-1e-7) at every grid point.
+    judged by ``_checked_states``: trace within 1e-8, no eigenvalue below
+    -1e-7, else ConvergenceError naming the first failing grid time.
     """
     t_grid = _checked_time_grid(list(t_grid))
     if op.dimension != rho0.dimension:

@@ -677,6 +677,19 @@ class TestFailurePaths:
         assert len(check) == 1 and check[0].endswith("GHz from cutoff 10 to 14")
         assert rows == read_csv(outs["plain"])[2]
 
+    def test_cpb_ng_sweep_outside_the_unit_interval_exits_1(self, tmp_path):
+        # the [precision] check solves the mid-sweep ng = 1.4 on its own; the
+        # sweep itself is refused
+        cfg = tmp_path / "cpb.ini"
+        cfg.write_text(
+            CPB_SPECTRUM.replace("start = 0.0", "start = 1.2").replace("stop = 1.0", "stop = 1.6")
+            + "[precision]\nverify_grid_tol = 1e-3\n"
+        )
+        out = tmp_path / "o.csv"
+        proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 1, "error: ng grid must lie within [0, 1]")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section, line", [("qubit", "detuning = 0.7"), ("pulse", "duration = 1.0")]
     )

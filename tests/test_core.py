@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import gammaln
@@ -356,7 +356,7 @@ class TestLindblad:
         rng = np.random.default_rng(1)
         d = 16
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = 0.02 * (a + a.conj().T)
+        h = 0.018 * (a + a.conj().T)
         channels = [(np.diag(np.sqrt(np.arange(1.0, d)), 1), 0.05)]
         gen, nu = _lindblad_generator(h, channels)
         assert core._taylor_plan(nu)[1] == 1
@@ -456,10 +456,16 @@ class TestTaylorAction:
 
     @pytest.mark.parametrize(
         "norm, plan",
-        [(0.0, (5, 1)), (2e-3, (5, 1)), (0.5, (15, 1)), (9.0, (55, 1)), (30.0, (50, 4))],
+        [(0.0, (5, 1)), (2e-3, (5, 1)), (0.5, (15, 1)), (9.0, (35, 2)), (30.0, (50, 4))],
     )
     def test_plan_takes_the_fewest_products(self, norm, plan):
         assert core._taylor_plan(norm) == plan
+
+    def test_every_degree_bounds_its_rounding(self):
+        # a substep's terms peak near e^theta / sqrt(2 pi theta) times its
+        # start state before they cancel
+        for theta in core._TAYLOR_THETA.values():
+            assert 2.0**-53 * math.exp(theta) / math.sqrt(2.0 * math.pi * theta) <= 1e-13
 
 
 class TestPropagatorProperties:
@@ -522,6 +528,7 @@ class TestPropagatorProperties:
         zeros=st.integers(1, 3),
         inside=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=2, max_size=5),
     )
+    @example(seed=15633, dim=2, n_channels=0, stop=2.5692777425732483, zeros=1, inside=[0.5, 0.5])
     def test_grid_times_inside_one_substep(self, seed, dim, n_channels, stop, zeros, inside):
         # leading zeros, then several times strictly inside the first substep,
         # each read off that substep's terms, then the last time
@@ -908,15 +915,75 @@ class TestStateChecks:
 
     @staticmethod
     def one_at_a_time(t_grid, rhos):
-        """The checks of ``_checked_states`` run state by state through DensityMatrix."""
-        for tk, rho in zip(t_grid, rhos):
-            drift = abs(np.trace(rho) - 1.0)
+        """Reference for ``_checked_states``: each state alone, in numpy, in check order."""
+        for tk, m in zip(t_grid, rhos):
+            drift = abs(np.trace(m) - 1.0)
             if not drift <= 1e-8:
                 raise ConvergenceError(f"trace drift {drift:.2e} > 1e-8 at t = {tk} ns")
-            try:
-                DensityMatrix(rho, trace_tol=1e-8, eig_floor=-1e-7)
-            except ValidationError as exc:
-                raise ConvergenceError(f"propagated state at t = {tk} ns: {exc}") from exc
+            where = f"propagated state at t = {tk} ns"
+            if not np.isfinite(m).all():
+                raise ConvergenceError(f"{where}: matrix has non-finite entries")
+            if not np.abs(m - m.conj().T).max() <= 1e-10 * max(np.linalg.norm(m), 1.0):
+                raise ConvergenceError(f"{where}: density matrix is not Hermitian")
+            lowest = np.linalg.eigvalsh(m).min()
+            if not lowest >= -1e-7:
+                raise ConvergenceError(f"{where}: negative eigenvalue {lowest} below floor -1e-07")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 4),
+        points=st.integers(1, 200),
+        edge=st.sampled_from([0, 64, 128, 192]),
+        faults=st.lists(
+            st.tuples(
+                st.integers(-2, 2),
+                st.sampled_from(["nan", "drift", "asymmetry", "eigenvalue"]),
+                st.floats(-2.0, 2.0),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    # a non-Hermitian state before a negative eigenvalue in one block
+    @example(seed=0, dim=2, points=70, edge=64, faults=[(1, "eigenvalue", 1.0), (0, "asymmetry", 1.0)])
+    def test_corrupted_stacks_fail_as_the_reference_does(self, seed, dim, points, edge, faults):
+        # random states, up to three corrupted within two places of an edge of
+        # the check blocks, each by up to two decades either side of its
+        # bound: the stacked checks raise if and only if the reference does,
+        # with its message
+        rng = np.random.default_rng(seed)
+        bounds = {"nan": 1.0, "drift": 1e-8, "asymmetry": 1e-10, "eigenvalue": 1e-7}
+
+        def cmats(*lead):
+            return rng.normal(size=(*lead, dim, dim)) + 1j * rng.normal(size=(*lead, dim, dim))
+
+        a = cmats(points)
+        rhos = a @ a.conj().swapaxes(1, 2)
+        rhos = 0.5 * (rhos + rhos.conj().swapaxes(1, 2))
+        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        for offset, kind, decades in faults:
+            k, size = (edge + offset) % points, bounds[kind] * 10.0**decades
+            if kind == "nan":
+                rhos[k][tuple(rng.integers(dim, size=2))] = np.nan
+            elif kind == "drift":
+                rhos[k, 0, 0] += size
+            elif kind == "asymmetry":
+                rhos[k, 0, -1] += 1j * size
+            else:
+                # eigenvalues -size and (1 + size)/(d - 1), in a random basis
+                u = np.linalg.qr(cmats())[0]
+                p = np.full(dim, (1.0 + size) / (dim - 1))
+                p[0] = -size
+                rhos[k] = _hermitian((u * p) @ u.conj().T)
+        grid = np.arange(points) * 0.5
+        try:
+            self.one_at_a_time(grid, rhos)
+        except ConvergenceError as alone:
+            with pytest.raises(ConvergenceError, match=f"^{re.escape(str(alone))}$"):
+                _checked_states(grid, rhos)
+        else:
+            _checked_states(grid, rhos)
 
     @pytest.mark.parametrize(
         "state, inside, past",
