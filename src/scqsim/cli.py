@@ -13,8 +13,11 @@ a swept key is left to ``[sweep]``; a ``[run]`` key the file sets records
 its flag's value when ``--out`` or ``--seed`` overrides it), and the seed;
 data rows carry 15 significant digits.  Identical config + seed produce
 byte-identical output.  Sweeps run in one process: ``--threads`` is
-validated and otherwise ignored.  A spectrum with ``[precision]``
-re-solves its mid-sweep point at ``cutoff + 4``, for either circuit.
+validated and otherwise ignored.  A spectrum builds, and so checks, the
+parameters of every sweep point (with ``[precision]``, also its mid-point
+at ``cutoff + 4``) before its first solve; it then solves the sweep, then
+the refined mid-point, whose levels ``[precision]`` compares with the
+sweep's mid row, for either circuit.
 
 A command imports the modules it runs; ``core`` always.  A parameter
 block's module loads when a config has the block, and each handler imports
@@ -41,6 +44,7 @@ from . import __version__
 from .core import (
     ConvergenceError,
     FitError,
+    HermitianOperator,
     ValidationError,
     _checked_time_grid,
     _unitary_trace,
@@ -282,40 +286,38 @@ def _write_csv(path: str, cfg: RunConfig, columns, rows, extra_comments=()):
         fh.write(buf.getvalue())
 
 
-def _sweep_values(cfg: RunConfig) -> list:
-    """Sweep points, converted by the swept key's schema type."""
-    s = cfg.sections["sweep"]
-    conv = _schema(cfg.circuit_kind)[s["parameter"]][0]
-    # integral grids are exact in linspace; parse_config rejects the others
-    return [conv(x) for x in np.linspace(s["start"], s["stop"], s["points"])]
-
-
 def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
     sweep = cfg.sections["sweep"]
     k = sweep.get("levels", 5)
     param = sweep["parameter"]
     kind = cfg.circuit_kind
-    values = _sweep_values(cfg)
-    comments = []
+    conv = _schema(kind)[param][0]
+    # integral grids are exact in linspace; parse_config rejects the others
+    values = [conv(x) for x in np.linspace(sweep["start"], sweep["stop"], sweep["points"])]
+    # every point, and [precision]'s mid-point at cutoff + 4, is built (so
+    # checked) before the first solve; the refined point is solved last
+    points = [_params(cfg, kind, **{param: x}) for x in values]
+    mid = len(points) // 2
+    tol = cfg.sections.get("precision", {}).get("verify_grid_tol")
+    fine = [] if tol is None else [dataclasses.replace(points[mid], cutoff=points[mid].cutoff + 4)]
     if kind == "flux3":
         from .flux import solve_three_junction
 
-        def levels(p):
-            return solve_three_junction(p, k=k).energies
-
-    else:
+        table = [solve_three_junction(p, k=k).energies for p in points + fine]
+    elif param == "ng":  # one stacked solve, row for row the per-point levels
         from .charge import cpb_levels, spectrum_vs_ng
 
-        def levels(p):
-            return cpb_levels(p, k)
+        table = [*spectrum_vs_ng(points[0], values, k=k).levels, *(cpb_levels(p, k) for p in fine)]
+    else:
+        from .charge import cpb_levels
 
-    tol = cfg.sections.get("precision", {}).get("verify_grid_tol")
-    if tol is not None:
-        p_mid = _params(cfg, kind, **{param: values[len(values) // 2]})
-        # built before any solve, so a cutoff + 4 above the dense cap fails at once
-        p_fine = dataclasses.replace(p_mid, cutoff=p_mid.cutoff + 4)
-        moved = float(np.abs(levels(p_mid) - levels(p_fine)).max())
-        change = f"from cutoff {p_mid.cutoff} to {p_fine.cutoff}"
+        table = [cpb_levels(p, k) for p in points + fine]
+
+    comments = []
+    if fine:  # the refined point against the sweep's own mid row
+        refined = table.pop()
+        moved = float(np.abs(table[mid] - refined).max())
+        change = f"from cutoff {points[mid].cutoff} to {fine[0].cutoff}"
         if moved > tol:
             raise ConvergenceError(
                 f"levels moved {moved:.3e} GHz {change} "
@@ -324,10 +326,6 @@ def _cmd_spectrum(cfg: RunConfig) -> tuple[list, list, list]:
         comments.append(f"grid verification: levels moved {moved:.3e} GHz {change}")
 
     columns = [param] + [f"E{i}" for i in range(k)]
-    if kind == "cpb" and param == "ng":  # one stacked solve, row for row the per-point levels
-        table = spectrum_vs_ng(_params(cfg, kind), values, k=k).levels
-    else:
-        table = [levels(_params(cfg, kind, **{param: x})) for x in values]
     data = [[x, *row] for x, row in zip(values, np.asarray(table).tolist())]
     return columns, data, comments
 
@@ -343,14 +341,13 @@ def _cmd_evolve(cfg: RunConfig):
 
 
 def _cmd_rabi(cfg: RunConfig):
-    from .charge import CpbParams, reduced_two_level
     from .experiments import rabi
 
     pulse = _params(cfg, "pulse", duration=0.0, target="sigma_x")
     nu01 = cfg.sections["qubit"]["nu01"]
-    if nu01 <= 0:  # ramsey's rule; the Hamiltonian below would blame Ej
+    if nu01 <= 0:  # ramsey's rule; the diagonal H below would use |nu01|
         raise ValidationError("nu01 must be > 0")
-    h = reduced_two_level(CpbParams(ec=1.0, ej=nu01, ng=0.5))
+    h = HermitianOperator(np.diag([-0.5 * nu01, 0.5 * nu01]))
     grid = _time_grid(cfg)
     result = rabi(h, pulse, _decoherence(cfg), grid)
     comments = [f"visibility = {_format(result.fitted.visibility)}"]
@@ -421,16 +418,15 @@ def _cmd_jc(cfg: RunConfig):
     from .cavity import strong_coupling_check, vacuum_rabi
 
     p = _params(cfg, "jc", dec=_decoherence(cfg))
-    result = vacuum_rabi(p, _time_grid(cfg))
-    margin = cfg.sections["jc"].get("margin", 10.0)
     comments = []
-    if p.g > 0:
-        report = strong_coupling_check(p, margin=margin)
+    if p.g > 0:  # before the trace, so a bad margin costs no solve
+        report = strong_coupling_check(p, margin=cfg.sections["jc"].get("margin", 10.0))
         comments = [
             f"strong_coupling = {report.satisfied}",
             f"marginal = {report.marginal}",
             f"rabi_period_ns = {_format(report.rabi_period_ns)}",
         ]
+    result = vacuum_rabi(p, _time_grid(cfg))
     return ["t_ns", "p_excited"], _columns(result.time_grid, result.population), comments
 
 

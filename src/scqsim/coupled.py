@@ -35,12 +35,15 @@ from .core import (
     _check_finite,
     _check_finite_values,
     _driven_trace,
-    tensor_product,
+    _freeze,
 )
 
 _EIGENBASIS_LABELS = ("++", "+-", "-+", "--")
 # the Pauli operator a drive couples through, by DrivePulse.target
 _DRIVE_TARGETS = {"sigma_x": SIGMA_X, "sigma_z": SIGMA_Z}
+_ID2 = _freeze(np.eye(2, dtype=complex))
+# sz(2), the gate-capacitance drive on qubit 2
+_SZ2 = _freeze(np.kron(_ID2, SIGMA_Z))
 
 
 @dataclass(frozen=True)
@@ -121,12 +124,10 @@ def pi_pulse_duration(amplitude: float) -> float:
 
 def coupled_hamiltonian(p: CoupledParams) -> HermitianOperator:
     """4x4 pair Hamiltonian in the charge product basis."""
-    sx = HermitianOperator(SIGMA_X)
-    ident = HermitianOperator(np.eye(2, dtype=complex))
     h = (
-        -p.ej1 * tensor_product(sx, ident).entries
-        - p.ej2 * tensor_product(ident, sx).entries
-        + p.chi * tensor_product(sx, sx).entries
+        -p.ej1 * np.kron(SIGMA_X, _ID2)
+        - p.ej2 * np.kron(_ID2, SIGMA_X)
+        + p.chi * np.kron(SIGMA_X, SIGMA_X)
     )
     return HermitianOperator(h)
 
@@ -152,11 +153,10 @@ def transition_table(p: CoupledParams) -> list[TransitionRecord]:
     """All eigenstate pairs with frequency and |<i| sz(2) |j>| for a qubit-2 drive."""
     energies = coupled_energies(p)
     states = coupled_eigenstates()
-    sz2 = np.kron(np.eye(2), SIGMA_Z)
     records = []
     for i in range(4):
         for j in range(i + 1, 4):
-            elem = abs(states[:, i].conj() @ sz2 @ states[:, j])
+            elem = abs(states[:, i].conj() @ _SZ2 @ states[:, j])
             records.append(
                 TransitionRecord(
                     pair=(_EIGENBASIS_LABELS[i], _EIGENBASIS_LABELS[j]),
@@ -180,14 +180,13 @@ def simulate_cnot(p: CoupledParams, pulse: DrivePulse) -> TruthTable:
     if pulse.target != "sigma_z":
         raise ValidationError("the gate-capacitance drive couples through sigma_z")
     h0 = coupled_hamiltonian(p).entries
-    drive_op = np.kron(np.eye(2), SIGMA_Z).astype(complex)
     states = coupled_eigenstates()
 
     freqs = (2.0 * abs(p.ej2 - p.chi), 2.0 * abs(p.ej2 + p.chi))
     detuning = min(abs(pulse.frequency - f) for f in freqs)
     off_resonant = pulse.amplitude > 0 and detuning > 10.0 * pulse.amplitude
 
-    final = _driven_trace(h0, drive_op, pulse, states, [pulse.duration])[-1]
+    final = _driven_trace(h0, _SZ2, pulse, states, [pulse.duration])[-1]
     pops = (np.abs(states.conj().T @ final) ** 2).T  # [i, j] = P(j | started in i)
     fidelity = float(np.mean([pops[i, _CNOT_MAP[i]] for i in range(4)]))
     return TruthTable(populations=pops, fidelity=fidelity, off_resonant=off_resonant)
@@ -199,11 +198,9 @@ def capacitive_hamiltonian(
     """Charge-charge coupled pair: H1 (x) I + I (x) H2 + chi_c sz(1) sz(2)."""
     if q1.dimension != 2 or q2.dimension != 2:
         raise ValidationError("capacitive coupling is defined for two-level qubits")
-    ident = HermitianOperator(np.eye(2, dtype=complex))
-    sz = HermitianOperator(SIGMA_Z)
     h = (
-        tensor_product(q1, ident).entries
-        + tensor_product(ident, q2).entries
-        + chi_c * tensor_product(sz, sz).entries
+        np.kron(q1.entries, _ID2)
+        + np.kron(_ID2, q2.entries)
+        + chi_c * np.kron(SIGMA_Z, SIGMA_Z)
     )
     return HermitianOperator(h)

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from scqsim.charge import CpbParams, cpb_hamiltonian
-from scqsim import cli, core
+from scqsim import cavity, charge, cli, core, flux
 from scqsim.cli import ConfigError, parse_config
 from scqsim.flux import ThreeJunctionParams, solve_three_junction
 
@@ -678,8 +678,8 @@ class TestFailurePaths:
         assert rows == read_csv(outs["plain"])[2]
 
     def test_cpb_ng_sweep_outside_the_unit_interval_exits_1(self, tmp_path):
-        # the [precision] check solves the mid-sweep ng = 1.4 on its own; the
-        # sweep itself is refused
+        # the stacked ng solve refuses the grid before any level is solved,
+        # the refined mid-point ng = 1.4 included
         cfg = tmp_path / "cpb.ini"
         cfg.write_text(
             CPB_SPECTRUM.replace("start = 0.0", "start = 1.2").replace("stop = 1.0", "stop = 1.6")
@@ -688,6 +688,58 @@ class TestFailurePaths:
         out = tmp_path / "o.csv"
         proc = run_cli("spectrum", "--config", str(cfg), "--out", str(out))
         assert_one_line_failure(proc, 1, "error: ng grid must lie within [0, 1]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "module, solver, text, cutoff",
+        [
+            (
+                flux,
+                "solve_three_junction",
+                "[flux3]\nej = 40.0\nec = 1.0\ncutoff = 6\n"
+                "[sweep]\nparameter = f\nstart = 0.49\nstop = 0.51\npoints = 3\nlevels = 2\n",
+                6,
+            ),
+            (
+                charge,
+                "_stacked_levels",
+                "[cpb]\nec = 5.0\nej = 1.0\nng = 0.3\n"
+                "[sweep]\nparameter = ej\nstart = 0.5\nstop = 2.0\npoints = 7\nlevels = 4\n",
+                10,
+            ),
+        ],
+        ids=["flux3-f", "cpb-ej"],
+    )
+    def test_precision_solves_the_sweep_and_one_refined_point(
+        self, tmp_path, monkeypatch, module, solver, text, cutoff
+    ):
+        # n points, then the mid-point again at cutoff + 4: n + 1 solves
+        solve, cutoffs = getattr(module, solver), []
+
+        def counted(p, *args, **kwargs):
+            cutoffs.append(p.cutoff)
+            return solve(p, *args, **kwargs)
+
+        monkeypatch.setattr(module, solver, counted)
+        cfg = tmp_path / "in.ini"
+        cfg.write_text(text + "[precision]\nverify_grid_tol = 1e-3\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cutoffs == [cutoff] * len(read_csv(out)[2]) + [cutoff + 4]
+
+    def test_jc_margin_is_checked_before_the_trace(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("vacuum_rabi ran before the margin was checked")
+
+        monkeypatch.setattr(cavity, "vacuum_rabi", unreachable)
+        cfg = tmp_path / "jc.ini"
+        cfg.write_text(
+            "[jc]\nnu01 = 10.0\nnu_c = 10.0\ng = 0.1\nn_ph = 4\nmargin = 0.5\n"
+            "[time]\nstop = 3.0\npoints = 31\n"
+        )
+        out = tmp_path / "o.csv"
+        assert cli.main(["jc", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: margin must be >= 1"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -865,10 +917,38 @@ class TestFailurePaths:
                 )
                 for phi_ext in ("1e+12", "1e+17")
             ),
+            # every sweep point is built and checked before any solve, so a
+            # bad point wins over a [precision] check that would fail
+            (
+                "spectrum",
+                CPB_SPECTRUM.replace("cutoff = 10", "cutoff = 2")
+                .replace("start = 0.0", "start = 1.2")
+                .replace("stop = 1.0", "stop = 1.6")
+                + "[precision]\nverify_grid_tol = 1e-12\n",
+                (),
+                "error: ng grid must lie within [0, 1]",
+            ),
+            (
+                "spectrum",
+                "[flux3]\nej = 40.0\nec = 1.0\nf = 0.5\ncutoff = 4\n"
+                "[sweep]\nparameter = alpha\nstart = 0.6\nstop = 1.2\npoints = 3\nlevels = 2\n"
+                "[precision]\nverify_grid_tol = 1e-12\n",
+                (),
+                "error: alpha must lie in (0.5, 1) for a double-well regime",
+            ),
+            (
+                "jc",
+                "[jc]\nnu01 = 10.0\nnu_c = 10.0\ng = 0.1\nn_ph = 4\nmargin = 0.5\n"
+                "[time]\nstop = 3.0\npoints = 31\n",
+                (),
+                "error: margin must be >= 1",
+            ),
         ],
         ids=[
             "cpb-cutoff", "jc-n-ph", "evolve-descending", "run-command", "circuit-flag", "unknown-flag",
             "rabi-nu01-negative", "rabi-nu01-zero", "fluxoid-phi-ext-1e12", "fluxoid-phi-ext-1e17",
+            "cpb-ng-sweep-outside-unit-interval-unconverged", "flux3-alpha-sweep-unconverged",
+            "jc-margin-below-1",
         ],
     )
     def test_refused_inputs_exit_1(self, tmp_path, command, text, extra, message):
@@ -1031,7 +1111,7 @@ class TestColdStart:
             ("cnot", config_of(["coupled", "pulse"]), ["coupled"]),
             ("ramsey", LINDBLAD_CONFIGS["ramsey"], ["coupled", "experiments"]),
             ("t1", LINDBLAD_CONFIGS["t1"], ["coupled", "experiments"]),
-            ("rabi", config_of(["qubit", "pulse", "time"]), ["charge", "coupled", "experiments"]),
+            ("rabi", config_of(["qubit", "pulse", "time"]), ["coupled", "experiments"]),
             ("jc", LINDBLAD_CONFIGS["jc"], ["cavity", "coupled", "experiments"]),
             ("noise-psd", config_of(["noise"]), ["noise"]),
         ],
