@@ -6,13 +6,15 @@ qubit (x) cavity, ordering (|g>, |e>) (x) (|0> ... |N>):
     H = (nu01/2) sz (x) I + I (x) nu_c a+a + g (s+ (x) a + s- (x) a+)
 
 with sz = |e><e| - |g><g| here (energy basis).  Open-system runs add
-cavity decay (a, rate kappa) and the qubit T1/T2 channels of
-``DecoherenceParams.channels()``, each lifted as L (x) I.  Dynamics are
-integrated in the frame rotating at the cavity frequency, where the
-generator is exactly equivalent (the observable populations commute with
-the frame transformation) and the generator's norm, which sets the Taylor
-substeps of ``evolve_lindblad``, comes from g and the detuning instead of
-the carrier.
+cavity decay (a, rate kappa) and the qubit channels s- and sz of
+``DecoherenceParams.channels()``, each lifted as L (x) I.
+
+``vacuum_rabi`` starts in |e0> and solves only the sector {|g0>, |e0>, |g1>},
+whatever N is.  The sector is closed: H conserves the excitation number,
+a and s- take each sector state to |g0> or to zero, and sz and every L+L
+are diagonal.  Its frame rotates at nu_c, which moves no population and
+keeps the carrier out of the generator norm that sets ``evolve_lindblad``'s
+Taylor substeps.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DensityMatrix,
     HermitianOperator,
     QuantumState,
     ValidationError,
@@ -80,21 +81,14 @@ def _operators(n_ph: int):
     return a, ident_c, sz, s_plus, ident_q
 
 
-def _hamiltonian_matrix(p: JaynesCummingsParams, frame_freq: float = 0.0) -> np.ndarray:
-    """JC matrix, optionally in the frame rotating at frame_freq."""
-    a, ident_c, sz, s_plus, ident_q = _operators(p.n_ph)
-    number = a.conj().T @ a
-    h = (
-        0.5 * (p.nu01 - frame_freq) * np.kron(sz, ident_c)
-        + (p.nu_c - frame_freq) * np.kron(ident_q, number)
-        + p.g * (np.kron(s_plus, a) + np.kron(s_plus.conj().T, a.conj().T))
-    )
-    return h
-
-
 def jc_hamiltonian(p: JaynesCummingsParams) -> HermitianOperator:
     """Lab-frame Jaynes-Cummings Hamiltonian, dimension 2 (N_ph + 1)."""
-    return HermitianOperator(_hamiltonian_matrix(p))
+    a, ident_c, sz, s_plus, ident_q = _operators(p.n_ph)
+    return HermitianOperator(
+        0.5 * p.nu01 * np.kron(sz, ident_c)
+        + p.nu_c * np.kron(ident_q, a.conj().T @ a)
+        + p.g * (np.kron(s_plus, a) + np.kron(s_plus.conj().T, a.conj().T))
+    )
 
 
 def excitation_operator(p: JaynesCummingsParams) -> HermitianOperator:
@@ -104,39 +98,37 @@ def excitation_operator(p: JaynesCummingsParams) -> HermitianOperator:
     return HermitianOperator(np.kron(proj_e, ident_c) + np.kron(ident_q, a.conj().T @ a))
 
 
-def _channels(p: JaynesCummingsParams):
-    a, ident_c, _, _, ident_q = _operators(p.n_ph)
-    chans = []
-    if p.kappa_per_us > 0:
-        chans.append((np.kron(ident_q, a), p.kappa_per_us / US_TO_NS))
-    if p.dec is not None:
-        chans += [(np.kron(L, ident_c), rate) for L, rate in p.dec.channels()]
-    return chans
-
-
 def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
     """Excited-qubit population starting from |e, 0 photons>.
 
-    Closed and resonant: P_e(t) = cos^2(2 pi g t), a full revival every
-    1/(2g) ns.  With kappa or qubit decoherence the exchange envelope
-    decays.
+    Solved on the sector (|g0>, |e0>, |g1>), which H and every channel map
+    into itself (module docstring), so ``n_ph`` does not change the trace.
+    In the frame at nu_c, H = diag(-D/2, D/2, -D/2) plus g on |e0>-|g1>,
+    D = nu01 - nu_c; a = |g0><g1|, s- = |g0><e0| and sz = diag(-1, 1, -1).
+    Closed: P_e = 1 - (4 g^2 / W^2) sin^2(pi W t), W = sqrt(D^2 + 4 g^2),
+    so resonant P_e = cos^2(2 pi g t), a full revival every 1/(2g) ns.
+    With kappa or qubit decoherence the exchange envelope decays.
     """
     t_grid = _checked_time_grid(t_grid)
-    dim_c = p.n_ph + 1
-    psi0 = np.zeros(2 * dim_c, dtype=complex)
-    psi0[dim_c] = 1.0  # |e> (x) |0>
-    proj_e = np.kron(np.diag([0.0, 1.0]), np.eye(dim_c))
-
-    h_rot = HermitianOperator(_hamiltonian_matrix(p, frame_freq=p.nu_c))
-    chans = _channels(p)
+    ket = np.eye(3, dtype=complex)  # |g0>, |e0>, |g1>
+    half_detuning = 0.5 * (p.nu01 - p.nu_c)
+    h = np.diag([-half_detuning, half_detuning, -half_detuning]).astype(complex)
+    h[1, 2] = h[2, 1] = p.g
+    h_rot = HermitianOperator(h)
+    psi0 = QuantumState(ket[1])
+    chans = []
+    if p.kappa_per_us > 0:
+        chans.append((np.outer(ket[0], ket[2]), p.kappa_per_us / US_TO_NS))
+    if p.dec is not None:
+        chans += [
+            (np.outer(ket[0], ket[1]), p.dec.relaxation_rate),
+            (np.diag([-1.0, 1.0, -1.0]), p.dec.dephasing_channel_rate),
+        ]
     if not chans:
-        states = _unitary_trace(h_rot, QuantumState(psi0), t_grid)
-        pop = np.array([float(np.real(s.amplitudes.conj() @ proj_e @ s.amplitudes))
-                        for s in states])
+        states = _unitary_trace(h_rot, psi0, t_grid)
     else:
-        rho0 = DensityMatrix(np.outer(psi0, psi0.conj()))
-        rhos = evolve_lindblad(h_rot, chans, rho0, t_grid, verify=False)
-        pop = np.array([rho.expectation(proj_e) for rho in rhos])
+        states = evolve_lindblad(h_rot, chans, psi0.density_matrix(), t_grid, verify=False)
+    pop = np.array([s.population(1) for s in states])
     return ExperimentResult(
         time_grid=t_grid,
         population=pop,

@@ -419,7 +419,7 @@ def _cmd_jc(cfg: RunConfig):
 
     p = _params(cfg, "jc", dec=_decoherence(cfg))
     comments = []
-    if p.g > 0:  # before the trace, so a bad margin costs no solve
+    if p.g > 0 or "margin" in cfg.sections["jc"]:  # before the trace; a set margin needs g > 0
         report = strong_coupling_check(p, margin=cfg.sections["jc"].get("margin", 10.0))
         comments = [
             f"strong_coupling = {report.satisfied}",

@@ -301,6 +301,8 @@ def psd_welch(
         raise ValidationError("time grid has non-finite times")
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt!r}")
+    if not math.isfinite(1.0 / dt):  # a subnormal dt
+        raise ValidationError(f"dt = {dt!r} gives a non-finite sampling rate 1/dt")
     t_grid = np.arange(n_samples, dtype=float) * dt
     _check_grid(ens, t_grid)
     nperseg = n_samples if nperseg is None else min(nperseg, n_samples)

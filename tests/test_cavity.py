@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
+from scqsim import cavity
 from scqsim.cavity import (
     JaynesCummingsParams,
     excitation_operator,
@@ -15,13 +19,45 @@ from scqsim.cavity import (
 )
 from scqsim import core
 from scqsim.core import ValidationError
-from scqsim.experiments import DecoherenceParams
+from scqsim.experiments import US_TO_NS, DecoherenceParams
 
 
 def params(**kw):
     base = dict(nu01=10.0, nu_c=10.0, g=0.1, n_ph=4)
     base.update(kw)
     return JaynesCummingsParams(**base)
+
+
+def full_space_population(p, dt, points):
+    """P_e at t = 0, dt, ... from the whole 2 (n_ph + 1)-state space, one exact
+    exponential a step.
+
+    H is the lab-frame JC Hamiltonian minus nu_c times the excitation number
+    (the frame at nu_c).  A closed run steps the state vector; an open one
+    steps the row-major vec(rho) through the Lindblad map, with a, s- and sz
+    lifted to the product space.
+    """
+    h = jc_hamiltonian(p).entries - p.nu_c * excitation_operator(p).entries
+    dim, dim_c = p.dimension, p.n_ph + 1
+    psi = np.zeros(dim, dtype=complex)
+    psi[dim_c] = 1.0  # |e> (x) |0>
+    if p.kappa_per_us == 0 and p.dec is None:
+        step, vec = expm(-2j * math.pi * h * dt), psi
+    else:
+        ident = np.eye(dim)
+        gen = -2j * math.pi * (np.kron(h, ident) - np.kron(ident, h.T))
+        chans = [(np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1, dim_c)), k=1)), p.kappa_per_us / US_TO_NS)]
+        chans += [(np.kron(L, np.eye(dim_c)), rate) for L, rate in p.dec.channels()]
+        for L, rate in chans:
+            decay = L.conj().T @ L
+            gen += rate * (np.kron(L, L.conj()) - 0.5 * np.kron(decay, ident) - 0.5 * np.kron(ident, decay.T))
+        step, vec = expm(gen * dt), np.outer(psi, psi).ravel()
+    pops = []
+    for _ in range(points):
+        rho = np.outer(vec, vec.conj()) if vec.size == dim else vec.reshape(dim, dim)
+        pops.append(np.trace(rho[dim_c:, dim_c:]).real)
+        vec = step @ vec
+    return np.array(pops)
 
 
 class TestHamiltonian:
@@ -83,6 +119,54 @@ class TestVacuumRabi:
         monkeypatch.setattr(core, "hermitian_eigen", lambda op: calls.append(op) or eigen(op))
         vacuum_rabi(params(), np.linspace(0.0, 12.0, 31))
         assert len(calls) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_ph=st.sampled_from([2, 4, 10]),
+        detuning=st.floats(-0.1, 0.1),
+        g=st.floats(0.005, 0.05),
+        kappa=st.floats(0.0, 5.0),
+        t1=st.floats(0.2, 2.0),
+        t2_share=st.floats(0.05, 1.0),
+        open_system=st.booleans(),
+    )
+    def test_sector_trace_matches_the_full_space(self, n_ph, detuning, g, kappa, t1, t2_share, open_system):
+        if open_system:
+            p = params(nu01=5.0 + detuning, nu_c=5.0, g=g, n_ph=n_ph, kappa_per_us=kappa,
+                       dec=DecoherenceParams(t1_us=t1, t2_us=2.0 * t1 * t2_share))
+        else:
+            p = params(nu01=5.0 + detuning, nu_c=5.0, g=g, n_ph=n_ph)
+        got = vacuum_rabi(p, 5.0 * np.arange(9)).population
+        assert np.abs(got - full_space_population(p, 5.0, 9)).max() <= 1e-12
+
+    def test_detuned_closed_form(self):
+        p = params(nu01=5.0, nu_c=5.05, g=0.02)
+        grid = np.linspace(0.0, 200.0, 401)
+        delta = p.nu01 - p.nu_c
+        omega = math.sqrt(delta**2 + 4.0 * p.g**2)
+        expected = 1.0 - (4.0 * p.g**2 / omega**2) * np.sin(math.pi * omega * grid) ** 2
+        assert np.abs(vacuum_rabi(p, grid).population - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("kappa", [0.0, 2.0], ids=["closed", "open"])
+    def test_photon_cutoff_does_not_change_the_trace(self, kappa):
+        dec = DecoherenceParams(t1_us=0.5, t2_us=0.6) if kappa else None
+        grid = np.linspace(0.0, 200.0, 401)
+        traces = [
+            vacuum_rabi(params(nu01=5.0, nu_c=5.05, g=0.02, n_ph=n, kappa_per_us=kappa, dec=dec), grid)
+            for n in (2, 4, 40)
+        ]
+        assert all(np.array_equal(t.population, traces[0].population) for t in traces[1:])
+
+    @pytest.mark.parametrize("kappa", [0.0, 2.0], ids=["closed", "open"])
+    def test_solver_gets_three_states_at_the_largest_cutoff(self, kappa, monkeypatch):
+        dims = []
+        for name in ("_unitary_trace", "evolve_lindblad"):
+            solve = getattr(cavity, name)
+            monkeypatch.setattr(
+                cavity, name, lambda op, *args, solve=solve, **kw: dims.append(op.dimension) or solve(op, *args, **kw)
+            )
+        vacuum_rabi(params(n_ph=2047, kappa_per_us=kappa), np.linspace(0.0, 12.0, 31))
+        assert dims == [3]
 
     def test_full_revival_at_half_period(self):
         p = params(g=0.1)

@@ -510,6 +510,16 @@ points = 21
         assert float(rows[5][1]) == pytest.approx(0.0, abs=1e-6)  # node at 2.5 ns
         assert float(rows[10][1]) == pytest.approx(1.0, abs=1e-6)  # revival at 5 ns
 
+    def test_jc_at_g_0_without_margin_skips_the_check(self, tmp_path):
+        # no coupling and no margin: nothing to check, and |e0> stays put
+        cfg = tmp_path / "jc.ini"
+        cfg.write_text("[jc]\nnu01 = 10.0\nnu_c = 10.0\ng = 0.0\nn_ph = 4\n[time]\nstop = 3.0\npoints = 31\n")
+        out = tmp_path / "jc.csv"
+        assert run_cli("jc", "--config", str(cfg), "--out", str(out)).returncode == 0
+        comments, _, rows = read_csv(out)
+        assert not any("strong_coupling" in c for c in comments)
+        assert [float(r[1]) for r in rows] == pytest.approx([1.0] * 31, abs=1e-12)
+
     def test_evolve_run(self, tmp_path):
         cfg = tmp_path / "ev.ini"
         cfg.write_text(
@@ -943,12 +953,27 @@ class TestFailurePaths:
                 (),
                 "error: margin must be >= 1",
             ),
+            # a margin that is set is read, so at g = 0 it is refused, not ignored
+            (
+                "jc",
+                "[jc]\nnu01 = 10.0\nnu_c = 10.0\ng = 0.0\nn_ph = 4\nmargin = 10.0\n"
+                "[time]\nstop = 3.0\npoints = 31\n",
+                (),
+                "error: strong-coupling check needs g > 0",
+            ),
+            (
+                "noise-psd",
+                "[noise]\ncount = 4\ngamma_min = 1e-2\ngamma_max = 1.0\ncoupling = 1e-3\n"
+                "dt = 5e-324\nsamples = 1000\ntrajectories = 2\n",
+                (),
+                "error: dt = 5e-324 gives a non-finite sampling rate 1/dt",
+            ),
         ],
         ids=[
             "cpb-cutoff", "jc-n-ph", "evolve-descending", "run-command", "circuit-flag", "unknown-flag",
             "rabi-nu01-negative", "rabi-nu01-zero", "fluxoid-phi-ext-1e12", "fluxoid-phi-ext-1e17",
             "cpb-ng-sweep-outside-unit-interval-unconverged", "flux3-alpha-sweep-unconverged",
-            "jc-margin-below-1",
+            "jc-margin-below-1", "jc-margin-at-g-0", "noise-psd-dt-subnormal",
         ],
     )
     def test_refused_inputs_exit_1(self, tmp_path, command, text, extra, message):

@@ -335,6 +335,12 @@ class TestPsd:
         with pytest.raises(ValidationError, match="non-finite"):
             psd_welch(ens, math.nan, 1000, 2)
 
+    def test_subnormal_step_rejected(self):
+        # 1/dt overflows to inf, which numpy's frequency grid would divide by
+        ens = FluctuatorEnsemble(count=4, gamma_min=1e-2, gamma_max=1.0, coupling=1e-3, seed=2)
+        with pytest.raises(ValidationError, match=r"^dt = 5e-324 gives a non-finite sampling rate 1/dt$"):
+            psd_welch(ens, 5e-324, 1000, 2)
+
     @pytest.mark.parametrize(
         "dt, n_samples, message",
         [(-0.05, 1000, "dt must be > 0, got -0.05"), (0.0, 1000, "dt must be > 0, got 0.0"),
