@@ -6,8 +6,8 @@ qubit (x) cavity, ordering (|g>, |e>) (x) (|0> ... |N>):
     H = (nu01/2) sz (x) I + I (x) nu_c a+a + g (s+ (x) a + s- (x) a+)
 
 with sz = |e><e| - |g><g| here (energy basis).  Open-system runs add
-cavity decay (a, rate kappa) and the qubit channels s- and sz of
-``DecoherenceParams.channels()``, each lifted as L (x) I.
+cavity decay (a, rate kappa) and every qubit protocol's channels,
+``DecoherenceParams.channels()`` (s- and sz), each lifted as L (x) I.
 
 ``vacuum_rabi`` starts in |e0> and solves only the sector {|g0>, |e0>, |g1>},
 whatever N is.  The sector is closed: H conserves the excitation number,
@@ -104,7 +104,8 @@ def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
     Solved on the sector (|g0>, |e0>, |g1>), which H and every channel map
     into itself (module docstring), so ``n_ph`` does not change the trace.
     In the frame at nu_c, H = diag(-D/2, D/2, -D/2) plus g on |e0>-|g1>,
-    D = nu01 - nu_c; a = |g0><g1|, s- = |g0><e0| and sz = diag(-1, 1, -1).
+    D = nu01 - nu_c; a = |g0><g1|, and each qubit channel L of ``p.dec`` is
+    L (x) I restricted to the sector (s- gives |g0><e0|).
     Closed: P_e = 1 - (4 g^2 / W^2) sin^2(pi W t), W = sqrt(D^2 + 4 g^2),
     so resonant P_e = cos^2(2 pi g t), a full revival every 1/(2g) ns.
     With kappa or qubit decoherence the exchange envelope decays.
@@ -119,11 +120,9 @@ def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
     chans = []
     if p.kappa_per_us > 0:
         chans.append((np.outer(ket[0], ket[2]), p.kappa_per_us / US_TO_NS))
-    if p.dec is not None:
-        chans += [
-            (np.outer(ket[0], ket[1]), p.dec.relaxation_rate),
-            (np.diag([-1.0, 1.0, -1.0]), p.dec.dephasing_channel_rate),
-        ]
+    if p.dec is not None:  # rows and columns |g0>, |e0>, |g1> of L (x) I on (g, e) (x) (0, 1)
+        sector = np.ix_([0, 2, 1], [0, 2, 1])
+        chans += [(np.kron(L, np.eye(2))[sector], rate) for L, rate in p.dec.channels()]
     if not chans:
         states = _unitary_trace(h_rot, psi0, t_grid)
     else:

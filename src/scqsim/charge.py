@@ -119,10 +119,6 @@ class SpectrumTable:
         object.__setattr__(self, "control", control)
         object.__setattr__(self, "levels", levels)
 
-    @property
-    def k(self) -> int:
-        return self.levels.shape[1]
-
     def gap(self, upper: int = 1, lower: int = 0) -> np.ndarray:
         return self.levels[:, upper] - self.levels[:, lower]
 

@@ -24,7 +24,8 @@ block's module loads when a config has the block, and each handler imports
 its solvers, so ``--help`` loads no solver module.
 
 Exit codes: 0 success, 1 config error (or a run out of memory), 2
-numerical non-convergence or a failed fit.
+numerical non-convergence, a failed fit or a numpy overflow, invalid
+result or division by zero in the run.
 """
 
 from __future__ import annotations
@@ -144,9 +145,9 @@ def _parse_sections(text: str, errors: list[str]) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        errors.append(f"malformed config: {exc}")
-        return {}
+    except configparser.Error as exc:  # no section can be checked: one line, at once
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError([f"malformed config: {message}"]) from None
     sections: dict = {}
     for name in parser.sections():
         schema = _schema(name)
@@ -167,7 +168,7 @@ def _parse_sections(text: str, errors: list[str]) -> dict:
             if conv is float and not math.isfinite(values[key]):
                 errors.append(f"key '{key}' in [{name}]: {raw!r} is not a finite number")
         for key, (_, default) in schema.items():
-            if default is MISSING and key not in values:
+            if default is MISSING and not parser.has_option(name, key):
                 errors.append(f"missing required key '{key}' in [{name}]")
         defaults = {k: d for k, (_, d) in schema.items() if d is not MISSING and d is not None}
         sections[name] = {**defaults, **values}
@@ -465,12 +466,14 @@ _UNREAD_KEYS = {"rabi": (("qubit", "detuning"), ("pulse", "duration"))}
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
-        columns, rows, comments = _COMMANDS[cfg.command][0](cfg)
+        # numpy raises where it would warn, so a failing run writes its one line only
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            columns, rows, comments = _COMMANDS[cfg.command][0](cfg)
         _write_csv(cfg.out, cfg, columns, rows, comments)
-    except (ValidationError, ConfigError, MemoryError) as exc:
+    except (ValidationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, FitError) as exc:
+    except (ConvergenceError, FitError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0

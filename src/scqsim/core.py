@@ -19,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 DIMENSION_CAP = 4096
+# the most Taylor substeps, or RK4 steps per drive period, one trace may plan
+WORK_CAP = 100_000
+# the most drive periods one trace may span: int64 period indices, with room to round
+_PERIOD_CAP = 2**62
 _HERM_TOL = 1e-12
 _TWO_PI = 2.0 * np.pi
 
@@ -52,6 +56,14 @@ def _check_dense(states: int, what: str) -> None:
     if states > DIMENSION_CAP:
         raise ValidationError(
             f"{what} gives {states} states, above the dense-storage cap {DIMENSION_CAP}"
+        )
+
+
+def _check_work(kind: str, stop: float, count: float, unit: str, cap: float = WORK_CAP) -> None:
+    """The one work rule: a trace plan above its cap, or not finite, is refused before any step."""
+    if not count <= cap:
+        raise ValidationError(
+            f"{kind} trace to t = {stop:g} ns needs {count:.4g} {unit}, above the cap of {cap:g}"
         )
 
 
@@ -278,9 +290,6 @@ class DensityMatrix:
     def population(self, k: int) -> float:
         return float(self.entries[k, k].real)
 
-    def expectation(self, op: np.ndarray) -> float:
-        return float(np.trace(op @ self.entries).real)
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -292,9 +301,6 @@ class EigenDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _freeze(np.asarray(self.eigenvalues, float)))
         object.__setattr__(self, "eigenvectors", _freeze(np.asarray(self.eigenvectors, complex)))
-
-    def state(self, k: int) -> QuantumState:
-        return QuantumState(self.eigenvectors[:, k])
 
 
 # Pauli matrices in a two-level basis (|0>, |1>); charge-basis convention
@@ -476,12 +482,17 @@ def _rk4_driven(a0, a1, coeff, period, y0, t_grid, steps_per_ns):
     grid time t = q T + r is then one partial step from j h to r, j =
     floor(r/h), times the product of steps 0 .. j-1, times U_T^q: U_T is
     the product of one period's m steps (Floquet), and its powers come from
-    repeated squaring.
+    repeated squaring.  Before any step, ``_check_work`` refuses a plan of
+    more than WORK_CAP steps per period (counted to the last grid time if
+    that comes first) or of more than ``_PERIOD_CAP`` periods.
     """
     per_period = period * steps_per_ns
     if not math.isfinite(per_period):
         period, per_period = 1.0 / steps_per_ns, 1.0
     t = np.asarray(t_grid, dtype=float)
+    span = float(t[-1]) * steps_per_ns
+    _check_work("drive", t[-1], min(per_period, span), "RK4 steps per drive period")
+    _check_work("drive", t[-1], span / per_period, "drive periods", _PERIOD_CAP)
     r = np.fmod(t, period)  # exact, in [0, T): no rounding puts it below 0 or at T
     q = np.rint((t - r) / period).astype(int)
     m = math.ceil(per_period)
@@ -603,11 +614,14 @@ def _taylor_trace(gen, x, t_grid, nu: float, refine: int = 1) -> np.ndarray:
     delta <= h.  T itself is the end of the last substep.  Returns a
     (len(t_grid), d, d) array; the weighted terms are added
     ``_DENSE_BLOCK`` grid times at a time, so no other temporary grows
-    with the grid.
+    with the grid.  A plan of more than WORK_CAP substeps is refused
+    before any term; every plan that large takes the top degree.
     """
     t = np.asarray(t_grid, dtype=float)
+    norm = float(t[-1]) * nu
+    _check_work("Lindblad", t[-1], norm / max(_TAYLOR_THETA.values()), "Taylor substeps")
     out = np.empty(t.shape + x.shape, dtype=complex)
-    m, s = _taylor_plan(t[-1] * nu)
+    m, s = _taylor_plan(norm)
     s *= refine
     h = t[-1] / s
     if h == 0:  # every grid time is 0

@@ -168,6 +168,14 @@ class TestVacuumRabi:
         vacuum_rabi(params(n_ph=2047, kappa_per_us=kappa), np.linspace(0.0, 12.0, 31))
         assert dims == [3]
 
+    def test_qubit_channels_come_from_the_decoherence_params(self, monkeypatch):
+        # with DecoherenceParams.channels() empty, dec adds nothing to the cavity decay
+        grid = np.linspace(0.0, 12.0, 31)
+        cavity_only = vacuum_rabi(params(kappa_per_us=2.0), grid).population
+        monkeypatch.setattr(DecoherenceParams, "channels", lambda self: [])
+        dec = DecoherenceParams(t1_us=0.5, t2_us=0.6)
+        assert np.array_equal(vacuum_rabi(params(kappa_per_us=2.0, dec=dec), grid).population, cavity_only)
+
     def test_full_revival_at_half_period(self):
         p = params(g=0.1)
         res = vacuum_rabi(p, np.array([5.0]))  # period 1/(2g) = 5 ns

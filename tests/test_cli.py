@@ -968,12 +968,104 @@ class TestFailurePaths:
                 (),
                 "error: dt = 5e-324 gives a non-finite sampling rate 1/dt",
             ),
+            # an INI that cannot be read is one line, with none of the
+            # section checks it would otherwise fail
+            ("spectrum", "ec = 5.0\n" + CPB_SPECTRUM, (), "config error: malformed config: File contains no section headers."),
+            (
+                "spectrum",
+                CPB_SPECTRUM.replace("ec = 5.0", "ec = abc"),
+                (),
+                "config error: key 'ec' in [cpb]: cannot parse 'abc' as float",
+            ),
+            ("spectrum", CPB_SPECTRUM.replace("points = 11", "points = 0"), (), "config error: sweep points must be >= 1"),
+            (
+                "evolve",
+                "[cpb]\nec = 5.0\nej = 1.0\nng = 0.5\n[time]\nstop = 5.0\npoints = 0\n",
+                (),
+                "config error: time points must be >= 1",
+            ),
+            ("spectrum", CPB_SPECTRUM.replace("ej = 1.0", "ej0 = -1.0\nflux_ratio = 0.5"), (), "error: Ej0 must be >= 0"),
+            ("spectrum", CPB_SPECTRUM.replace("ej = 1.0", "ej = -1.0"), (), "error: Ej must be >= 0"),
+            (
+                "jc",
+                "[jc]\nnu01 = 10.0\nnu_c = 10.0\ng = 0.1\nkappa_per_us = -1.0\n[time]\nstop = 3.0\npoints = 31\n",
+                (),
+                "error: kappa must be >= 0",
+            ),
+            (
+                "cnot",
+                "[coupled]\nej1 = 10.0\nej2 = 7.0\nchi = 1.0\n"
+                "[pulse]\namplitude = 0.2\nfrequency = 12.0\nduration = -1.0\n",
+                (),
+                "error: duration must be >= 0",
+            ),
+            (
+                "noise-psd",
+                "[noise]\ncount = 4\ngamma_min = 0.0\ngamma_max = 1.0\ncoupling = 1e-3\n"
+                "dt = 0.05\nsamples = 1000\ntrajectories = 2\n",
+                (),
+                "error: switching rates must be > 0",
+            ),
+            # each trace plan is refused above its cap before any step
+            (
+                "t1",
+                "[decoherence]\nt1_us = 2.0\nt2_us = 2.0\n[time]\nstop = 1e300\npoints = 61\n",
+                (),
+                "error: Lindblad trace to t = 1e+300 ns needs 1.462e+296 Taylor substeps, "
+                "above the cap of 100000",
+            ),
+            (
+                "ramsey",
+                LINDBLAD_CONFIGS["ramsey"].replace("stop = 2500.0", "stop = 1e300"),
+                (),
+                "error: Lindblad trace to t = 1e+300 ns needs 1.539e+297 Taylor substeps, "
+                "above the cap of 100000",
+            ),
+            (
+                "jc",
+                LINDBLAD_CONFIGS["jc"].replace("g = 0.1", "g = 1e100"),
+                (),
+                "error: Lindblad trace to t = 3 ns needs 4.409e+100 Taylor substeps, "
+                "above the cap of 100000",
+            ),
+            (
+                "rabi",
+                "[qubit]\nnu01 = 10.0\n[pulse]\namplitude = 0.2\nfrequency = 1e300\n"
+                "[time]\nstop = 1.0\npoints = 3\n",
+                (),
+                "error: drive trace to t = 1 ns needs 1e+300 drive periods, above the cap of 4.61169e+18",
+            ),
+            (
+                "rabi",
+                "[qubit]\nnu01 = 10.0\n[pulse]\namplitude = 0.2\nfrequency = 10.0\n"
+                "[time]\nstop = 1e300\npoints = 3\n",
+                (),
+                "error: drive trace to t = 1e+300 ns needs 1e+301 drive periods, above the cap of 4.61169e+18",
+            ),
+            (
+                "cnot",
+                "[coupled]\nej1 = 10.0\nej2 = 7.0\nchi = 1.0\n"
+                "[pulse]\namplitude = 0.2\nfrequency = 12.0\nduration = 1e300\n",
+                (),
+                "error: drive trace to t = 1e+300 ns needs 1.2e+301 drive periods, above the cap of 4.61169e+18",
+            ),
+            (
+                "cnot",
+                "[coupled]\nej1 = 1e100\nej2 = 7.0\nchi = 1.0\n[pulse]\namplitude = 0.2\nfrequency = 12.0\n",
+                (),
+                "error: drive trace to t = 2.5 ns needs 2.083e+101 RK4 steps per drive period, "
+                "above the cap of 100000",
+            ),
         ],
         ids=[
             "cpb-cutoff", "jc-n-ph", "evolve-descending", "run-command", "circuit-flag", "unknown-flag",
             "rabi-nu01-negative", "rabi-nu01-zero", "fluxoid-phi-ext-1e12", "fluxoid-phi-ext-1e17",
             "cpb-ng-sweep-outside-unit-interval-unconverged", "flux3-alpha-sweep-unconverged",
             "jc-margin-below-1", "jc-margin-at-g-0", "noise-psd-dt-subnormal",
+            "malformed-ini", "unparsable-float", "sweep-points-0", "time-points-0", "cpb-ej0-negative",
+            "cpb-ej-negative", "jc-kappa-negative", "cnot-duration-negative", "noise-gamma-min-0",
+            "t1-stop-1e300", "ramsey-stop-1e300", "jc-g-1e100", "rabi-frequency-1e300",
+            "rabi-stop-1e300", "cnot-duration-1e300", "cnot-ej1-1e100",
         ],
     )
     def test_refused_inputs_exit_1(self, tmp_path, command, text, extra, message):
@@ -983,6 +1075,31 @@ class TestFailurePaths:
         out = tmp_path / "o.csv"
         proc = run_cli(command, "--config", str(cfg), "--out", str(out), *extra)
         assert_one_line_failure(proc, 1, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            # jc's Hamiltonian norm overflows before its trace is planned
+            ("jc", LINDBLAD_CONFIGS["jc"].replace("g = 0.1", "g = 1e300")),
+            # the T1 fit's Jacobian overflows: 1/T1^2 at T1 = 1e303 ns
+            ("t1", LINDBLAD_CONFIGS["t1"].replace("t1_us = 2.0\nt2_us = 2.0", "t1_us = 1e300\nt2_us = 1e300")),
+            # the RK4 steps overflow at a dephasing rate of 5e296 per ns
+            (
+                "rabi",
+                "[qubit]\nnu01 = 10.0\n[pulse]\namplitude = 0.2\nfrequency = 10.0\n"
+                "[decoherence]\nt1_us = 1.0\nt2_us = 1e-300\n[time]\nstop = 1.0\npoints = 5\n",
+            ),
+        ],
+        ids=["jc-g-1e300", "t1-t1-1e300", "rabi-t2-1e-300"],
+    )
+    def test_overflow_in_the_run_exits_2(self, tmp_path, command, text):
+        # numpy's overflow raises in the run: one line, no warning ahead of it
+        cfg = tmp_path / "in.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o.csv"
+        proc = run_cli(command, "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 2, "numerical failure: overflow encountered in ")
         assert not out.exists()
 
     @pytest.mark.parametrize(

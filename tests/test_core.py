@@ -333,6 +333,7 @@ class TestLindblad:
             ((SIGMA_MINUS, np.nan), "channel 1 rate must be finite, got nan"),
             ((SIGMA_MINUS, np.inf), "channel 1 rate must be finite, got inf"),
             (([[0.0, np.nan], [0.0, 0.0]], 0.1), "channel 1 jump operator has non-finite entries"),
+            ((np.eye(3), 0.1), r"jump operator shape \(3, 3\) != H shape \(2, 2\)"),
         ],
     )
     def test_non_finite_channel_rejected(self, channel, message):
@@ -466,6 +467,61 @@ class TestTaylorAction:
         # start state before they cancel
         for theta in core._TAYLOR_THETA.values():
             assert 2.0**-53 * math.exp(theta) / math.sqrt(2.0 * math.pi * theta) <= 1e-13
+
+
+class TestWorkCap:
+    """Each trace plan is checked against its cap before any step."""
+
+    @pytest.mark.parametrize(
+        "count, refused",
+        [(0.0, False), (core.WORK_CAP, False), (core.WORK_CAP + 1, True), (math.inf, True), (math.nan, True)],
+    )
+    def test_counts_above_the_cap_or_not_finite_are_refused(self, count, refused):
+        if refused:
+            with pytest.raises(ValidationError, match=r"^a trace to t = 2 ns needs \S+ steps, above the cap of 100000$"):
+                core._check_work("a", 2.0, count, "steps")
+        else:
+            core._check_work("a", 2.0, count, "steps")
+
+    @pytest.mark.parametrize("stop", [1e300, 1e308])
+    def test_taylor_plan_refused_before_any_term(self, stop):
+        def unreachable(x):
+            raise AssertionError("a Taylor term was formed")
+
+        # 1e308 nu overflows to inf in the plan, which is refused all the same
+        with pytest.raises(ValidationError, match=r"Lindblad trace to t = \S+ ns needs \S+ Taylor substeps"):
+            core._taylor_trace(unreachable, np.eye(2, dtype=complex), [0.0, stop], 10.0)
+
+    def test_the_largest_plan_allowed_takes_the_top_degree(self):
+        # T nu / theta_50 = 100000: the count checked is the plan's substeps
+        theta = max(core._TAYLOR_THETA.values())
+        nu = core.WORK_CAP * theta
+        assert core._taylor_plan(nu) == (50, core.WORK_CAP)
+        core._check_work("Lindblad", 1.0, nu / theta, "Taylor substeps")
+
+    @pytest.mark.parametrize(
+        "period, steps_per_ns, stop, message",
+        [
+            (1e-300, 2.5e302, 1.0, "needs 1e+300 drive periods, above the cap of 4.61169e+18"),
+            (0.1, 2500.0, 1e300, "needs 1e+301 drive periods"),
+            (math.inf, 2500.0, 1e300, "needs 2.5e+303 drive periods"),  # a constant drive
+            (1.0, 1e6, 2.0, "needs 1e+06 RK4 steps per drive period, above the cap of 100000"),
+            (0.1, math.inf, 1.0, "needs inf drive periods"),
+        ],
+    )
+    def test_rk4_plan_refused_before_any_step(self, period, steps_per_ns, stop, message):
+        def unreachable(times):
+            raise AssertionError("an RK4 step was built")
+
+        a0 = -2j * np.pi * np.diag([-5.0, 5.0])
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            _rk4_driven(a0, a0, unreachable, period, np.eye(2), [0.0, stop], steps_per_ns)
+
+    def test_a_long_period_counts_the_steps_the_grid_reaches(self):
+        # 1e6 steps a period, but the grid ends after 1000 of them
+        a0 = -2j * np.pi * np.diag([-0.5, 0.5])
+        psi = _rk4_driven(a0, 0 * a0, np.cos, 1.0, np.eye(2), [0.0, 1e-3], 1e6)[-1]
+        np.testing.assert_allclose(psi, propagator(herm(np.diag([-0.5, 0.5])), 1e-3), atol=1e-12)
 
 
 class TestPropagatorProperties:

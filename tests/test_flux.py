@@ -155,6 +155,19 @@ class TestSolve1D:
         with pytest.raises(ValidationError, match="must be finite"):
             solve_levels_1d(lambda x: 0 * x, ec, lo, hi, k=2)
 
+    @pytest.mark.parametrize(
+        "ec, lo, hi, message",
+        [
+            (1.0, 1.0, 1.0, "empty phase interval"),
+            (1.0, 1.0, -1.0, "empty phase interval"),
+            (0.0, 0.0, 1.0, "Ec must be > 0"),
+            (-1.0, 0.0, 1.0, "Ec must be > 0"),
+        ],
+    )
+    def test_empty_interval_or_non_positive_ec_rejected(self, ec, lo, hi, message):
+        with pytest.raises(ValidationError, match=message):
+            solve_levels_1d(lambda x: 0 * x, ec, lo, hi, k=2)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_potential_rejected(self, bad):
         with pytest.raises(ValidationError, match="potential is not finite"):

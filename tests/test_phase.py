@@ -55,6 +55,11 @@ class TestPotential:
         with pytest.raises(ValidationError, match=field):
             PhaseQubitParams(**fields)
 
+    @pytest.mark.parametrize("ej, ec", [(0.0, 1e-3), (-EJ, 1e-3), (EJ, 0.0), (EJ, -1e-3)])
+    def test_non_positive_energies_rejected(self, ej, ec):
+        with pytest.raises(ValidationError, match="Ej and Ec must be > 0"):
+            PhaseQubitParams(ej=ej, ec=ec)
+
     def test_domain_brackets_minimum(self):
         p = params(s=0.4)
         lo, hi = well_domain(p)
@@ -145,6 +150,11 @@ class TestWellLevels:
     def test_non_integral_k_rejected(self):
         with pytest.raises(ValidationError, match="k must be an integer"):
             well_levels(params(), k=2.5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_level_rejected(self, k):
+        with pytest.raises(ValidationError, match="k must be >= 1"):
+            well_levels(params(), k=k)
 
     def test_exhaustive_count_above_the_cap_rejected(self):
         # counting every level of an Ej/Ec = 1e6 well needs ~6000 points
