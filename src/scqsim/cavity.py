@@ -5,8 +5,9 @@ qubit (x) cavity, ordering (|g>, |e>) (x) (|0> ... |N>):
 
     H = (nu01/2) sz (x) I + I (x) nu_c a+a + g (s+ (x) a + s- (x) a+)
 
-with sz = |e><e| - |g><g| here (energy basis).  Open-system runs add
-cavity decay (a, rate kappa) and every qubit protocol's channels,
+with the energy-basis qubit of ``experiments``: sz = |e><e| - |g><g|
+(``_SZ``) and s- = |g><e| (``_LOWER``).  Open-system runs add cavity
+decay (a, rate kappa) and every qubit protocol's channels,
 ``DecoherenceParams.channels()`` (s- and sz), each lifted as L (x) I.
 
 ``vacuum_rabi`` starts in |e0> and solves only the sector {|g0>, |e0>, |g1>},
@@ -36,7 +37,7 @@ from .core import (
     _unitary_trace,
     evolve_lindblad,
 )
-from .experiments import US_TO_NS, DecoherenceParams, ExperimentResult, FittedMetrics
+from .experiments import _LOWER, _SZ, US_TO_NS, DecoherenceParams, ExperimentResult, FittedMetrics
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,8 @@ def _operators(n_ph: int):
     dim_c = n_ph + 1
     a = np.diag(np.sqrt(np.arange(1, dim_c)), k=1).astype(complex)
     ident_c = np.eye(dim_c, dtype=complex)
-    sz = np.diag([-1.0, 1.0]).astype(complex)  # |e><e| - |g><g|, ordering (g, e)
-    s_plus = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
     ident_q = np.eye(2, dtype=complex)
-    return a, ident_c, sz, s_plus, ident_q
+    return a, ident_c, _SZ, _LOWER.T, ident_q
 
 
 def jc_hamiltonian(p: JaynesCummingsParams) -> HermitianOperator:
@@ -93,8 +92,8 @@ def jc_hamiltonian(p: JaynesCummingsParams) -> HermitianOperator:
 
 def excitation_operator(p: JaynesCummingsParams) -> HermitianOperator:
     """Total excitation number |e><e| (x) I + I (x) a+a (conserved by H)."""
-    a, ident_c, _, _, ident_q = _operators(p.n_ph)
-    proj_e = np.diag([0.0, 1.0]).astype(complex)
+    a, ident_c, _, s_plus, ident_q = _operators(p.n_ph)
+    proj_e = s_plus @ s_plus.conj().T
     return HermitianOperator(np.kron(proj_e, ident_c) + np.kron(ident_q, a.conj().T @ a))
 
 

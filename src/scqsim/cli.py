@@ -342,13 +342,13 @@ def _cmd_evolve(cfg: RunConfig):
 
 
 def _cmd_rabi(cfg: RunConfig):
-    from .experiments import rabi
+    from .experiments import _SZ, rabi
 
     pulse = _params(cfg, "pulse", duration=0.0, target="sigma_x")
     nu01 = cfg.sections["qubit"]["nu01"]
-    if nu01 <= 0:  # ramsey's rule; the diagonal H below would use |nu01|
+    if nu01 <= 0:  # ramsey's rule; the H below would split by |nu01|
         raise ValidationError("nu01 must be > 0")
-    h = HermitianOperator(np.diag([-0.5 * nu01, 0.5 * nu01]))
+    h = HermitianOperator(0.5 * nu01 * _SZ)
     grid = _time_grid(cfg)
     result = rabi(h, pulse, _decoherence(cfg), grid)
     comments = [f"visibility = {_format(result.fitted.visibility)}"]

@@ -217,14 +217,15 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Hermitian matrix in GHz (energy with h = 1)."""
+    """Hermitian matrix in GHz (energy with h = 1): m - m+ within 1e-12 d max(max|m_ij|, 1)
+    entrywise, a scale above 1e-12 ||m||_F that, unlike it, cannot overflow."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         m = _complex_matrix(self.entries)
-        scale = max(np.linalg.norm(m), 1.0)
-        if np.abs(m - m.conj().T).max() > _HERM_TOL * scale:
+        scale = _HERM_TOL * m.shape[0] * max(np.abs(m).max(), 1.0)
+        if np.abs(m - m.conj().T).max() > scale:
             raise ValidationError("matrix is not Hermitian within 1e-12 of its norm")
         object.__setattr__(self, "entries", _freeze(m))
 
@@ -555,14 +556,18 @@ def _driven_trace(h0, v, pulse, y0, t_grid, channels=None):
     column must keep its squared norm within 1e-6 of 1.  Open: y0 is a
     density matrix evolved by ``_liouvillian`` and checked as in
     ``evolve_lindblad``.  Steps per ns: 250 max(||H0||_2 + A ||V||_2, |nu|,
-    1), A and nu the pulse amplitude and frequency, so the fastest rate in
-    H(t) gets at least 250 steps per cycle.  c repeats every 1/|nu| ns (and
-    is constant at nu = 0, passed as period ``math.inf``), so
-    ``_rk4_driven`` integrates one period and raises it to powers.  Drift
-    is a ConvergenceError.
+    sum_k g_k ||L_k||_2^2 / 2 pi, 1), A and nu the pulse amplitude and
+    frequency, g_k and L_k the channels' rates and operators: the fastest
+    rate in H(t) gets at least 250 steps per cycle, and the dissipator's
+    decay at most 2 pi / 250 per step, inside RK4's stability region.  c
+    repeats every 1/|nu| ns (and is constant at nu = 0, passed as period
+    ``math.inf``), so ``_rk4_driven`` integrates one period and raises it
+    to powers.  Drift is a ConvergenceError.
     """
     rate = np.linalg.norm(h0, 2) + pulse.amplitude * np.linalg.norm(v, 2)
-    steps_per_ns = 250.0 * max(rate, abs(pulse.frequency), 1.0)
+    jumps, _ = _jump_terms(h0.shape, channels or ())
+    decay = sum(g * np.linalg.norm(L, 2) ** 2 for g, L in jumps) / _TWO_PI
+    steps_per_ns = 250.0 * max(rate, abs(pulse.frequency), decay, 1.0)
     period = 1.0 / abs(pulse.frequency) if pulse.frequency else math.inf
     if channels is None:
         a0, a1 = -1j * _TWO_PI * h0, -1j * _TWO_PI * v

@@ -1,13 +1,13 @@
 """Atomic-physics-style protocols on simulated qubits.
 
 All protocols work in the qubit energy eigenbasis with index 0 = ground,
-index 1 = excited, so ``H0 = (nu01/2) diag(-1, +1)`` and the lowering
-operator is ``|g><e|``.  Decoherence enters through the standard pair of
-Lindblad channels: relaxation at rate 1/T1 and pure dephasing (sz) at
-rate 1/(2 Tphi) with 1/Tphi = 1/T2 - 1/(2 T1).  T1 and T2 are quoted in
-microseconds at the API surface (1 us = 1000 ns).  The Pauli matrices
-are ``core.SIGMA_X`` and ``SIGMA_Z`` in that (|g>, |e>) ordering, and a
-drive is a ``coupled.DrivePulse``, which brings its own waveform.
+index 1 = excited: ``H0 = (nu01/2) _SZ`` with ``_SZ = |e><e| - |g><g|``,
+and ``_LOWER = |g><e|``, the one copy of these that ``cavity`` and the
+CLI use too.  Decoherence enters through the standard pair of Lindblad
+channels: relaxation (``_LOWER``) at rate 1/T1 and pure dephasing
+(``_SZ``) at rate 1/(2 Tphi) with 1/Tphi = 1/T2 - 1/(2 T1).  T1 and T2
+are quoted in microseconds at the API surface (1 us = 1000 ns).  A drive
+is a ``coupled.DrivePulse``, which brings its own waveform.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     SIGMA_X,
-    SIGMA_Z,
     DensityMatrix,
     FitError,
     HermitianOperator,
@@ -30,14 +29,15 @@ from .core import (
     _driven_trace,
     _least_squares,
     _TWO_PI,
+    _freeze,
     evolve_lindblad,
-    hermitian_eigen,
 )
 from .coupled import _DRIVE_TARGETS, DrivePulse
 
 US_TO_NS = 1000.0
 
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e| in the (|g>, |e>) basis
+_SZ = _freeze(np.diag([-1.0, 1.0]).astype(complex))
+_LOWER = _freeze(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class DecoherenceParams:
         return 0.5 * max(inv_tphi, 0.0)
 
     def channels(self):
-        return [(_LOWER, self.relaxation_rate), (SIGMA_Z, self.dephasing_channel_rate)]
+        return [(_LOWER, self.relaxation_rate), (_SZ, self.dephasing_channel_rate)]
 
 
 @dataclass(frozen=True)
@@ -121,22 +121,24 @@ def rabi(
 ) -> ExperimentResult:
     """Driven excited-state population, starting from the ground state.
 
-    The drive couples through its target Pauli operator in the energy
-    eigenbasis (sigma_x: unit matrix element) and stays on over the whole
-    time grid: ``drive.duration`` is not read.  On resonance and without
-    decoherence a sigma_x trace follows sin^2(pi A t) up to
-    counter-rotating corrections.  ``core._driven_trace`` integrates it
-    over one drive period and raises that to powers for the later grid
-    times, chooses the steps from the drive and checks the drift: a closed trace
-    keeps each squared norm within 1e-6 of 1, and with decoherence every
-    state is checked as in ``evolve_lindblad`` (trace 1e-8, positivity -1e-7).
+    Of ``qubit`` only its eigenvalue gap nu01 = hypot(h00 - h11, 2 |h01|)
+    is read, and H0 = (nu01/2) ``_SZ``.  The drive couples through its
+    target Pauli operator of ``core`` in the energy eigenbasis (sigma_x:
+    unit matrix element) and stays on over the whole time grid:
+    ``drive.duration`` is not read.  On resonance and without decoherence
+    a sigma_x trace follows sin^2(pi A t) up to counter-rotating
+    corrections.  ``core._driven_trace`` integrates it over one drive
+    period and raises that to powers for the later grid times, chooses the
+    steps and checks the drift: a closed trace keeps each squared norm
+    within 1e-6 of 1, and with decoherence every state is checked as in
+    ``evolve_lindblad`` (trace 1e-8, positivity -1e-7).
     """
     t_grid = _checked_time_grid(t_grid)
     if qubit.dimension != 2:
         raise ValidationError("Rabi protocol expects a two-level Hamiltonian")
-    w = hermitian_eigen(qubit).eigenvalues
-    nu01 = float(w[1] - w[0])
-    h0 = 0.5 * nu01 * (-SIGMA_Z)  # diag(-nu01/2, +nu01/2)
+    h = qubit.entries
+    nu01 = math.hypot((h[0, 0] - h[1, 1]).real, 2.0 * abs(h[0, 1]))
+    h0 = 0.5 * nu01 * _SZ
     drive_op = _DRIVE_TARGETS[drive.target]
     if dec is None:
         psi0 = np.array([1.0, 0.0], dtype=complex)
@@ -195,7 +197,7 @@ def ramsey(
     if nu01 <= 0:
         raise ValidationError("nu01 must be > 0")
     delay_grid = _checked_time_grid(delay_grid)
-    h_rot = HermitianOperator(-0.5 * detuning * SIGMA_Z)
+    h_rot = HermitianOperator(0.5 * detuning * _SZ)
     psi = _RX90 @ np.array([1.0, 0.0], dtype=complex)
     rho0 = DensityMatrix(np.outer(psi, psi.conj()))
     rhos = evolve_lindblad(h_rot, dec.channels(), rho0, delay_grid, verify=False)

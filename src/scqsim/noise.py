@@ -315,11 +315,6 @@ def psd_welch(
     return np.fft.rfftfreq(nperseg, 1 / fs), acc / n_trajectories
 
 
-def _welch(x: np.ndarray, fs: float, nperseg: int):
-    """(frequencies, PSD) of one trajectory, the pair ``scipy.signal.welch`` returns."""
-    return np.fft.rfftfreq(nperseg, 1 / fs), _welch_density(x, _welch_window(nperseg, fs))
-
-
 def _welch_window(nperseg: int, fs: float) -> np.ndarray:
     """Periodic Hann window of nperseg points, scaled for a density at sampling rate fs."""
     fac = np.linspace(-math.pi, math.pi, nperseg + 1)

@@ -326,6 +326,18 @@ class TestSpectrum:
         with pytest.raises(ValidationError):
             spectrum_vs_ng(CpbParams(ec=5.0, ej=1.0, cutoff=5), [-0.1, 0.5], k=2)
 
+    @pytest.mark.parametrize(
+        "control, levels, message",
+        [
+            ([], np.zeros((0, 2)), "at least one control value"),
+            ([0.0, 0.5], [[1.0, 2.0]], "one level row per control value"),
+        ],
+        ids=["empty-control", "row-count"],
+    )
+    def test_table_shape_refused(self, control, levels, message):
+        with pytest.raises(ValidationError, match=message):
+            SpectrumTable(np.array(control), np.array(levels))
+
     def test_table_validation(self):
         with pytest.raises(ValidationError):
             SpectrumTable(np.array([0.0]), np.array([[2.0, 1.0]]))

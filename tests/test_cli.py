@@ -1,11 +1,18 @@
 """CLI tests: config validation, dispatch, CSV format, determinism."""
 
+import contextlib
 import dataclasses
+import io
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from scqsim.charge import CpbParams, cpb_hamiltonian
@@ -41,9 +48,14 @@ LINDBLAD_CONFIGS = {
 }
 
 
+# seconds one CLI run may take before it fails its test: the slowest takes
+# under 1 s, so a run still going after this has an unbounded plan
+RUN_TIMEOUT = 120
+
+
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "scqsim", *args], capture_output=True, text=True
+        [sys.executable, "-m", "scqsim", *args], capture_output=True, text=True, timeout=RUN_TIMEOUT
     )
 
 
@@ -95,6 +107,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(text, command="spectrum")
         assert len(err.value.errors) >= 3  # unknown key, missing ec, bad sweep key
+
+    def test_unknown_subcommand_rejected(self):
+        # main's argparse refuses it first; parse_config names it as well
+        with pytest.raises(ConfigError, match="unknown subcommand 'sweep'"):
+            parse_config(CPB_SPECTRUM, command="sweep")
 
     def test_command_key_rejected(self):
         # the subcommand comes from the command line only
@@ -1056,6 +1073,33 @@ class TestFailurePaths:
                 "error: drive trace to t = 2.5 ns needs 2.083e+101 RK4 steps per drive period, "
                 "above the cap of 100000",
             ),
+            # the Hermiticity tolerance stays finite, so the plan names the input
+            (
+                "cnot",
+                "[coupled]\nej1 = 1e300\nej2 = 7.0\nchi = 1.0\n[pulse]\namplitude = 0.2\nfrequency = 12.0\n",
+                (),
+                "error: drive trace to t = 2.5 ns needs 2.083e+301 RK4 steps per drive period, "
+                "above the cap of 100000",
+            ),
+            (
+                "jc",
+                LINDBLAD_CONFIGS["jc"].replace("g = 0.1", "g = 1e300"),
+                (),
+                "error: Lindblad trace to t = 3 ns needs 4.409e+300 Taylor substeps, "
+                "above the cap of 100000",
+            ),
+            # the RK4 step density follows the channels' decay as well
+            *(
+                (
+                    "rabi",
+                    "[qubit]\nnu01 = 10.0\n[pulse]\namplitude = 0.2\nfrequency = 10.0\n"
+                    f"[decoherence]\nt1_us = 1.0\nt2_us = {t2}\n[time]\nstop = 1.0\npoints = 5\n",
+                    (),
+                    f"error: drive trace to t = 1 ns needs {steps} RK4 steps per drive period, "
+                    "above the cap of 100000",
+                )
+                for t2, steps in (("1e-8", "1.989e+05"), ("1e-300", "1.989e+297"))
+            ),
         ],
         ids=[
             "cpb-cutoff", "jc-n-ph", "evolve-descending", "run-command", "circuit-flag", "unknown-flag",
@@ -1065,7 +1109,8 @@ class TestFailurePaths:
             "malformed-ini", "unparsable-float", "sweep-points-0", "time-points-0", "cpb-ej0-negative",
             "cpb-ej-negative", "jc-kappa-negative", "cnot-duration-negative", "noise-gamma-min-0",
             "t1-stop-1e300", "ramsey-stop-1e300", "jc-g-1e100", "rabi-frequency-1e300",
-            "rabi-stop-1e300", "cnot-duration-1e300", "cnot-ej1-1e100",
+            "rabi-stop-1e300", "cnot-duration-1e300", "cnot-ej1-1e100", "cnot-ej1-1e300",
+            "jc-g-1e300", "rabi-t2-1e-8", "rabi-t2-1e-300",
         ],
     )
     def test_refused_inputs_exit_1(self, tmp_path, command, text, extra, message):
@@ -1077,21 +1122,27 @@ class TestFailurePaths:
         assert_one_line_failure(proc, 1, message)
         assert not out.exists()
 
+    def test_fast_dephasing_rabi_runs(self, tmp_path):
+        # the dephasing channel's rate, 5e3 per ns, sets 2e5 RK4 steps per
+        # ns: inside RK4's stability region, where the drive's 2550 are not
+        cfg = tmp_path / "in.ini"
+        cfg.write_text(
+            "[qubit]\nnu01 = 10.0\n[pulse]\namplitude = 0.2\nfrequency = 10.0\n"
+            "[decoherence]\nt1_us = 1.0\nt2_us = 1e-7\n[time]\nstop = 1.0\npoints = 5\n"
+        )
+        out = tmp_path / "o.csv"
+        proc = run_cli("rabi", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        pop = np.array([float(row[1]) for row in read_csv(out)[2]])
+        assert pop.size == 5 and pop[0] == 0.0 and 0.0 < pop[1:].min() and pop.max() < 1e-3
+
     @pytest.mark.parametrize(
         "command, text",
         [
-            # jc's Hamiltonian norm overflows before its trace is planned
-            ("jc", LINDBLAD_CONFIGS["jc"].replace("g = 0.1", "g = 1e300")),
             # the T1 fit's Jacobian overflows: 1/T1^2 at T1 = 1e303 ns
             ("t1", LINDBLAD_CONFIGS["t1"].replace("t1_us = 2.0\nt2_us = 2.0", "t1_us = 1e300\nt2_us = 1e300")),
-            # the RK4 steps overflow at a dephasing rate of 5e296 per ns
-            (
-                "rabi",
-                "[qubit]\nnu01 = 10.0\n[pulse]\namplitude = 0.2\nfrequency = 10.0\n"
-                "[decoherence]\nt1_us = 1.0\nt2_us = 1e-300\n[time]\nstop = 1.0\npoints = 5\n",
-            ),
         ],
-        ids=["jc-g-1e300", "t1-t1-1e300", "rabi-t2-1e-300"],
+        ids=["t1-t1-1e300"],
     )
     def test_overflow_in_the_run_exits_2(self, tmp_path, command, text):
         # numpy's overflow raises in the run: one line, no warning ahead of it
@@ -1380,3 +1431,121 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "0"]
+
+
+# the values a fuzzed key takes, as INI text
+FUZZ_VALUES = ("0", "-1", "0.5", "5e-324", "1e300", "2047", "65536")
+# keys that only size the work a run asks for draw 2 and 16 in place of 2047
+# and 65536, so that one run stays under about 2 s: a cutoff-2047 box (10 s)
+# or 65536 noise trajectories (14 s) is requested work, not a fault
+WORK_KEYS = {"points", "samples", "trajectories", "count", "cutoff", "levels"}
+WORK_VALUES = ("0", "-1", "0.5", "5e-324", "1e300", "2", "16")
+# keys that set the span or the rates of a Lindblad trace draw 2047 at most:
+# at 65536 a plan within the work cap takes 5-77 s (open jc at g = 65536 over
+# 1 ns, 77 s), on the same path as at 2047; 1e300 still meets the cap
+SPAN_KEYS = {
+    ("time", "start"), ("time", "stop"), ("qubit", "detuning"),
+    ("jc", "nu01"), ("jc", "nu_c"), ("jc", "g"), ("jc", "kappa_per_us"),
+}
+SPAN_VALUES = FUZZ_VALUES[:-1]
+
+
+def fuzz_case(command, sections, changes=()):
+    """(command, config text): the ``SECTION_TEXT`` bodies of ``sections``
+    with each ``(section, key), value`` of ``changes`` set."""
+    bodies = {name: dict(line.split(" = ") for line in SECTION_TEXT[name].splitlines()) for name in sections}
+    for (name, key), value in dict(changes).items():
+        bodies[name][key] = value
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items())
+        for name, body in bodies.items()
+    )
+    return command, text
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A command, the sections it needs (one of each choice) and some it may
+    read, and one or two keys of those sections set to a fuzz value."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, needs, optional = cli._COMMANDS[command]
+    sections = [draw(st.sampled_from(choices)) for choices in needs]
+    sections += [name for name in ("run", *optional) if draw(st.booleans())]
+    keys = [(name, key) for name in sections for key in cli._schema(name)]
+    changes = {}
+    for name, key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True)):
+        pool = FUZZ_VALUES
+        if key in WORK_KEYS:
+            pool = WORK_VALUES
+        elif (name, key) in SPAN_KEYS:
+            pool = SPAN_VALUES
+        changes[name, key] = draw(st.sampled_from(pool))
+    return fuzz_case(command, sections, changes)
+
+
+def run_in_process(command, text):
+    """(exit code, stderr, CSV written) of ``cli.main`` on one config; a numpy
+    warning counts as the stderr lines the interpreter would print for it."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg, out = os.path.join(d, "in.ini"), os.path.join(d, "o.csv")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", cfg, "--out", out])
+        written = os.path.exists(out)
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return code, err.getvalue() + shown, written
+
+
+class TestConfigFuzz:
+    """Every config exits 0, 1 or 2 with no traceback; a failure writes no CSV,
+    and a numerical failure writes one line."""
+
+    RABI = ["qubit", "pulse", "time"]
+    OPEN_RABI = [*RABI, "decoherence"]
+    RAMSEY = ["qubit", "decoherence", "time"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=fuzzed_configs())
+    # the configs that once crashed, hung or printed more than one line
+    @example(case=fuzz_case("rabi", RABI, {("pulse", "frequency"): "1e300"}))
+    @example(case=fuzz_case("rabi", RABI, {("time", "stop"): "1e300"}))
+    @example(case=fuzz_case("rabi", RABI, {("time", "stop"): "1e18"}))
+    @example(case=fuzz_case("cnot", ["coupled", "pulse"], {("pulse", "duration"): "1e300"}))
+    @example(case=fuzz_case("ramsey", RAMSEY, {("time", "stop"): "1e300"}))
+    @example(case=fuzz_case("t1", ["decoherence", "time"], {("time", "stop"): "1e300"}))
+    @example(case=fuzz_case("jc", ["jc", "time"], {("jc", "g"): "1e300"}))
+    @example(case=fuzz_case("jc", ["jc", "time", "decoherence"], {("jc", "g"): "1e300"}))
+    @example(case=fuzz_case("noise-psd", ["noise"], {("noise", "dt"): "5e-324"}))
+    @example(case=fuzz_case("t1", ["decoherence", "time"], {("decoherence", "t1_us"): "1e300"}))
+    @example(
+        case=fuzz_case(
+            "t1", ["decoherence", "time"], {("decoherence", "t1_us"): "1e300", ("decoherence", "t2_us"): "1e300"}
+        )
+    )
+    @example(case=fuzz_case("rabi", OPEN_RABI, {("decoherence", "t2_us"): "1e-300"}))
+    @example(case=fuzz_case("cnot", ["coupled", "pulse"], {("coupled", "ej1"): "1e300"}))
+    @example(case=fuzz_case("cnot", ["coupled", "pulse"], {("coupled", "ej1"): "1e100"}))
+    @example(case=fuzz_case("ramsey", RAMSEY, {("decoherence", "t2_us"): "1e-9"}))
+    @example(case=fuzz_case("jc", ["jc", "time"], {("jc", "nu_c"): "65536", ("jc", "nu01"): "5"}))
+    @example(
+        case=fuzz_case(
+            "jc",
+            ["jc", "time", "decoherence"],
+            {("jc", "nu_c"): "65536", ("jc", "nu01"): "5", ("time", "stop"): "3.0"},
+        )
+    )
+    @example(case=fuzz_case("jc", ["jc", "time"], {("jc", "n_ph"): "2047"}))
+    @example(case=fuzz_case("jc", ["jc", "time"], {("jc", "g"): "0", ("jc", "margin"): "10"}))
+    # the RK4 steps follow the channels: 1e-7 runs, 1e-8 meets the work cap
+    @example(case=fuzz_case("rabi", OPEN_RABI, {("decoherence", "t1_us"): "1", ("decoherence", "t2_us"): "1e-7"}))
+    @example(case=fuzz_case("rabi", OPEN_RABI, {("decoherence", "t1_us"): "1", ("decoherence", "t2_us"): "1e-8"}))
+    def test_exit_contract(self, case):
+        code, stderr, written = run_in_process(*case)
+        assert code in (0, 1, 2), stderr
+        assert "Traceback" not in stderr
+        assert written == (code == 0), stderr
+        if code == 2:
+            assert len(stderr.splitlines()) == 1, stderr

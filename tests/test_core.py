@@ -66,6 +66,27 @@ class TestTypes:
         with pytest.raises(ValidationError):
             herm([[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: herm(np.zeros((0, 0))), "dimension must be >= 1"),
+            (lambda: QuantumState([]), "state needs at least one amplitude"),
+            (lambda: herm([[1e200, 1e200], [0.0, 1e200]]), "not Hermitian"),
+        ],
+        ids=["empty-matrix", "no-amplitudes", "non-hermitian-1e200"],
+    )
+    def test_refused_with_its_message(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+    @pytest.mark.parametrize("size", [1.0, 1e150, 1e200, 1e300])
+    def test_hermiticity_tolerance_scales_with_the_largest_entry(self, size):
+        # 1e-12 d max|m_ij|: never below 1e-12 max(||m||_F, 1), and finite
+        # where the Frobenius norm overflows (entries above about 1e154)
+        herm([[size, size], [size * (1.0 + 1.9e-12), size]])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            herm([[size, size], [size * (1.0 + 2.1e-12), size]])
+
     def test_operator_must_be_square(self):
         with pytest.raises(ValidationError):
             herm(np.zeros((2, 3)))
@@ -874,6 +895,20 @@ class TestDrivenTrace:
             (1.0 / 9.0, 250.0 * 9.0),
             (math.inf, 250.0),
         ]
+
+    def test_step_density_bounds_the_channels(self, monkeypatch):
+        # 250 sum_k g_k ||L_k||_2^2 / 2 pi steps per ns once that is the largest
+        # rate; a zero rate adds nothing, and slow channels leave the drive's
+        seen = []
+        rk4 = core._rk4_driven
+        monkeypatch.setattr(core, "_rk4_driven", lambda *args: seen.append(args[-1]) or rk4(*args))
+        h0, v, rho0 = np.diag([-4.0, 4.0]), 2.0 * SIGMA_X, np.diag([1.0, 0.0]).astype(complex)
+        low = np.array([[0.0, 3.0], [0.0, 0.0]])
+        fast = [(low, 500.0), (SIGMA_X, 0.0), (SIGMA_X, 70.0)]
+        core._driven_trace(h0, v, self.PULSE, rho0, [1e-3], fast)
+        core._driven_trace(h0, v, self.PULSE, rho0, [0.1], [(low, 1.0), (SIGMA_X, 2.0)])
+        decay = (500.0 * 9.0 + 70.0) / (2.0 * math.pi)
+        assert seen == [pytest.approx(250.0 * decay, rel=1e-15), 250.0 * (4.0 + 0.3 * 2.0)]
 
     def test_constant_drive_builds_one_step(self, monkeypatch):
         # at nu = 0 one step of 1/steps_per_ns is the period: a 30 ns trace

@@ -132,6 +132,11 @@ class TestCnot:
         with pytest.raises(ValidationError):
             TruthTable(populations=np.full((4, 4), 0.5), fidelity=0.5)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (4, 2)])
+    def test_truth_table_shape_refused(self, shape):
+        with pytest.raises(ValidationError, match="truth table must be 4x4"):
+            TruthTable(populations=np.full(shape, 0.25), fidelity=0.5)
+
     def test_pulse_validation(self):
         with pytest.raises(ValidationError):
             DrivePulse(amplitude=-0.1, frequency=1.0, duration=1.0)

@@ -138,6 +138,25 @@ class TestRabi:
         assert res.fitted.visibility == pytest.approx(v_oracle, abs=1e-2)
         assert np.abs(res.population - oracle).max() <= 1e-2
 
+    @pytest.mark.parametrize("time_us", [5e-7, 2e-7, 1e-7])
+    def test_fast_channels_match_the_constant_generator(self, time_us):
+        # at nu = 0 the drive is constant, so evolve_lindblad is the oracle;
+        # a step density blind to the channels leaves RK4's stability region
+        # (relaxation at 1e4 per ns needs about 4e5 steps per ns)
+        dec = DecoherenceParams(t1_us=time_us, t2_us=time_us)
+        grid = np.linspace(0.0, 1.0, 5)
+        got = rabi(qubit_h(), drive(0.2, frequency=0.0), dec, grid).population
+        h = HermitianOperator(0.5 * NU01 * experiments._SZ + 0.2 * core.SIGMA_X)
+        rho0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+        want = [r.population(1) for r in evolve_lindblad(h, dec.channels(), rho0, grid)]
+        assert 0.0 < max(want) < 1e-6
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_qubit_of_other_dimension_rejected(self, dim):
+        with pytest.raises(ValidationError, match="expects a two-level Hamiltonian"):
+            rabi(HermitianOperator(np.eye(dim)), drive(0.1), None, [0.0, 1.0])
+
     def test_envelope_decays(self):
         dec = DecoherenceParams(t1_us=0.2, t2_us=0.2)
         amp = 0.05
@@ -222,6 +241,11 @@ class TestRamsey:
 
         monkeypatch.setattr(experiments, "evolve_lindblad", no_trace)
         with pytest.raises(ValidationError, match="nu01 must be finite"):
+            ramsey(nu01, 0.002, DecoherenceParams(t1_us=10.0, t2_us=1.0), [0.0, 10.0])
+
+    @pytest.mark.parametrize("nu01", [0.0, -5.0])
+    def test_non_positive_nu01_rejected(self, nu01):
+        with pytest.raises(ValidationError, match="nu01 must be > 0"):
             ramsey(nu01, 0.002, DecoherenceParams(t1_us=10.0, t2_us=1.0), [0.0, 10.0])
 
     def test_degenerate_trace_reported(self):
@@ -409,6 +433,19 @@ class TestExperimentResult:
     )
     def test_non_finite_rejected(self, t, pop):
         with pytest.raises(ValidationError, match="must be finite"):
+            ExperimentResult(time_grid=t, population=pop, fitted=FittedMetrics())
+
+    @pytest.mark.parametrize(
+        "t, pop, message",
+        [
+            ([0.0, 1.0], [0.5], "sizes differ"),
+            ([0.0, 1.0], [0.5, 1.0 + 1e-8], r"within \[0, 1\]"),
+            ([0.0, 1.0], [-1e-8, 0.5], r"within \[0, 1\]"),
+        ],
+        ids=["sizes", "above-1", "below-0"],
+    )
+    def test_inconsistent_trace_rejected(self, t, pop, message):
+        with pytest.raises(ValidationError, match=message):
             ExperimentResult(time_grid=t, population=pop, fitted=FittedMetrics())
 
     def test_empty_trace_rejected(self):

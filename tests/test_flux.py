@@ -192,6 +192,13 @@ class TestThreeJunctionPotential:
         with pytest.raises(ValidationError, match="cutoff must be an integer"):
             ThreeJunctionParams(ej=40.0, ec=1.0, cutoff=4.5)
 
+    @pytest.mark.parametrize("field", ["ej", "ec"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_energy_rejected(self, field, value):
+        fields = {"ej": 3.0, "ec": 1.0, field: value}
+        with pytest.raises(ValidationError, match="Ej and Ec must be > 0"):
+            ThreeJunctionParams(**fields)
+
     def test_point_value(self):
         p = ThreeJunctionParams(ej=3.0, ec=1.0, alpha=0.8, f=0.5)
         assert three_junction_potential(0.0, 0.0, p) == pytest.approx(1.6 * 3.0, abs=1e-12)

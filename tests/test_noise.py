@@ -15,7 +15,8 @@ from scqsim.core import ValidationError
 from scqsim.noise import (
     FluctuatorEnsemble,
     _stream,
-    _welch,
+    _welch_density,
+    _welch_window,
     dephasing_under_rtn,
     fit_loglog_slope,
     fluctuator_states,
@@ -330,6 +331,12 @@ class TestPsd:
         with pytest.raises(ValidationError, match="must be an integer"):
             psd_welch(ens, **args)
 
+    @pytest.mark.parametrize("n_trajectories", [0, -1])
+    def test_no_trajectory_rejected(self, n_trajectories):
+        ens = FluctuatorEnsemble(count=4, gamma_min=1e-2, gamma_max=1.0, coupling=1e-3, seed=2)
+        with pytest.raises(ValidationError, match="need at least one trajectory"):
+            psd_welch(ens, 0.05, 1000, n_trajectories)
+
     def test_non_finite_step_rejected(self):
         ens = FluctuatorEnsemble(count=4, gamma_min=1e-2, gamma_max=1.0, coupling=1e-3, seed=2)
         with pytest.raises(ValidationError, match="non-finite"):
@@ -365,10 +372,13 @@ class TestWelch:
         from scipy.signal import welch
 
         rng = np.random.default_rng(n + nperseg)
+        fs = 1.0 / 0.01
         for offset in (-0.3, 0.0, 0.3, 1.0):  # the segment means must not leak
             x = offset + 1e-3 * rng.standard_normal(n)
-            f_ref, p_ref = welch(x, fs=1.0 / 0.01, window="hann", nperseg=nperseg)
-            f, p = _welch(x, 1.0 / 0.01, nperseg)
+            f_ref, p_ref = welch(x, fs=fs, window="hann", nperseg=nperseg)
+            # psd_welch's frequencies and one trajectory's density
+            f = np.fft.rfftfreq(nperseg, 1 / fs)
+            p = _welch_density(x, _welch_window(nperseg, fs))
             np.testing.assert_allclose(f, f_ref, rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(p, p_ref, rtol=1e-13, atol=0.0)
 
