@@ -24,6 +24,8 @@ WORK_CAP = 100_000
 # the most drive periods one trace may span: int64 period indices, with room to round
 _PERIOD_CAP = 2**62
 _HERM_TOL = 1e-12
+# the largest phase 2 pi |E| t a closed trace may evaluate (about 1.4e9 periods)
+_PHASE_CAP = 2.0**33
 _TWO_PI = 2.0 * np.pi
 
 
@@ -348,9 +350,23 @@ def propagator(op: HermitianOperator, t: float) -> np.ndarray:
 
 
 def _eigen_propagator(dec: EigenDecomposition, t: float) -> np.ndarray:
+    """exp(-i 2 pi H t) from H's eigendecomposition (ascending eigenvalues).
+
+    Each rounding of a phase 2 pi |w| t below _PHASE_CAP = 2**33 rad, in w
+    and in the product, is at most 2**-20 rad (the phase's ulp at the cap),
+    so the phase is resolved to about 1e-6 rad; past the cap the trace
+    carries no reliable populations and is a ConvergenceError.
+    """
     _check_finite_values(t=t)
     if t < 0:
         raise ValidationError("evolution time must be >= 0")
+    w = dec.eigenvalues
+    phase = _TWO_PI * max(abs(float(w[0])), abs(float(w[-1]))) * t
+    if phase > _PHASE_CAP:
+        raise ConvergenceError(
+            f"phase 2 pi |E| t = {phase:.3g} rad at t = {t:.6g} ns is not resolved in double "
+            f"precision (cap 2**33 rad)"
+        )
     phases = np.exp(-1j * 2.0 * np.pi * dec.eigenvalues * t)
     return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
 

@@ -7,11 +7,14 @@ spectrum between the corner frequencies.  Trajectories are sampled
 exactly and event by event: each fluctuator draws its initial sign, a
 Poisson flip count over the grid span and uniform flip times, and a flip
 changes every grid sample after it.  Every (seed, trajectory, fluctuator)
-triple owns an independent RNG stream, so results do not depend on
-evaluation order.  On a path with many flips, a flip's grid index is
-read off a uniform model of the grid and verified against the two grid
-points around it; only a flip that fails goes to a binary search.  The
-ensemble calls check their grid once and draw every trajectory from it.
+triple owns an independent RNG stream, ``default_rng`` of that list to
+the bit, so results do not depend on evaluation order; the seed words
+are hashed for a block of consecutive keys at once (``_stream``), not
+by one ``SeedSequence`` per path.  On a path with many flips, a flip's
+grid index is read off a uniform model of the grid and verified against
+the two grid points around it; only a flip that fails goes to a binary
+search.  The ensemble calls check their grid once and draw every
+trajectory from it.
 
 By default the noise couples along sz (pure dephasing); the trajectory
 generator returns the bare frequency-shift trace xi(t) in GHz, which a
@@ -24,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import ValidationError, _check_finite, _check_integral
 
@@ -112,18 +116,104 @@ def _check_trajectory(trajectory) -> None:
         raise ValidationError(f"trajectory must be >= 0, got {trajectory}")
 
 
-def _stream(ens: FluctuatorEnsemble, trajectory: int, fluctuator: int) -> np.random.Generator:
-    """The generator of ``default_rng([seed, trajectory, fluctuator])``.
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) columns of ``calls`` successive hash calls."""
+    c = [init]
+    for _ in range(calls):
+        c.append(c[-1] * mult & 0xFFFFFFFF)
+    return np.array(c[:-1], np.uint32)[:, None], np.array(c[1:], np.uint32)[:, None]
 
-    Keys below 2**32 go in as one uint32 array, which is the same seed
-    entropy as the list at two thirds of the cost; a larger key spans
-    several words, so it keeps the list form.  The words are made plain
-    ints first, so a numpy-integer key takes the same path as an int.
+
+# O'Neill's seed_seq hash as numpy's SeedSequence runs it on a pool of 4
+# uint32 words: hash call k xors in c_k and multiplies by c_{k+1} = c_k *
+# mult mod 2**32, so every call's constants are known ahead
+_XOR_A, _MUL_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 to fill the pool, 12 to mix it
+_XOR_B, _MUL_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # 8 uint32 output words
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHERS = [[d for d in range(4) if d != s] for s in range(4)]
+
+
+def _seed_words(keys) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` for each 3-word uint32 key.
+
+    ``keys`` is (n, 3); the result is (n, 4), one C-contiguous row per key.
+    The pool starts as the hashed key words and a hashed 0; each word then
+    mixes its hash into the three others, and the 8 output words hash the
+    pool twice round, paired little end first into uint64.  Every step is
+    one uint32 operation over all keys.
     """
-    key = (int(ens.seed), int(trajectory), int(fluctuator))
-    if max(key) < 2**32:
-        key = np.array(key, dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(key))
+    pool = np.zeros((4, len(keys)), np.uint32)
+    pool[:3] = np.asarray(keys, dtype=np.uint32).T
+    pool ^= _XOR_A[:4]
+    pool *= _MUL_A[:4]
+    pool ^= pool >> 16
+    for src, dst in enumerate(_OTHERS):
+        k = 4 + 3 * src
+        h = pool[src] ^ _XOR_A[k : k + 3]
+        h *= _MUL_A[k : k + 3]
+        h ^= h >> 16
+        m = pool[dst] * _MIX_L
+        m -= h * _MIX_R
+        m ^= m >> 16
+        pool[dst] = m
+    out = np.tile(pool, (2, 1))
+    out ^= _XOR_B
+    out *= _MUL_B
+    out ^= out >> 16
+    words = out[1::2].astype(np.uint64) << np.uint64(32)
+    words |= out[0::2]
+    return words.T.copy()
+
+
+class _SeedWords(ISeedSequence):
+    """Seed words hashed ahead, handed to ``PCG64`` as its seed sequence's state."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(f"hold {len(self.words)} {self.words.dtype} words")
+        return self.words
+
+
+# a block is whole trajectories, max(1, 64 // count) of them, so random
+# access costs one hash of at most max(count, 64) keys per miss
+_BLOCK_KEYS = 64
+_block = (None, None)  # (seed, count, first trajectory), its seed words
+
+
+def _stream(ens: FluctuatorEnsemble, trajectory: int, fluctuator: int) -> np.random.Generator:
+    """The generator of ``default_rng([seed, trajectory, fluctuator])``, to the bit.
+
+    A key of three uint32 words is hashed by ``_seed_words`` with the other
+    keys of its block, consecutive trajectories of every fluctuator, and
+    the one block last hashed is kept, so a run of trajectories pays about
+    1 us of hash per path instead of 8 us of ``SeedSequence``; a fluctuator
+    index past ``ens.count`` is hashed alone.  A key of 2**32 or more
+    spans several words, so it keeps the list form.  The words are made
+    plain ints first, so a numpy-integer key takes the same path as an int.
+    """
+    global _block
+    seed, trajectory, fluctuator = int(ens.seed), int(trajectory), int(fluctuator)
+    if max(seed, trajectory, fluctuator) >= 2**32:
+        return np.random.Generator(np.random.PCG64((seed, trajectory, fluctuator)))
+    count = ens.count
+    if fluctuator >= count:
+        words = _seed_words([(seed, trajectory, fluctuator)])[0]
+    else:
+        per = max(1, _BLOCK_KEYS // count)
+        first = trajectory - trajectory % per
+        tag, block = _block
+        if tag != (seed, count, first):
+            keys = np.empty((min(per, 2**32 - first), count, 3), dtype=np.uint32)
+            keys[..., 0] = seed
+            keys[..., 1] = np.arange(first, first + len(keys))[:, None]
+            keys[..., 2] = np.arange(count)
+            block = _seed_words(keys.reshape(-1, 3))
+            _block = ((seed, count, first), block)
+        words = block[(trajectory - first) * count + fluctuator]
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 # below this many flips a binary search beats the gathers of ``_grid_index``
@@ -195,11 +285,15 @@ def _rates(ens: FluctuatorEnsemble):
 
 
 def _groups(ens: FluctuatorEnsemble) -> list:
-    """(coupling, [(fluctuator, rate), ...]) per distinct non-zero coupling, ascending."""
+    """(coupling, [(fluctuator, rate), ...]) per distinct non-zero coupling, ascending.
+
+    The couplings are sorted as Python floats: ``np.unique`` would give the
+    same values but load ``numpy.ma`` on a cold start.
+    """
     rates, couplings = _rates(ens), ens.couplings
     return [
         (v, [(i, rates[i]) for i in np.flatnonzero(couplings == v).tolist()])
-        for v in np.unique(couplings[couplings != 0.0])
+        for v in sorted(set(couplings[couplings != 0.0].tolist()))
     ]
 
 
@@ -249,7 +343,9 @@ def fluctuator_states(ens: FluctuatorEnsemble, t_grid, trajectory: int = 0) -> n
     """Raw fluctuator sample paths, one row per fluctuator (for statistics).
 
     Each row is s0 (-1)^k with k the number of flips up to that sample; it
-    draws the same numbers as ``rtn_trajectory``.
+    draws the same numbers as ``rtn_trajectory``.  The samples from flip
+    2j to flip 2j + 1 (or the end) are -s0, so a row with few flips is
+    filled slice by slice; a row with many takes the parity of a count.
     """
     _check_trajectory(trajectory)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -259,11 +355,15 @@ def fluctuator_states(ens: FluctuatorEnsemble, t_grid, trajectory: int = 0) -> n
     out = np.empty((ens.count, n))
     for i, gamma in enumerate(_rates(ens)):
         s0, flips = _flips(_stream(ens, trajectory, i), gamma, t_grid, t0, span)
-        if flips.size:
+        if flips.size >= _SEARCH_FLIPS:
             odd = np.cumsum(np.bincount(flips, minlength=n + 1)[:n]) & 1
             out[i] = np.where(odd, -s0, s0)
         else:
-            out[i] = s0
+            row = out[i]
+            row[:] = s0
+            edges = flips.tolist() + [n]  # an odd count's last flip holds to the end
+            for a, b in zip(edges[0::2], edges[1::2]):
+                row[a:b] = -s0
     return out
 
 

@@ -18,7 +18,7 @@ from scqsim.cavity import (
     vacuum_rabi,
 )
 from scqsim import core
-from scqsim.core import ValidationError
+from scqsim.core import ConvergenceError, ValidationError
 from scqsim.experiments import US_TO_NS, DecoherenceParams
 
 
@@ -112,6 +112,12 @@ class TestVacuumRabi:
         res = vacuum_rabi(p, grid)
         expected = np.cos(2.0 * math.pi * p.g * grid) ** 2
         assert np.abs(res.population - expected).max() <= 1e-6
+
+    @pytest.mark.parametrize("g", [1e300, 1e100])
+    def test_closed_trace_with_unresolved_phase_refused(self, g):
+        # 2 pi g t near 1e300 rad carries no phase: once a CSV of noise, exit 0
+        with pytest.raises(ConvergenceError, match="not resolved in double precision"):
+            vacuum_rabi(params(g=g), np.linspace(0.0, 3.0, 31))
 
     def test_closed_trace_takes_one_eigendecomposition(self, monkeypatch):
         calls = []

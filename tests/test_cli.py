@@ -1154,6 +1154,25 @@ class TestFailurePaths:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("jc", "[jc]\nnu01 = 10.0\nnu_c = 10.0\ng = 1e300\nn_ph = 4\n[time]\nstop = 3.0\npoints = 31\n"),
+            ("jc", "[jc]\nnu01 = 10.0\nnu_c = 10.0\ng = 1e100\nn_ph = 4\n[time]\nstop = 3.0\npoints = 31\n"),
+            ("evolve", "[cpb]\nec = 5.0\nej = 1.0\nng = 0.5\n[time]\nstop = 1e12\npoints = 3\n"),
+        ],
+        ids=["jc-g-1e300", "jc-g-1e100", "evolve-stop-1e12"],
+    )
+    def test_unresolved_phase_exits_2(self, tmp_path, command, text):
+        # a closed trace whose phase 2 pi |E| t passes 2**33 rad is rounded
+        # past 1e-6 rad: refused in one line, where it once wrote noise
+        cfg = tmp_path / "in.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o.csv"
+        proc = run_cli(command, "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 2, "numerical failure: phase 2 pi |E| t = ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, text, allocator",
         [
             (
@@ -1318,6 +1337,17 @@ class TestColdStart:
         call = f"main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o.csv')!r}])"
         expected = sorted(["scqsim.cli", "scqsim.core", *(f"scqsim.{m}" for m in modules)])
         assert self.loaded_after(call) == ("0", expected)
+
+    def test_noise_psd_loads_no_numpy_ma(self, tmp_path):
+        # the couplings are grouped by Python's sort, not np.unique, which
+        # imports numpy.ma (about 9 ms of a cold start)
+        cfg = tmp_path / "in.ini"
+        cfg.write_text(config_of(["noise"]))
+        call = f"main(['noise-psd', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o.csv')!r}])"
+        probe = f"import sys\nfrom scqsim.cli import main\ncode = {call}\nprint(code, 'numpy.ma' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == ["0", "False"]
 
     def test_fits_and_minima_load_no_scipy_optimize(self, tmp_path):
         # the Ramsey and T1 fits, the fluxoid minima and the two-level gap
@@ -1518,6 +1548,7 @@ class TestConfigFuzz:
     @example(case=fuzz_case("t1", ["decoherence", "time"], {("time", "stop"): "1e300"}))
     @example(case=fuzz_case("jc", ["jc", "time"], {("jc", "g"): "1e300"}))
     @example(case=fuzz_case("jc", ["jc", "time", "decoherence"], {("jc", "g"): "1e300"}))
+    @example(case=fuzz_case("jc", ["jc", "time"], {("jc", "g"): "1e100"}))
     @example(case=fuzz_case("noise-psd", ["noise"], {("noise", "dt"): "5e-324"}))
     @example(case=fuzz_case("t1", ["decoherence", "time"], {("decoherence", "t1_us"): "1e300"}))
     @example(

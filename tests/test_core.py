@@ -244,6 +244,26 @@ class TestUnitaryEvolution:
         with pytest.raises(ValidationError, match="t must be finite"):
             propagator(herm(SIGMA_Z), t)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e100, 1e12])
+    def test_unresolved_phase_refused(self, scale):
+        # 2 pi |E| t past 2**33 rad is rounded past 1e-6 rad: at 1e12 GHz and
+        # 3 ns the resonant P1 once read 0.999997381185526 where it is 1
+        h, psi0 = herm(scale * SIGMA_X), basis_state(2, 0)
+        with pytest.raises(ConvergenceError, match="not resolved in double precision"):
+            evolve_unitary(h, psi0, 3.0)
+        with pytest.raises(ConvergenceError, match="not resolved in double precision"):
+            _unitary_trace(h, psi0, [0.0, 3.0])
+        with pytest.raises(ConvergenceError, match="not resolved in double precision"):
+            propagator(h, 3.0)
+
+    def test_phase_cap_is_2_to_the_33_rad(self):
+        # |E| = 1/(2 pi) GHz: the phase equals t, so the cap falls at t = 2**33 ns
+        # (to the rounding of 2 pi and of the eigenvalues)
+        h, psi0 = herm(np.diag([-1.0, 1.0]) / (2.0 * math.pi)), basis_state(2, 0)
+        assert evolve_unitary(h, psi0, 2.0**33 * (1.0 - 2.0**-50)).population(0) == pytest.approx(1.0, abs=1e-6)
+        with pytest.raises(ConvergenceError, match="cap 2\\*\\*33 rad"):
+            evolve_unitary(h, psi0, 2.0**33 * (1.0 + 2.0**-50))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             evolve_unitary(herm(SIGMA_Z), basis_state(3, 0), 1.0)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -14,6 +14,8 @@ from scqsim import noise
 from scqsim.core import ValidationError
 from scqsim.noise import (
     FluctuatorEnsemble,
+    _SEARCH_FLIPS,
+    _seed_words,
     _stream,
     _welch_density,
     _welch_window,
@@ -643,3 +645,111 @@ class TestBitIdentity:
         coh = dephasing_under_rtn(10.0, ens, 100, grid)
         monkeypatch.setattr(noise, "_rtn_trace", _oracle_trace)
         assert np.array_equal(coh, dephasing_under_rtn(10.0, ens, 100, grid))
+
+
+U32 = 2**32 - 1
+EDGE_KEYS = [(a, b, c) for a in (0, U32) for b in (0, U32) for c in (0, U32)]
+
+
+class TestSeedWords:
+    """The block hash is numpy's SeedSequence on the 3-word key, word for word."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.tuples(*[st.integers(0, U32)] * 3))
+    @example(key=(0, 0, 0))
+    @example(key=(U32, U32, U32))
+    def test_words_are_the_seed_sequence_state(self, key):
+        want = np.random.SeedSequence(np.array(key, np.uint32)).generate_state(4, np.uint64)
+        got = _seed_words([key])
+        assert got.dtype == np.uint64 and got.shape == (1, 4)
+        assert np.array_equal(got[0], want)
+
+    def test_many_keys_at_once(self):
+        # 0 and 2**32 - 1 in every position, hashed together with random keys
+        rng = np.random.default_rng(3)
+        keys = EDGE_KEYS + [tuple(k) for k in rng.integers(0, 2**32, size=(56, 3)).tolist()]
+        got = _seed_words(keys)
+        for key, row in zip(keys, got):
+            assert np.array_equal(row, np.random.SeedSequence(np.array(key, np.uint32)).generate_state(4, np.uint64))
+
+
+def assert_list_keyed(ens, trajectory, fluctuator):
+    got = _stream(ens, trajectory, fluctuator)
+    want = np.random.default_rng([ens.seed, trajectory, fluctuator])
+    assert got.bit_generator.state == want.bit_generator.state, (ens.seed, trajectory, fluctuator)
+
+
+class TestStreamBlocks:
+    """Streams read from the one cached block equal the list-keyed generator
+    on either side of every block edge, in any order of access."""
+
+    @pytest.mark.parametrize("count", [1, 3, 20, 64, 65, 200])
+    def test_block_edges(self, count):
+        ens = FluctuatorEnsemble(count=count, gamma_min=0.1, gamma_max=1.0, seed=11) if count > 1 \
+            else FluctuatorEnsemble.single(0.1, 1.0, seed=11)
+        for trajectory in (63, 64, 65, 0, 64, 63, 2 * 64 + 1, 65):
+            for fluctuator in sorted({0, count // 2, count - 1}):
+                assert_list_keyed(ens, trajectory, fluctuator)
+
+    @pytest.mark.parametrize("count", [1, 3, 20, 65])
+    @pytest.mark.parametrize("seed", [0, U32])
+    def test_block_ending_at_the_last_uint32_trajectory(self, count, seed):
+        # the last block is cut at 2**32 - 1; 2**32 itself takes the list form
+        ens = FluctuatorEnsemble(count=count, gamma_min=0.1, gamma_max=1.0, seed=seed) if count > 1 \
+            else FluctuatorEnsemble.single(0.1, 1.0, seed=seed)
+        for trajectory in (U32, U32 - 1, 2**32, U32 - 64, U32):
+            assert_list_keyed(ens, trajectory, count - 1)
+            assert_list_keyed(ens, trajectory, 0)
+
+    @pytest.mark.parametrize("fluctuator", [1, 2, 64, U32, 2**32])
+    def test_fluctuator_past_the_count(self, fluctuator):
+        ens = FluctuatorEnsemble(count=1, gamma_min=0.1, gamma_max=0.1, seed=5)
+        for trajectory in (9, 0, 9, 64):
+            assert_list_keyed(ens, trajectory, 0)
+            assert_list_keyed(ens, trajectory, fluctuator)
+
+    def test_uint32_keys_build_no_seed_sequence(self, monkeypatch):
+        # the decoherence benchmark's 4 000 autocorrelation paths hash their
+        # keys by blocks: no SeedSequence is built, by noise or inside PCG64
+        built, seeded_by = [], set()
+        real_seed_sequence, real_stream = np.random.SeedSequence, noise._stream
+
+        def counted_seed_sequence(*args, **kwargs):
+            built.append(args)
+            return real_seed_sequence(*args, **kwargs)
+
+        def checked_stream(*args):
+            rng = real_stream(*args)
+            seeded_by.add(type(rng.bit_generator.seed_seq))
+            return rng
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
+        monkeypatch.setattr(noise, "_stream", checked_stream)
+        ens = FluctuatorEnsemble.single(0.2, 1.0, seed=2024)
+        grid = np.arange(0.0, 2.01, 0.05)
+        for m in range(4000):
+            fluctuator_states(ens, grid, m)
+        assert built == []
+        assert real_seed_sequence not in seeded_by and len(seeded_by) == 1
+        # the cache holds one block: at most 64 keys of 4 words here
+        assert noise._block[1].shape == (64, 4)
+
+
+class TestStateRows:
+    @pytest.mark.parametrize("flips", [[], [3], [3, 3], [0, 5, 9], [2, 4, 4, 7], [1, 10], [10]])
+    def test_slices_between_flip_pairs_are_the_parity_rule(self, flips, monkeypatch):
+        # a row with few flips is filled by slices; n = 10 is past the last sample
+        flips = np.array(flips, dtype=np.intp)
+        monkeypatch.setattr(noise, "_flips", lambda *args: (-1.0, flips))
+        got = fluctuator_states(FluctuatorEnsemble.single(0.2, 1.0), np.arange(10) * 0.05)[0]
+        odd = np.cumsum(np.bincount(flips, minlength=11)[:10]) & 1
+        assert np.array_equal(got, -1.0 * (1 - 2 * odd))
+
+    def test_rows_with_many_flips_keep_the_parity_rule(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        for size in (_SEARCH_FLIPS - 1, _SEARCH_FLIPS, 3 * _SEARCH_FLIPS + 1):
+            flips = np.sort(rng.integers(0, 1001, size)).astype(np.intp)
+            monkeypatch.setattr(noise, "_flips", lambda *args: (1.0, flips))
+            got = fluctuator_states(FluctuatorEnsemble.single(0.2, 1.0), np.arange(1000) * 0.05)[0]
+            odd = np.cumsum(np.bincount(flips, minlength=1001)[:1000]) & 1
+            assert np.array_equal(got, 1.0 - 2 * odd)
