@@ -180,7 +180,9 @@ class _SeedWords(ISeedSequence):
 # a block is whole trajectories, max(1, 64 // count) of them, so random
 # access costs one hash of at most max(count, 64) keys per miss
 _BLOCK_KEYS = 64
-_block = (None, None)  # (seed, count, first trajectory), its seed words
+# ((seed, count, first trajectory), its seed words): read and replaced as
+# one tuple, so a caller always indexes the words of the tag it compared
+_block = (None, None)
 
 
 def _stream(ens: FluctuatorEnsemble, trajectory: int, fluctuator: int) -> np.random.Generator:

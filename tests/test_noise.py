@@ -736,20 +736,14 @@ class TestStreamBlocks:
 
 
 class TestStateRows:
-    @pytest.mark.parametrize("flips", [[], [3], [3, 3], [0, 5, 9], [2, 4, 4, 7], [1, 10], [10]])
-    def test_slices_between_flip_pairs_are_the_parity_rule(self, flips, monkeypatch):
-        # a row with few flips is filled by slices; n = 10 is past the last sample
+    # both sides of _SEARCH_FLIPS, with coincident flips: rows below it are filled by slices
+    MANY = [np.sort(np.random.default_rng(4).integers(0, 11, size)).tolist() for size in (_SEARCH_FLIPS - 1, _SEARCH_FLIPS)]
+
+    @pytest.mark.parametrize("flips", [[], [3], [3, 3], [0, 5, 9], [2, 4, 4, 7], [1, 10], [10], *MANY])
+    def test_rows_follow_the_parity_rule(self, flips, monkeypatch):
+        # n = 10 samples; a flip at index 10 lies past the last one
         flips = np.array(flips, dtype=np.intp)
         monkeypatch.setattr(noise, "_flips", lambda *args: (-1.0, flips))
         got = fluctuator_states(FluctuatorEnsemble.single(0.2, 1.0), np.arange(10) * 0.05)[0]
         odd = np.cumsum(np.bincount(flips, minlength=11)[:10]) & 1
         assert np.array_equal(got, -1.0 * (1 - 2 * odd))
-
-    def test_rows_with_many_flips_keep_the_parity_rule(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        for size in (_SEARCH_FLIPS - 1, _SEARCH_FLIPS, 3 * _SEARCH_FLIPS + 1):
-            flips = np.sort(rng.integers(0, 1001, size)).astype(np.intp)
-            monkeypatch.setattr(noise, "_flips", lambda *args: (1.0, flips))
-            got = fluctuator_states(FluctuatorEnsemble.single(0.2, 1.0), np.arange(1000) * 0.05)[0]
-            odd = np.cumsum(np.bincount(flips, minlength=1001)[:1000]) & 1
-            assert np.array_equal(got, 1.0 - 2 * odd)
