@@ -191,30 +191,28 @@ def _stream(ens: FluctuatorEnsemble, trajectory: int, fluctuator: int) -> np.ran
     A key of three uint32 words is hashed by ``_seed_words`` with the other
     keys of its block, consecutive trajectories of every fluctuator, and
     the one block last hashed is kept, so a run of trajectories pays about
-    1 us of hash per path instead of 8 us of ``SeedSequence``; a fluctuator
-    index past ``ens.count`` is hashed alone.  A key of 2**32 or more
-    spans several words, so it keeps the list form.  The words are made
-    plain ints first, so a numpy-integer key takes the same path as an int.
+    1 us of hash per path instead of 8 us of ``SeedSequence``.  A key of
+    2**32 or more spans several words and a fluctuator index past
+    ``ens.count`` lies in no block, so both keep the list form.  The words
+    are made plain ints first, so a numpy-integer key takes the same path
+    as an int.
     """
     global _block
     seed, trajectory, fluctuator = int(ens.seed), int(trajectory), int(fluctuator)
-    if max(seed, trajectory, fluctuator) >= 2**32:
-        return np.random.Generator(np.random.PCG64((seed, trajectory, fluctuator)))
     count = ens.count
-    if fluctuator >= count:
-        words = _seed_words([(seed, trajectory, fluctuator)])[0]
-    else:
-        per = max(1, _BLOCK_KEYS // count)
-        first = trajectory - trajectory % per
-        tag, block = _block
-        if tag != (seed, count, first):
-            keys = np.empty((min(per, 2**32 - first), count, 3), dtype=np.uint32)
-            keys[..., 0] = seed
-            keys[..., 1] = np.arange(first, first + len(keys))[:, None]
-            keys[..., 2] = np.arange(count)
-            block = _seed_words(keys.reshape(-1, 3))
-            _block = ((seed, count, first), block)
-        words = block[(trajectory - first) * count + fluctuator]
+    if fluctuator >= count or max(seed, trajectory) >= 2**32:
+        return np.random.Generator(np.random.PCG64((seed, trajectory, fluctuator)))
+    per = max(1, _BLOCK_KEYS // count)
+    first = trajectory - trajectory % per
+    tag, block = _block
+    if tag != (seed, count, first):
+        keys = np.empty((min(per, 2**32 - first), count, 3), dtype=np.uint32)
+        keys[..., 0] = seed
+        keys[..., 1] = np.arange(first, first + len(keys))[:, None]
+        keys[..., 2] = np.arange(count)
+        block = _seed_words(keys.reshape(-1, 3))
+        _block = ((seed, count, first), block)
+    words = block[(trajectory - first) * count + fluctuator]
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
@@ -345,9 +343,7 @@ def fluctuator_states(ens: FluctuatorEnsemble, t_grid, trajectory: int = 0) -> n
     """Raw fluctuator sample paths, one row per fluctuator (for statistics).
 
     Each row is s0 (-1)^k with k the number of flips up to that sample; it
-    draws the same numbers as ``rtn_trajectory``.  The samples from flip
-    2j to flip 2j + 1 (or the end) are -s0, so a row with few flips is
-    filled slice by slice; a row with many takes the parity of a count.
+    draws the same numbers as ``rtn_trajectory``.
     """
     _check_trajectory(trajectory)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -357,15 +353,11 @@ def fluctuator_states(ens: FluctuatorEnsemble, t_grid, trajectory: int = 0) -> n
     out = np.empty((ens.count, n))
     for i, gamma in enumerate(_rates(ens)):
         s0, flips = _flips(_stream(ens, trajectory, i), gamma, t_grid, t0, span)
-        if flips.size >= _SEARCH_FLIPS:
+        if flips.size:
             odd = np.cumsum(np.bincount(flips, minlength=n + 1)[:n]) & 1
             out[i] = np.where(odd, -s0, s0)
         else:
-            row = out[i]
-            row[:] = s0
-            edges = flips.tolist() + [n]  # an odd count's last flip holds to the end
-            for a, b in zip(edges[0::2], edges[1::2]):
-                row[a:b] = -s0
+            out[i] = s0
     return out
 
 
