@@ -27,7 +27,7 @@ _EXPORTS = {
     "charge": "CpbParams SpectrumTable cpb_hamiltonian cpb_levels reduced_two_level spectrum_vs_ng "
     "tunable_ej",
     "core": "ConvergenceError DensityMatrix EigenDecomposition HermitianOperator QuantumState "
-    "ValidationError evolve_lindblad evolve_unitary hermitian_eigen tensor_product",
+    "ValidationError evolve_lindblad evolve_unitary hermitian_eigen",
     "coupled": "CoupledParams DrivePulse TruthTable capacitive_hamiltonian coupled_hamiltonian "
     "pi_pulse_duration simulate_cnot transition_table",
     "experiments": "DecoherenceParams ExperimentResult quality_factor rabi ramsey t1_decay",

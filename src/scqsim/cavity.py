@@ -130,7 +130,7 @@ def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
     return ExperimentResult(
         time_grid=t_grid,
         population=pop,
-        fitted=FittedMetrics(nu01=p.nu01, visibility=float(pop.max() - pop.min())),
+        fitted=FittedMetrics(visibility=float(pop.max() - pop.min())),
     )
 
 
@@ -143,7 +143,6 @@ class StrongCouplingReport:
     rabi_period_ns: float
     qubit_t2_ns: float
     photon_lifetime_ns: float
-    margin: float
 
 
 def strong_coupling_check(p: JaynesCummingsParams, margin: float = 10.0) -> StrongCouplingReport:
@@ -169,5 +168,4 @@ def strong_coupling_check(p: JaynesCummingsParams, margin: float = 10.0) -> Stro
         rabi_period_ns=period,
         qubit_t2_ns=t2,
         photon_lifetime_ns=lifetime,
-        margin=margin,
     )

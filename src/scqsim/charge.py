@@ -119,8 +119,8 @@ class SpectrumTable:
         object.__setattr__(self, "control", control)
         object.__setattr__(self, "levels", levels)
 
-    def gap(self, upper: int = 1, lower: int = 0) -> np.ndarray:
-        return self.levels[:, upper] - self.levels[:, lower]
+    def gap(self) -> np.ndarray:
+        return self.levels[:, 1] - self.levels[:, 0]
 
 
 def charge_operator(cutoff: int) -> np.ndarray:

@@ -62,7 +62,12 @@ def _check_dense(states: int, what: str) -> None:
 
 
 def _check_work(kind: str, stop: float, count: float, unit: str, cap: float = WORK_CAP) -> None:
-    """The one work rule: a trace plan above its cap, or not finite, is refused before any step."""
+    """The one work rule: a trace plan above its cap, or not finite, is refused before any step.
+
+    ``count`` is the plan's own count in ``unit``: a Taylor run's substeps
+    (each up to m generator products), a driven run's RK4 steps per period,
+    or its periods.
+    """
     if not count <= cap:
         raise ValidationError(
             f"{kind} trace to t = {stop:g} ns needs {count:.4g} {unit}, above the cap of {cap:g}"
@@ -339,11 +344,6 @@ def hermitian_eigen(op: HermitianOperator) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
-def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Kronecker product A (x) B; dimension dim(A)*dim(B)."""
-    return HermitianOperator(np.kron(a.entries, b.entries))
-
-
 def propagator(op: HermitianOperator, t: float) -> np.ndarray:
     """Unitary exp(-i*2*pi*H*t) for time-independent H, via eigendecomposition."""
     return _eigen_propagator(hermitian_eigen(op), t)
@@ -611,13 +611,16 @@ _UNIT_ROUNDOFF = 2.0**-53
 _DENSE_BLOCK = 64
 
 
-def _taylor_plan(norm: float) -> tuple[int, int]:
+def _taylor_plan(norm: float) -> tuple[int, int | float]:
     """(m, s): degree and substep count with norm/s <= theta_m and the fewest products m s.
 
     theta_m bounds truncation, not rounding: a substep's terms peak near e^theta /
     sqrt(2 pi theta) before they cancel, so a degree is in ``_TAYLOR_THETA`` only if
     2^-53 e^theta_m / sqrt(2 pi theta_m) <= 1e-13 (m = 50: 7.8e-14; m = 55: 2.7e-13).
+    A norm whose substep count overflows a float, or is NaN, plans s = inf.
     """
+    if not norm / min(_TAYLOR_THETA.values()) < math.inf:
+        return max(_TAYLOR_THETA), math.inf
     cost, m = min((m * max(1, math.ceil(norm / theta)), m) for m, theta in _TAYLOR_THETA.items())
     return m, cost // m
 
@@ -635,15 +638,15 @@ def _taylor_trace(gen, x, t_grid, nu: float, refine: int = 1) -> np.ndarray:
     delta <= h.  T itself is the end of the last substep.  Returns a
     (len(t_grid), d, d) array; the weighted terms are added
     ``_DENSE_BLOCK`` grid times at a time, so no other temporary grows
-    with the grid.  A plan of more than WORK_CAP substeps is refused
-    before any term; every plan that large takes the top degree.
+    with the grid.  ``_check_work`` refuses the ``refine s`` substeps of
+    the plan above WORK_CAP, or not finite, before any term; the run
+    applies G at most m times in each.
     """
     t = np.asarray(t_grid, dtype=float)
-    norm = float(t[-1]) * nu
-    _check_work("Lindblad", t[-1], norm / max(_TAYLOR_THETA.values()), "Taylor substeps")
-    out = np.empty(t.shape + x.shape, dtype=complex)
-    m, s = _taylor_plan(norm)
+    m, s = _taylor_plan(float(t[-1]) * nu)
     s *= refine
+    _check_work("Lindblad", t[-1], s, "Taylor substeps")
+    out = np.empty(t.shape + x.shape, dtype=complex)
     h = t[-1] / s
     if h == 0:  # every grid time is 0
         out[:] = x

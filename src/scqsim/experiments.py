@@ -74,7 +74,6 @@ class DecoherenceParams:
 
 @dataclass(frozen=True)
 class FittedMetrics:
-    nu01: float | None = None
     t1_us: float | None = None
     t2_us: float | None = None
     visibility: float | None = None
@@ -152,7 +151,7 @@ def rabi(
     return ExperimentResult(
         time_grid=t_grid,
         population=pop,
-        fitted=FittedMetrics(nu01=nu01, visibility=visibility),
+        fitted=FittedMetrics(visibility=visibility),
     )
 
 
@@ -216,7 +215,6 @@ def ramsey(
         time_grid=delay_grid,
         population=pop,
         fitted=FittedMetrics(
-            nu01=nu01,
             t2_us=t2_fit,
             visibility=visibility,
             quality=quality_factor(t2_fit, nu01),

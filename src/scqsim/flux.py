@@ -51,10 +51,9 @@ from .core import (
     _least_squares,
 )
 
-# solve_levels_1d: DVR points to start from, level tolerance (GHz) and point cap
+# solve_levels_1d: DVR points to start from and level tolerance (GHz)
 _START_POINTS = 64
 _LEVEL_TOL = 1e-6
-_MAX_POINTS = DIMENSION_CAP
 # rf_squid_minima: the most wells of U it searches
 _MAX_WELLS = 2**13
 
@@ -125,7 +124,6 @@ class Levels1D:
 class Levels2D:
     energies: np.ndarray
     states: np.ndarray | None  # columns of length (2N + 1)^2 (row-major n1, n2)
-    cutoff: int
 
 
 def rf_squid_potential(phi, p: RfSquidParams):
@@ -277,7 +275,7 @@ def solve_levels_1d(potential, ec: float, phi_lo: float, phi_hi: float, k: int =
     The interval is clipped with hard walls and solved by the sine DVR on
     ``max(_START_POINTS, k)`` points, grown about 1.5x until the k lowest
     eigenvalues move by less than ``_LEVEL_TOL`` GHz; the finer solution
-    is returned.  Non-convergence at ``_MAX_POINTS`` points raises
+    is returned.  Non-convergence at ``DIMENSION_CAP`` points raises
     ConvergenceError; a non-finite ec or interval end, or a potential that
     is not finite on the DVR points, raises ValidationError before any solve.
     """
@@ -287,17 +285,17 @@ def solve_levels_1d(potential, ec: float, phi_lo: float, phi_hi: float, k: int =
     if ec <= 0:
         raise ValidationError("Ec must be > 0")
     _check_integral(k=k)
-    if not 1 <= k <= _MAX_POINTS:
-        raise ValidationError(f"need 1 <= k <= {_MAX_POINTS} levels, got k = {k}")
+    if not 1 <= k <= DIMENSION_CAP:
+        raise ValidationError(f"need 1 <= k <= {DIMENSION_CAP} levels, got k = {k}")
     n = max(_START_POINTS, k)
     _, _, w, _ = _sine_dvr(potential, ec, phi_lo, phi_hi, n)
-    while (3 * n + 1) // 2 <= _MAX_POINTS:
+    while (3 * n + 1) // 2 <= DIMENSION_CAP:
         n, prev = (3 * n + 1) // 2, w[:k]
         x, _, w, v = _sine_dvr(potential, ec, phi_lo, phi_hi, n)
         if np.abs(w[:k] - prev).max() <= _LEVEL_TOL:
             return Levels1D(phi=x, energies=w[:k], states=v[:, :k], grid_points=n)
     raise ConvergenceError(
-        f"1D eigenvalues not converged to {_LEVEL_TOL} GHz at {_MAX_POINTS} points"
+        f"1D eigenvalues not converged to {_LEVEL_TOL} GHz at {DIMENSION_CAP} points"
     )
 
 
@@ -419,7 +417,7 @@ def solve_three_junction(
     blocks = _sector_blocks(p, sectors)
     if not want_states:
         w = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
-        return Levels2D(energies=np.sort(w)[:k], states=None, cutoff=p.cutoff)
+        return Levels2D(energies=np.sort(w)[:k], states=None)
     solved = [np.linalg.eigh(b) for b in blocks]
     w = np.concatenate([e for e, _ in solved])
     order = np.argsort(w, kind="stable")[:k]
@@ -429,7 +427,7 @@ def solve_three_junction(
         mine = (order >= start) & (order < start + e.size)
         states[:, mine] = np.einsum("it,itj->ij", coef, v[:, order[mine] - start][column])
         start += e.size
-    return Levels2D(energies=w[order], states=states, cutoff=p.cutoff)
+    return Levels2D(energies=w[order], states=states)
 
 
 def flux_spectrum_vs_f(p: ThreeJunctionParams, f_grid, k: int = 6) -> SpectrumTable:

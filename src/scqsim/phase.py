@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DIMENSION_CAP, ConvergenceError, ValidationError, _check_finite, _check_integral
+from .core import ConvergenceError, ValidationError, _check_dense, _check_finite, _check_integral
 from .flux import _sine_dvr, _toeplitz_minus_hankel
 
 _POINT_FACTOR = 1.4  # box modes per classical momentum quantum pi/L at E_top
@@ -129,7 +129,7 @@ def well_levels(p: PhaseQubitParams, k: int = 3) -> WellLevels:
     than k of them are bound is everything below the barrier top solved.
     ConvergenceError if the refinement to 1.5 n points moves a returned
     level by more than 5e-6 plasma spacings or changes any level's
-    bound/unbound verdict.  ValidationError if that refinement needs more
+    bound/unbound verdict.  ``_check_dense`` refuses a refinement of more
     than DIMENSION_CAP points (exhaustive counts above Ej/Ec of about 4e5
     at s = 0).
     """
@@ -147,12 +147,11 @@ def well_levels(p: PhaseQubitParams, k: int = 3) -> WellLevels:
         modes = (hi - lo) * math.sqrt((e_top - u_min) / p.ec) / math.pi
         n = math.ceil(_POINT_FACTOR * modes) + _POINT_MARGIN
         sizes = (n, n + n // 2)
-        if sizes[1] > DIMENSION_CAP:
-            raise ValidationError(
-                f"the well needs {sizes[1]} DVR points to verify levels up to "
-                f"{e_top - u_min:.4g} GHz above its minimum (Ej/Ec = {p.ej / p.ec:.3g}), "
-                f"above the dense cap {DIMENSION_CAP}"
-            )
+        _check_dense(
+            sizes[1],
+            f"the well's DVR refinement to {e_top - u_min:.4g} GHz above its minimum "
+            f"(Ej/Ec = {p.ej / p.ec:.3g})",
+        )
         solved = [
             _sine_dvr(lambda x: washboard_potential(x, p), p.ec, lo, hi, size)[1:]
             for size in sizes

@@ -1513,9 +1513,10 @@ def fuzzed_configs(draw):
     return fuzz_case(command, sections, changes)
 
 
-def run_in_process(command, text):
-    """(exit code, stderr, CSV written) of ``cli.main`` on one config; a numpy
-    warning counts as the stderr lines the interpreter would print for it."""
+def run_in_process(command, text, *args):
+    """(exit code, stderr, CSV text or None) of ``cli.main`` on one config and
+    extra arguments; a numpy warning counts as the stderr lines the
+    interpreter would print for it."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as d, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1523,10 +1524,13 @@ def run_in_process(command, text):
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.write(text)
         with contextlib.redirect_stderr(err):
-            code = cli.main([command, "--config", cfg, "--out", out])
-        written = os.path.exists(out)
+            code = cli.main([command, "--config", cfg, "--out", out, *args])
+        csv = None
+        if os.path.exists(out):
+            with open(out, encoding="utf-8", newline="") as fh:
+                csv = fh.read()
     shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
-    return code, err.getvalue() + shown, written
+    return code, err.getvalue() + shown, csv
 
 
 class TestConfigFuzz:
@@ -1574,9 +1578,9 @@ class TestConfigFuzz:
     @example(case=fuzz_case("rabi", OPEN_RABI, {("decoherence", "t1_us"): "1", ("decoherence", "t2_us"): "1e-7"}))
     @example(case=fuzz_case("rabi", OPEN_RABI, {("decoherence", "t1_us"): "1", ("decoherence", "t2_us"): "1e-8"}))
     def test_exit_contract(self, case):
-        code, stderr, written = run_in_process(*case)
+        code, stderr, csv = run_in_process(*case)
         assert code in (0, 1, 2), stderr
         assert "Traceback" not in stderr
-        assert written == (code == 0), stderr
+        assert (csv is not None) == (code == 0), stderr
         if code == 2:
             assert len(stderr.splitlines()) == 1, stderr

@@ -38,7 +38,6 @@ from scqsim.core import (
     evolve_unitary,
     hermitian_eigen,
     propagator,
-    tensor_product,
 )
 from scqsim.flux import ThreeJunctionParams
 
@@ -157,29 +156,6 @@ class TestEigen:
                 hermitian_eigen(h)
         else:
             assert hermitian_eigen(h).eigenvectors[1, 1] == pytest.approx(1.0)
-
-
-class TestTensor:
-    def test_sigma_x_times_identity(self):
-        out = tensor_product(herm(SIGMA_X), herm(np.eye(2)))
-        expected = np.kron(SIGMA_X, np.eye(2))
-        np.testing.assert_allclose(out.entries, expected, atol=1e-15)
-
-    def test_identity_squared(self):
-        out = tensor_product(herm(np.eye(2)), herm(np.eye(2)))
-        np.testing.assert_allclose(out.entries, np.eye(4), atol=1e-15)
-
-    def test_xx_is_involution(self):
-        xx = tensor_product(herm(SIGMA_X), herm(SIGMA_X)).entries
-        np.testing.assert_allclose(xx @ xx, np.eye(4), atol=1e-14)
-
-    def test_mixed_product_rule(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a, b = herm((a + a.conj().T) / 2), herm((b + b.conj().T) / 2)
-        left = tensor_product(a, herm(np.eye(4))).entries @ tensor_product(herm(np.eye(3)), b).entries
-        np.testing.assert_allclose(left, tensor_product(a, b).entries, atol=1e-12)
 
 
 class TestUnitaryEvolution:
@@ -510,6 +486,14 @@ class TestTaylorAction:
             assert 2.0**-53 * math.exp(theta) / math.sqrt(2.0 * math.pi * theta) <= 1e-13
 
 
+class FirstTerm(Exception):
+    """Raised by ``first_term``, a generator, at its first call: its plan was admitted."""
+
+
+def first_term(x):
+    raise FirstTerm
+
+
 class TestWorkCap:
     """Each trace plan is checked against its cap before any step."""
 
@@ -533,12 +517,38 @@ class TestWorkCap:
         with pytest.raises(ValidationError, match=r"Lindblad trace to t = \S+ ns needs \S+ Taylor substeps"):
             core._taylor_trace(unreachable, np.eye(2, dtype=complex), [0.0, stop], 10.0)
 
-    def test_the_largest_plan_allowed_takes_the_top_degree(self):
-        # T nu / theta_50 = 100000: the count checked is the plan's substeps
-        theta = max(core._TAYLOR_THETA.values())
-        nu = core.WORK_CAP * theta
-        assert core._taylor_plan(nu) == (50, core.WORK_CAP)
-        core._check_work("Lindblad", 1.0, nu / theta, "Taylor substeps")
+    def test_the_check_counts_the_refined_plan(self):
+        # T nu just below 60000 theta_50 plans (50, 60000): admitted, but 120000 substeps refined
+        nu = 60000 * core._TAYLOR_THETA[50] * (1 - 1e-9)
+        assert core._taylor_plan(nu) == (50, 60000)
+        x, grid = np.eye(2, dtype=complex), [0.0, 1.0]
+        with pytest.raises(FirstTerm):
+            core._taylor_trace(first_term, x, grid, nu)
+        with pytest.raises(ValidationError, match=r"needs 1\.2e\+05 Taylor substeps, above the cap of 100000$"):
+            core._taylor_trace(first_term, x, grid, nu, refine=2)
+
+    def test_the_largest_plan_allowed_is_work_cap_substeps(self):
+        nu = core.WORK_CAP * core._TAYLOR_THETA[50]
+        x, grid = np.eye(2, dtype=complex), [0.0, 1.0]
+        with pytest.raises(FirstTerm):
+            core._taylor_trace(first_term, x, grid, nu * (1 - 1e-9))
+        with pytest.raises(ValidationError, match=r"needs 1e\+05 Taylor substeps"):  # 100001, to 4 digits
+            core._taylor_trace(first_term, x, grid, nu * (1 + 1e-9))
+
+    def test_a_substep_applies_the_generator_at_most_m_times(self):
+        # ||G||_1 = nu: a rotation whose terms need the full degree
+        nu = 20 * core._TAYLOR_THETA[50]
+        m, s = core._taylor_plan(nu)
+        calls = []
+
+        def rotation(x):
+            calls.append(1)
+            return 1j * nu * x
+
+        grid = np.array([0.0, 0.3, 1.0])
+        out = core._taylor_trace(rotation, np.ones((1, 1), dtype=complex), grid, nu)
+        assert (m, s) == (50, 20) and 0.9 * m * s <= len(calls) <= m * s
+        np.testing.assert_allclose(out[:, 0, 0], np.exp(1j * nu * grid), atol=1e-12)
 
     @pytest.mark.parametrize(
         "period, steps_per_ns, stop, message",

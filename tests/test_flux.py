@@ -175,7 +175,7 @@ class TestSolve1D:
 
     def test_nonconvergence_reported(self, monkeypatch):
         monkeypatch.setattr(flux, "_LEVEL_TOL", 1e-16)
-        monkeypatch.setattr(flux, "_MAX_POINTS", 256)
+        monkeypatch.setattr(flux, "DIMENSION_CAP", 256)
         with pytest.raises(ConvergenceError, match="at 256 points"):
             solve_levels_1d(lambda x: 0.5 * x**2, 1.0, -10.0, 10.0, k=2)
 

@@ -159,7 +159,7 @@ class TestWellLevels:
     def test_exhaustive_count_above_the_cap_rejected(self):
         # counting every level of an Ej/Ec = 1e6 well needs ~6000 points
         p = params(s=0.0, ratio=1e6)
-        with pytest.raises(ValidationError, match="above the dense cap 4096"):
+        with pytest.raises(ValidationError, match="states, above the dense-storage cap 4096"):
             bound_state_count(p)
         assert not well_levels(p, k=3).truncated  # the lowest levels stay cheap
 
