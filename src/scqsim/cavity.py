@@ -14,8 +14,8 @@ decay (a, rate kappa) and every qubit protocol's channels,
 whatever N is.  The sector is closed: H conserves the excitation number,
 a and s- take each sector state to |g0> or to zero, and sz and every L+L
 are diagonal.  Its frame rotates at nu_c, which moves no population and
-keeps the carrier out of the generator norm that sets ``evolve_lindblad``'s
-Taylor substeps.
+keeps the carrier out of the generator norm that sets the squarings of
+``evolve_lindblad``'s step exponentials.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DIMENSION_CAP = 4096
-# the most Taylor substeps, or RK4 steps per drive period, one trace may plan
+# the most RK4 steps per drive period one trace may plan
 WORK_CAP = 100_000
 # the most drive periods one trace may span: int64 period indices, with room to round
 _PERIOD_CAP = 2**62
@@ -53,24 +53,24 @@ def _complex_matrix(entries) -> np.ndarray:
     return m
 
 
-def _check_dense(states: int, what: str) -> None:
-    """The one dense-size rule: a basis of more than DIMENSION_CAP states is refused."""
-    if states > DIMENSION_CAP:
-        raise ValidationError(
-            f"{what} gives {states} states, above the dense-storage cap {DIMENSION_CAP}"
-        )
+def _check_dense(states: int, what: str, cap: int = DIMENSION_CAP) -> None:
+    """The one dense-size rule: a basis of more than ``cap`` (DIMENSION_CAP) states is refused."""
+    if states > cap:
+        raise ValidationError(f"{what} gives {states} states, above the dense-storage cap {cap}")
 
 
 def _check_work(kind: str, stop: float, count: float, unit: str, cap: float = WORK_CAP) -> None:
     """The one work rule: a trace plan above its cap, or not finite, is refused before any step.
 
-    ``count`` is the plan's own count in ``unit``: a Taylor run's substeps
-    (each up to m generator products), a driven run's RK4 steps per period,
-    or its periods.
+    ``count`` is the plan's own count in ``unit``: a Lindblad trace's
+    squarings per step exponential, a driven run's RK4 steps per period,
+    or its periods.  The message gives the count to the fewest digits (at
+    least 4) that read above the cap.
     """
     if not count <= cap:
+        text = next((t for p in range(4, 18) if float(t := f"{count:.{p}g}") > cap), f"{count}")
         raise ValidationError(
-            f"{kind} trace to t = {stop:g} ns needs {count:.4g} {unit}, above the cap of {cap:g}"
+            f"{kind} trace to t = {stop:g} ns needs {text} {unit}, above the cap of {cap:g}"
         )
 
 
@@ -411,43 +411,22 @@ def _jump_terms(shape, channels):
 
 
 def _liouvillian(h, channels):
-    """The matrix of ``_lindblad_generator``'s map on the row-major vec(rho).
-
-    Column i d + j is G(|i><j|) flattened.  Without channels it is the
-    commutator part alone, how a drive term H = c(t) V enters ``_driven_trace``.
-    """
-    gen, _ = _lindblad_generator(h, channels)
-    d = h.shape[0]
-    return np.stack([gen(e.reshape(d, d)).ravel() for e in np.eye(d * d, dtype=complex)], axis=1)
-
-
-def _lindblad_generator(h, channels):
-    """(G, nu): the GKLS generator on d x d matrices and a bound nu >= ||G||_1.
+    """The GKLS generator G as a matrix on the row-major vec(rho), from vec(A x B) = (A (x) B^T) vec(x).
 
     G(x) = K x + x K+ + sum_k g_k L x L+ with K = -i*2*pi*(H - tr H/d) -
     sum_k g_k L+L/2; the 2*pi belongs to the Hamiltonian term only (H in
     GHz, rates in 1/ns), and the shift by tr H/d cancels in K x + x K+ but
-    lowers nu = 2 ||K||_1 + sum_k g_k ||L||_1^2, which bounds the 1-norm of
-    G acting on vec(x).  G is written literally, since the Taylor terms it
-    is applied to are not Hermitian.  With R_k = sqrt(g_k) L_k it runs as
-    two stacked products, [K x, R_1 x, ...] @ [I; R_1+; ...], plus x K+.
+    lowers the norm.  Without channels it is the commutator part alone,
+    how a drive term H = c(t) V enters ``_driven_trace``.
     """
     jumps, decay = _jump_terms(h.shape, channels)
     d = h.shape[0]
-    k = -1j * _TWO_PI * (h - (np.trace(h).real / d) * np.eye(d)) - decay
-    k_h = k.conj().T
-    roots = [math.sqrt(rate) * L for rate, L in jumps]
-    blocks = len(roots) + 1
-    left = np.concatenate([k, *roots])
-    right = np.concatenate([np.eye(d), *(r.conj().T for r in roots)])
-    nu = 2.0 * np.linalg.norm(k, 1) + sum(rate * np.linalg.norm(L, 1) ** 2 for rate, L in jumps)
-
-    def gen(x):
-        y = (left @ x).reshape(blocks, d, d).transpose(1, 0, 2).reshape(d, blocks * d) @ right
-        y += x @ k_h
-        return y
-
-    return gen, float(nu)
+    eye = np.eye(d)
+    k = -1j * _TWO_PI * (h - (np.trace(h).real / d) * eye) - decay
+    lv = np.kron(k, eye) + np.kron(eye, k.conj())
+    for rate, L in jumps:
+        lv += rate * np.kron(L, L.conj())
+    return lv
 
 
 def _hermitian(x):
@@ -600,78 +579,74 @@ def _driven_trace(h0, v, pulse, y0, t_grid, channels=None):
 
 
 # Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM
-# J. Sci. Comput. 33, 488 (2011), Table 3.1 for u = 2^-53: a degree-m Taylor
-# step of tau G with tau ||G||_1 <= theta_m has backward error at most u.
+# J. Sci. Comput. 33, 488 (2011), Table 3.1 for u = 2^-53: the degree-m Taylor
+# polynomial of a with ||a||_1 <= theta_m is exp(a + e) with ||e||_1 <= u ||a||_1.
 _TAYLOR_THETA = {
     5: 2.4e-3, 10: 0.144, 15: 0.641, 20: 1.44, 25: 2.43, 30: 3.54,
     35: 4.73, 40: 5.97, 45: 7.25, 50: 8.55,
 }
-_UNIT_ROUNDOFF = 2.0**-53
-# grid times per weighted sum of a Taylor term in ``_taylor_trace``
-_DENSE_BLOCK = 64
+# the most squarings of one step exponential: each may double the rounding
+# error, and 2^26 u = 7.5e-9 stays below the 1e-8 trace tolerance
+_SQUARING_CAP = 26
+# the largest Liouville dimension d^2 of a constant-generator trace, d = 24: a
+# step exponential of 23 products takes 0.25 s there on 2 CPUs (0.4 s at the
+# squaring cap), and 1.4 s at d = 32
+_LIOUVILLE_CAP = 576
 
 
-def _taylor_plan(norm: float) -> tuple[int, int | float]:
-    """(m, s): degree and substep count with norm/s <= theta_m and the fewest products m s.
+def _expm_plan(norm: float) -> tuple[int, int | float]:
+    """(m, k): Taylor degree and squarings with norm/2^k <= theta_m and the fewest products m + k.
 
-    theta_m bounds truncation, not rounding: a substep's terms peak near e^theta /
-    sqrt(2 pi theta) before they cancel, so a degree is in ``_TAYLOR_THETA`` only if
-    2^-53 e^theta_m / sqrt(2 pi theta_m) <= 1e-13 (m = 50: 7.8e-14; m = 55: 2.7e-13).
-    A norm whose substep count overflows a float, or is NaN, plans s = inf.
+    Ties go to fewer squarings.  A norm that is not finite, or so large
+    that norm/theta_5 overflows, plans k = inf.
     """
     if not norm / min(_TAYLOR_THETA.values()) < math.inf:
         return max(_TAYLOR_THETA), math.inf
-    cost, m = min((m * max(1, math.ceil(norm / theta)), m) for m, theta in _TAYLOR_THETA.items())
-    return m, cost // m
+
+    def squarings(theta):
+        mantissa, exponent = math.frexp(norm / theta)  # norm/theta = mantissa 2^exponent
+        return max(0, exponent - (mantissa == 0.5))
+
+    plans = [(m, squarings(theta)) for m, theta in _TAYLOR_THETA.items()]
+    return min(plans, key=lambda plan: (plan[0] + plan[1], plan[1]))
 
 
-def _taylor_trace(gen, x, t_grid, nu: float, refine: int = 1) -> np.ndarray:
-    """exp(t G) x at each time t of an ascending grid from t = 0, as one Taylor run.
+def _expm(a: np.ndarray, extra: int = 0) -> np.ndarray:
+    """exp(a) by scaling and squaring: T_m(a/2^k) squared k times, T_m by Horner's rule.
 
-    (m, s) = ``_taylor_plan(T nu)`` for the last grid time T, and the run
-    takes ``refine s`` equal substeps of h.  A substep forms the terms
-    (hG)^j y / j! of its start state y once, j <= m, and stops once two
-    successive terms together fall below the unit roundoff times the
-    partial sum (max-abs norms).  Each grid time ``start + delta`` before
-    T inside it sums the same terms weighted by (delta/h)^j: the Taylor
-    polynomial of exp(delta G) y, whose theta_m bound holds for every
-    delta <= h.  T itself is the end of the last substep.  Returns a
-    (len(t_grid), d, d) array; the weighted terms are added
-    ``_DENSE_BLOCK`` grid times at a time, so no other temporary grows
-    with the grid.  ``_check_work`` refuses the ``refine s`` substeps of
-    the plan above WORK_CAP, or not finite, before any term; the run
-    applies G at most m times in each.
+    (m, k) = ``_expm_plan(||a||_1)``, with ``extra`` more squarings.  The
+    plan's backward error is at most u ||a||_1 (Moler & Van Loan, SIAM Rev.
+    45, 3 (2003); Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+    (2009)); it takes m + k + extra products.
     """
-    t = np.asarray(t_grid, dtype=float)
-    m, s = _taylor_plan(float(t[-1]) * nu)
-    s *= refine
-    _check_work("Lindblad", t[-1], s, "Taylor substeps")
-    out = np.empty(t.shape + x.shape, dtype=complex)
-    h = t[-1] / s
-    if h == 0:  # every grid time is 0
-        out[:] = x
-        return out
-    ratio = t / h
-    # the substep of each grid time before T; T ends substep s - 1
-    sub = np.where(t < t[-1], np.minimum(np.floor(ratio), s - 1), s)
-    ratio -= sub
-    weight = np.ones_like(t)  # (delta/h)^j of each grid time
-    bounds = np.searchsorted(sub, np.arange(s + 1)).tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out[lo:hi] = x
-        term, last = x, np.abs(x).max()
-        for j in range(1, m + 1):
-            term = gen(term) * (h / j)
-            x = x + term
-            weight[lo:hi] *= ratio[lo:hi]
-            for a in range(lo, hi, _DENSE_BLOCK):
-                b = min(a + _DENSE_BLOCK, hi)
-                out[a:b] += weight[a:b, None, None] * term
-            size = np.abs(term).max()
-            if last + size <= _UNIT_ROUNDOFF * np.abs(x).max():
-                break
-            last = size
-    out[bounds[-1]:] = x
+    m, k = _expm_plan(float(np.linalg.norm(a, 1)))
+    k += extra
+    a = a * 2.0**-k
+    e = eye = np.eye(a.shape[0])
+    for j in range(m, 0, -1):
+        e = (a @ e) / j
+        e += eye
+    for _ in range(k):
+        e = e @ e
+    return e
+
+
+def _step_chain(lv, spans, step, rho, extra: int) -> np.ndarray:
+    """States exp(t_i L) rho of a grid as a (points, d, d) stack, each symmetrized once.
+
+    ``spans`` holds the grid's distinct spacings (the first from t = 0) and
+    ``step`` each point's index into it.  A spacing's ``_expm(span L,
+    extra)`` is taken at its first point and dropped after its last, and
+    each point is one product with it.
+    """
+    last = dict(zip(step.tolist(), range(len(step))))  # the last point of each spacing
+    steps, vec = {}, rho.ravel()
+    out = np.empty((len(step),) + rho.shape, dtype=complex)
+    for i, j in enumerate(step.tolist()):
+        if j not in steps:
+            steps[j] = _expm(spans[j] * lv, extra)
+        vec = (steps.pop(j) if last[j] == i else steps[j]) @ vec
+        out[i] = _hermitian(vec.reshape(rho.shape))
     return out
 
 
@@ -697,34 +672,38 @@ def evolve_lindblad(
     t_grid : sequence of float
         At least one ascending output time (ns), from >= 0 (an empty grid is a ValidationError).
     verify : bool
-        Reach every grid time again as the end of its own substeps, span by
-        span at twice the substeps, and require agreement within 1e-7
-        (raises ConvergenceError naming the first bad grid time).  The
-        check does not change the returned states.
+        Run the chain again with every step exponential at one more
+        squaring and require agreement within 1e-7 (raises
+        ConvergenceError naming the first bad grid time).  The check does
+        not change the returned states.
 
-    The states are exp(t G) rho0 with G the GKLS generator of
-    ``_lindblad_generator``, in matrix form: one truncated-Taylor run over
-    the whole grid (``_taylor_trace``), its degree m and substeps s chosen
-    from the bound nu >= ||G||_1, the last grid time and the theta_m of
-    Al-Mohy & Higham (2011).  Each grid time is read off the terms of the
-    substep it falls in (dense output), so the cost is set by the span of
-    the grid, not by its number of points.  No d^2 x d^2 matrix is built
-    at any dimension.  Each state is symmetrized once, (X + X+)/2, and
-    judged by ``_checked_states``: trace within 1e-8, no eigenvalue below
-    -1e-7, else ConvergenceError naming the first failing grid time.
+    The states are exp(t L) rho0 with L the d^2 x d^2 GKLS generator of
+    ``_liouvillian``, built once.  Each distinct grid spacing s takes one
+    step exponential exp(s L) (``_expm``), and each grid time is the step
+    of its spacing applied to the state before it, so a ``linspace`` grid
+    costs a few exponentials and one matrix-vector product per point.
+    Before any product, ``_check_dense`` refuses a Liouville dimension d^2
+    above ``_LIOUVILLE_CAP`` and ``_check_work`` a plan of more than
+    ``_SQUARING_CAP`` squarings (counting the check's extra one).  Each
+    state is symmetrized once, (X + X+)/2, and judged by
+    ``_checked_states``: trace within 1e-8, no eigenvalue below -1e-7,
+    else ConvergenceError naming the first failing grid time.
     """
     t_grid = _checked_time_grid(list(t_grid))
     if op.dimension != rho0.dimension:
         raise ValidationError("Hamiltonian and state dimensions differ")
-    gen, nu = _lindblad_generator(op.entries, channels)
+    d = op.dimension
+    _check_dense(d * d, f"Liouville space of {d} levels", _LIOUVILLE_CAP)
+    lv = _liouvillian(op.entries, channels)
+    spans, step = np.unique(np.diff(t_grid, prepend=0.0), return_inverse=True)
+    with np.errstate(over="ignore"):  # an infinite norm plans inf squarings, refused below
+        squarings = _expm_plan(float(np.linalg.norm(spans[-1] * lv, 1)))[1] + verify
+    _check_work("Lindblad", t_grid[-1], squarings, "squarings", _SQUARING_CAP)
     rho = _hermitian(rho0.entries)
-    states = _taylor_trace(gen, rho, t_grid, nu)
-    for k, state in enumerate(states):
-        states[k] = _hermitian(state)
+    states = _step_chain(lv, spans, step, rho, 0)
     if verify:
-        for tk, tau, state in zip(t_grid, np.diff(t_grid, prepend=0.0), states):
-            rho = _hermitian(_taylor_trace(gen, rho, [tau], nu, refine=2)[0])
-            delta = np.abs(state - rho).max()
+        for tk, state, again in zip(t_grid, states, _step_chain(lv, spans, step, rho, 1)):
+            delta = np.abs(state - again).max()
             if not delta <= 1e-7:
                 raise ConvergenceError(
                     f"substep-doubling disagreement {delta:.2e} > 1e-7 at t = {tk} ns"

@@ -9,9 +9,11 @@ no need for the local ``.hypothesis`` database that replays it.  The
 ``src/`` line count (``wc -l`` of its Python files) lets every test log
 show the net lines a change adds or deletes.  Every plan that
 ``core._check_work`` admits in this process is recorded by its unit
-(Taylor substeps, RK4 steps per drive period, drive periods), except in
-the work rule's own tests and the config fuzz; the largest of each, with
-the test that ran it, shows how far the suite stays below its cap.
+(Lindblad squarings, RK4 steps per drive period, drive periods), and so
+is the number of step exponentials (``core._expm`` calls) that each
+admitted Lindblad plan goes on to take, except in the work rule's own
+tests and the config fuzz; the largest of each, with the test that ran
+it, shows how far the suite stays below its cap.
 """
 
 import glob
@@ -29,27 +31,43 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 settings.register_profile("scqsim", print_blob=True)
 settings.load_profile("scqsim")
 
-_check_work = core._check_work
+_check_work, _expm = core._check_work, core._expm
 _running = None  # node id of the test being run
 _largest = {}  # unit -> (count, node id) of the largest admitted plan
+_exponentials = None  # step exponentials since this test's last admitted Lindblad plan
 # the work rule's own tests, and the config fuzz, whose random draws seek the cap
 _UNRECORDED = ("TestWorkCap", "TestConfigFuzz")
 
 
-def _recording_check_work(kind, stop, count, unit, *cap):
-    _check_work(kind, stop, count, unit, *cap)
+def _record(unit, count):
     if _running is not None and not any(f"::{name}::" in _running for name in _UNRECORDED):
         if count > _largest.get(unit, (-1, None))[0]:
             _largest[unit] = (count, _running)
 
 
-core._check_work = _recording_check_work
+def _recording_check_work(kind, stop, count, unit, *cap):
+    global _exponentials
+    _check_work(kind, stop, count, unit, *cap)
+    _record(unit, count)
+    if unit == "squarings":
+        _exponentials = 0
+
+
+def _counting_expm(*args):
+    global _exponentials
+    if _exponentials is not None:
+        _exponentials += 1
+        _record("step exponentials", _exponentials)
+    return _expm(*args)
+
+
+core._check_work, core._expm = _recording_check_work, _counting_expm
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
-    global _running
-    _running = item.nodeid
+    global _running, _exponentials
+    _running, _exponentials = item.nodeid, None
     yield
     _running = None
 

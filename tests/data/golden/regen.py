@@ -6,11 +6,11 @@ how far each file moved.
 Every case of ``cases.json`` (its name, command, arguments and config are the
 inputs and are kept) is run in process by ``tests/test_golden.py``'s ``run_case``.
 Its exit code and stderr are stored in ``cases.json`` with the numpy
-version that made them, and the CSV of an exit-0 case in ``<name>.csv``.
-One line per case reports its largest move from the stored corpus: the
-largest relative change of a CSV data value (``inf`` for a changed ``#``
-line, header or row count) and a changed exit code or stderr in full, or
-``unchanged``.
+version and the OpenBLAS kernel that made them, and the CSV of an exit-0
+case in ``<name>.csv``.  One line per case reports its largest move from
+the stored corpus: the largest relative change of a number in the CSV,
+``#`` lines included (``inf`` for changed text, header or row count), and
+a changed exit code or stderr in full, or ``unchanged``.
 """
 
 import json
@@ -23,7 +23,7 @@ sys.path[:0] = [os.path.join(os.path.dirname(TESTS), "src"), TESTS]
 
 import numpy as np  # noqa: E402
 
-from test_golden import largest_move, load_corpus, run_case  # noqa: E402
+from test_golden import blas_core, largest_move, load_corpus, run_case  # noqa: E402
 
 
 def main():
@@ -49,7 +49,7 @@ def main():
             moves.append("CSV removed" if csv is None else "CSV added")
         print(f"{case['name']}: {'; '.join(moves) or 'unchanged'}")
         case["exit"], case["stderr"] = code, stderr
-    corpus["numpy"] = np.__version__
+    corpus["numpy"], corpus["blas_core"] = np.__version__, blas_core()
     with open(os.path.join(HERE, "cases.json"), "w", encoding="utf-8") as fh:
         json.dump(corpus, fh, indent=1)
         fh.write("\n")

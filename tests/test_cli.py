@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -567,23 +568,20 @@ points = 11
         assert proc.returncode == 0 and proc.stdout.startswith("usage: scqsim")
         assert "--circuit" not in proc.stdout
 
-    @pytest.mark.parametrize("command, most", [("ramsey", 200), ("t1", 40), ("jc", 60)])
-    def test_lindblad_commands_take_one_taylor_run(self, command, most, tmp_path, monkeypatch):
-        # one Taylor plan per trace, every grid time read off its substep:
-        # the generator is applied about as often as one series over the
-        # whole span needs, not once per grid span (1400, 586 and 360 times)
-        applied = []
-        make = core._lindblad_generator
-
-        def counted(h, channels):
-            gen, nu = make(h, channels)
-            return (lambda x: applied.append(1) or gen(x)), nu
-
-        monkeypatch.setattr(core, "_lindblad_generator", counted)
+    @pytest.mark.parametrize("command", sorted(LINDBLAD_CONFIGS))
+    def test_lindblad_commands_take_one_exponential_per_spacing(self, command, tmp_path, monkeypatch):
+        # one step exponential per distinct spacing of the linspace grid
+        # (ramsey 2, t1 2, jc 7), not one per grid time (101, 61 and 31)
+        taken = []
+        expm = core._expm
+        monkeypatch.setattr(core, "_expm", lambda a, extra=0: taken.append(extra) or expm(a, extra))
         cfg = tmp_path / f"{command}.ini"
         cfg.write_text(LINDBLAD_CONFIGS[command])
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
-        assert 0 < len(applied) <= most
+        span = parse_config(LINDBLAD_CONFIGS[command], command=command).sections["time"]
+        grid = np.linspace(0.0, span["stop"], span["points"])
+        assert taken == [0] * np.unique(np.diff(grid, prepend=0.0)).size
+        assert 2 <= len(taken) <= 7
 
 
 def assert_one_line_failure(proc, code, prefix):
@@ -1028,22 +1026,19 @@ class TestFailurePaths:
                 "t1",
                 "[decoherence]\nt1_us = 2.0\nt2_us = 2.0\n[time]\nstop = 1e300\npoints = 61\n",
                 (),
-                "error: Lindblad trace to t = 1e+300 ns needs 1.462e+296 Taylor substeps, "
-                "above the cap of 100000",
+                "error: Lindblad trace to t = 1e+300 ns needs 984 squarings, above the cap of 26",
             ),
             (
                 "ramsey",
                 LINDBLAD_CONFIGS["ramsey"].replace("stop = 2500.0", "stop = 1e300"),
                 (),
-                "error: Lindblad trace to t = 1e+300 ns needs 1.539e+297 Taylor substeps, "
-                "above the cap of 100000",
+                "error: Lindblad trace to t = 1e+300 ns needs 987 squarings, above the cap of 26",
             ),
             (
                 "jc",
                 LINDBLAD_CONFIGS["jc"].replace("g = 0.1", "g = 1e100"),
                 (),
-                "error: Lindblad trace to t = 3 ns needs 4.409e+100 Taylor substeps, "
-                "above the cap of 100000",
+                "error: Lindblad trace to t = 3 ns needs 336 squarings, above the cap of 26",
             ),
             (
                 "rabi",
@@ -1085,8 +1080,7 @@ class TestFailurePaths:
                 "jc",
                 LINDBLAD_CONFIGS["jc"].replace("g = 0.1", "g = 1e300"),
                 (),
-                "error: Lindblad trace to t = 3 ns needs 4.409e+300 Taylor substeps, "
-                "above the cap of 100000",
+                "error: Lindblad trace to t = 3 ns needs 1000 squarings, above the cap of 26",
             ),
             # the RK4 step density follows the channels' decay as well
             *(
@@ -1470,14 +1464,6 @@ FUZZ_VALUES = ("0", "-1", "0.5", "5e-324", "1e300", "2047", "65536")
 # or 65536 noise trajectories (14 s) is requested work, not a fault
 WORK_KEYS = {"points", "samples", "trajectories", "count", "cutoff", "levels"}
 WORK_VALUES = ("0", "-1", "0.5", "5e-324", "1e300", "2", "16")
-# keys that set the span or the rates of a Lindblad trace draw 2047 at most:
-# at 65536 a plan within the work cap takes 5-77 s (open jc at g = 65536 over
-# 1 ns, 77 s), on the same path as at 2047; 1e300 still meets the cap
-SPAN_KEYS = {
-    ("time", "start"), ("time", "stop"), ("qubit", "detuning"),
-    ("jc", "nu01"), ("jc", "nu_c"), ("jc", "g"), ("jc", "kappa_per_us"),
-}
-SPAN_VALUES = FUZZ_VALUES[:-1]
 
 
 def fuzz_case(command, sections, changes=()):
@@ -1507,8 +1493,6 @@ def fuzzed_configs(draw):
         pool = FUZZ_VALUES
         if key in WORK_KEYS:
             pool = WORK_VALUES
-        elif (name, key) in SPAN_KEYS:
-            pool = SPAN_VALUES
         changes[name, key] = draw(st.sampled_from(pool))
     return fuzz_case(command, sections, changes)
 
@@ -1573,6 +1557,11 @@ class TestConfigFuzz:
         )
     )
     @example(case=fuzz_case("jc", ["jc", "time"], {("jc", "n_ph"): "2047"}))
+    # Lindblad plans that once took 26-81 s each
+    @example(case=fuzz_case("jc", ["jc", "time", "decoherence"], {("jc", "g"): "65536"}))
+    @example(case=fuzz_case("jc", ["jc", "time", "decoherence"], {("jc", "nu01"): "65536"}))
+    @example(case=fuzz_case("jc", ["jc", "time", "decoherence"], {("jc", "nu_c"): "65536"}))
+    @example(case=fuzz_case("ramsey", RAMSEY, {("qubit", "detuning"): "65536"}))
     @example(case=fuzz_case("jc", ["jc", "time"], {("jc", "g"): "0", ("jc", "margin"): "10"}))
     # the RK4 steps follow the channels: 1e-7 runs, 1e-8 meets the work cap
     @example(case=fuzz_case("rabi", OPEN_RABI, {("decoherence", "t1_us"): "1", ("decoherence", "t2_us"): "1e-7"}))
@@ -1584,3 +1573,20 @@ class TestConfigFuzz:
         assert (csv is not None) == (code == 0), stderr
         if code == 2:
             assert len(stderr.splitlines()) == 1, stderr
+
+    @pytest.mark.parametrize(
+        "sections, key",
+        [
+            (["jc", "time", "decoherence"], ("jc", "g")),
+            (["jc", "time", "decoherence"], ("jc", "nu01")),
+            (["jc", "time", "decoherence"], ("jc", "nu_c")),
+            (RAMSEY, ("qubit", "detuning")),
+        ],
+    )
+    def test_fast_lindblad_rates_run_at_once(self, sections, key):
+        # a rate of 65536 GHz over 1 ns costs a few squarings more, not minutes
+        command = "ramsey" if key[0] == "qubit" else "jc"
+        start = time.perf_counter()
+        code, stderr, csv = run_in_process(*fuzz_case(command, sections, {key: "65536"}))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and csv is not None, stderr

@@ -29,7 +29,6 @@ from scqsim.core import (
     _checked_states,
     _hermitian,
     _least_squares,
-    _lindblad_generator,
     _liouvillian,
     _rk4_driven,
     _unitary_trace,
@@ -320,7 +319,7 @@ class TestLindblad:
             assert np.linalg.eigvalsh(m).min() > -1e-7
 
     def test_verify_agrees_with_unverified(self):
-        # the substep-doubling check does not change the returned states
+        # the extra-squaring check does not change the returned states
         h = herm(np.array([[0.5, 0.1], [0.1, -0.5]]))
         rho0 = DensityMatrix(np.diag([0.0, 1.0]))
         grid = [10.0, 20.0]
@@ -368,33 +367,45 @@ class TestLindblad:
             assert np.array_equal(rho.entries, rho0.entries)
 
     def test_memory_grows_with_the_returned_states_only(self):
-        # 4000 grid times inside one substep at d = 16: the Taylor run holds
-        # its output and blocks of _DENSE_BLOCK weighted terms, and the
-        # public call adds the DensityMatrix copies
+        # 4000 grid times at d = 8: the chain holds its output, the step
+        # exponentials of the grid's distinct spacings and the Liouvillian,
+        # and the returned states are views of the output
         rng = np.random.default_rng(1)
-        d = 16
+        d = 8
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = 0.018 * (a + a.conj().T)
         channels = [(np.diag(np.sqrt(np.arange(1.0, d)), 1), 0.05)]
-        gen, nu = _lindblad_generator(h, channels)
-        assert core._taylor_plan(nu)[1] == 1
         rho0 = DensityMatrix(np.diag(np.eye(d)[-1]))
         grid = np.linspace(0.0, 1.0, 4000)
-
-        states, peak = traced_peak(lambda: core._taylor_trace(gen, rho0.entries, grid, nu))
-        assert peak <= 1.1 * states.nbytes
-        del states
-        op = HermitianOperator(h)
-        rhos, peak = traced_peak(lambda: evolve_lindblad(op, channels, rho0, grid, verify=False))
-        assert peak <= 2.5 * sum(rho.entries.nbytes for rho in rhos)
+        spans = np.unique(np.diff(grid, prepend=0.0)).size
+        step_bytes = (spans + 4) * d**4 * 16
+        rhos, peak = traced_peak(lambda: evolve_lindblad(HermitianOperator(h), channels, rho0, grid, verify=False))
+        states = sum(rho.entries.nbytes for rho in rhos)
+        assert spans > 1 and step_bytes < 0.5 * states
+        assert peak <= 1.05 * states + step_bytes
 
     def test_verify_failure_names_the_first_bad_time(self, monkeypatch):
-        # one degree-5 substep per span, far too few for tau ||G|| ~ 30; the
-        # zero span at t = 0 agrees, so the first bad time is 1 ns
+        # degree 5 and no squaring for ||tau L|| ~ 30, far too few; one more
+        # squaring gives another answer.  The zero span at t = 0 is the
+        # identity both ways, so the first bad time is 1 ns
         monkeypatch.setattr(core, "_TAYLOR_THETA", {5: 1e3})
         rho0 = DensityMatrix(np.diag([1.0, 0.0]))
         with pytest.raises(ConvergenceError, match=r"disagreement \S+ > 1e-7 at t = 1.0 ns"):
             evolve_lindblad(herm(2.5 * SIGMA_X), [], rho0, [0.0, 1.0, 2.0])
+
+    def test_one_step_exponential_per_distinct_spacing(self, monkeypatch):
+        # leading zeros and a repeated spacing: spans 0, 0.25 and 0.5, the
+        # last two used twice each, plus a second set at one more squaring
+        calls = []
+        expm_ = core._expm
+        monkeypatch.setattr(core, "_expm", lambda a, extra=0: calls.append(extra) or expm_(a, extra))
+        rho0 = DensityMatrix(np.diag([0.0, 1.0]))
+        grid = [0.0, 0.0, 0.25, 0.5, 1.0, 1.5]
+        evolve_lindblad(herm(0.3 * SIGMA_X), [(SIGMA_MINUS, 0.2)], rho0, grid, verify=False)
+        assert calls == [0, 0, 0]
+        calls.clear()
+        evolve_lindblad(herm(0.3 * SIGMA_X), [(SIGMA_MINUS, 0.2)], rho0, grid)
+        assert sorted(calls) == [0, 0, 0, 1, 1, 1]
 
 
 def random_system(seed, dim, n_channels):
@@ -467,6 +478,8 @@ def backward_error_theta(m, terms=600, u=2.0**-53):
 
 
 class TestTaylorAction:
+    """The step exponential: Taylor polynomials of degree m, scaled by 2^-k and squared k times."""
+
     def test_theta_table_matches_the_backward_error_series(self):
         # the table keeps three digits of each theta_m
         for m, theta in core._TAYLOR_THETA.items():
@@ -474,24 +487,59 @@ class TestTaylorAction:
 
     @pytest.mark.parametrize(
         "norm, plan",
-        [(0.0, (5, 1)), (2e-3, (5, 1)), (0.5, (15, 1)), (9.0, (35, 2)), (30.0, (50, 4))],
+        [
+            (0.0, (5, 0)),
+            (2e-3, (5, 0)),
+            (0.5, (10, 2)),
+            (9.0, (10, 6)),
+            (30.0, (10, 8)),
+            (0.144, (10, 0)),  # theta_10 itself needs no squaring
+            (1e6, (10, 23)),
+            (math.inf, (50, math.inf)),
+            (math.nan, (50, math.inf)),
+            (1e307, (50, math.inf)),  # norm / theta_5 overflows
+        ],
     )
     def test_plan_takes_the_fewest_products(self, norm, plan):
-        assert core._taylor_plan(norm) == plan
+        assert core._expm_plan(norm) == plan
 
     def test_every_degree_bounds_its_rounding(self):
-        # a substep's terms peak near e^theta / sqrt(2 pi theta) times its
-        # start state before they cancel
+        # a Taylor polynomial's terms peak near e^theta / sqrt(2 pi theta)
+        # before they cancel
         for theta in core._TAYLOR_THETA.values():
             assert 2.0**-53 * math.exp(theta) / math.sqrt(2.0 * math.pi * theta) <= 1e-13
 
+    @settings(max_examples=30, deadline=None)
+    @given(**SYSTEMS, scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    def test_matches_scipy_expm(self, seed, dim, n_channels, scale):
+        # both are backward stable, so they differ by a few u ||a||_1
+        h, channels, _ = random_system(seed, dim, n_channels)
+        a = scale * _liouvillian(h, channels)
+        assert np.abs(core._expm(a) - expm(a)).max() <= 1e-14 * max(1.0, np.linalg.norm(a, 1))
 
-class FirstTerm(Exception):
-    """Raised by ``first_term``, a generator, at its first call: its plan was admitted."""
+    def test_a_step_exponential_takes_m_plus_k_products(self):
+        # ||a||_1 = nu = 171 plans degree 10 and 11 squarings
+        nu = 20 * core._TAYLOR_THETA[50]
+        assert core._expm_plan(nu) == (10, 11)
+        products = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                return super().__matmul__(other)
+
+        grid = np.array([0.0, 0.3, 1.0])
+        got = [core._expm(np.array([[1j * nu * t]]).view(Counted))[0, 0] for t in grid]
+        np.testing.assert_allclose(got, np.exp(1j * nu * grid), atol=1e-12)
+        assert len(products) == sum(m + k for m, k in map(core._expm_plan, nu * grid)) == 5 + 19 + 21
 
 
-def first_term(x):
-    raise FirstTerm
+class FirstProduct(Exception):
+    """Raised by ``first_product``, an ``_expm``, at its first call: its plan was admitted."""
+
+
+def first_product(a, extra=0):
+    raise FirstProduct
 
 
 class TestWorkCap:
@@ -508,47 +556,49 @@ class TestWorkCap:
         else:
             core._check_work("a", 2.0, count, "steps")
 
+    ROTATION = 2.5 * SIGMA_Z  # ||L||_1 = 4 pi 2.5
+
+    def rotation_trace(self, stop, verify):
+        rho0 = DensityMatrix(np.diag([0.5, 0.5]))
+        return evolve_lindblad(herm(self.ROTATION), [], rho0, [0.0, stop], verify=verify)
+
     @pytest.mark.parametrize("stop", [1e300, 1e308])
-    def test_taylor_plan_refused_before_any_term(self, stop):
-        def unreachable(x):
-            raise AssertionError("a Taylor term was formed")
+    def test_taylor_plan_refused_before_any_term(self, stop, monkeypatch):
+        # 1e308 ||L|| overflows to inf in the plan, which is refused all the same
+        monkeypatch.setattr(core, "_expm", first_product)
+        with pytest.raises(ValidationError, match=r"Lindblad trace to t = \S+ ns needs \S+ squarings, above the cap of 26$"):
+            self.rotation_trace(stop, False)
 
-        # 1e308 nu overflows to inf in the plan, which is refused all the same
-        with pytest.raises(ValidationError, match=r"Lindblad trace to t = \S+ ns needs \S+ Taylor substeps"):
-            core._taylor_trace(unreachable, np.eye(2, dtype=complex), [0.0, stop], 10.0)
+    def test_the_largest_plan_allowed_is_the_squaring_cap(self, monkeypatch):
+        # a norm of theta_10 2^26 plans (10, 26); an ulp more needs 27 squarings
+        monkeypatch.setattr(core, "_expm", first_product)
+        norm = np.linalg.norm(_liouvillian(self.ROTATION, []), 1)
+        stop = core._TAYLOR_THETA[10] * 2.0**core._SQUARING_CAP / norm
+        assert core._expm_plan(stop * (1 - 1e-9) * norm) == (10, 26)
+        with pytest.raises(FirstProduct):
+            self.rotation_trace(stop * (1 - 1e-9), False)
+        with pytest.raises(ValidationError, match=r"needs 27 squarings, above the cap of 26$"):
+            self.rotation_trace(stop * (1 + 1e-9), False)
 
-    def test_the_check_counts_the_refined_plan(self):
-        # T nu just below 60000 theta_50 plans (50, 60000): admitted, but 120000 substeps refined
-        nu = 60000 * core._TAYLOR_THETA[50] * (1 - 1e-9)
-        assert core._taylor_plan(nu) == (50, 60000)
-        x, grid = np.eye(2, dtype=complex), [0.0, 1.0]
-        with pytest.raises(FirstTerm):
-            core._taylor_trace(first_term, x, grid, nu)
-        with pytest.raises(ValidationError, match=r"needs 1\.2e\+05 Taylor substeps, above the cap of 100000$"):
-            core._taylor_trace(first_term, x, grid, nu, refine=2)
+    def test_the_check_counts_the_refined_plan(self, monkeypatch):
+        # verify's chain takes one squaring more
+        monkeypatch.setattr(core, "_expm", first_product)
+        norm = np.linalg.norm(_liouvillian(self.ROTATION, []), 1)
+        stop = core._TAYLOR_THETA[10] * 2.0**core._SQUARING_CAP / norm * (1 - 1e-9)
+        with pytest.raises(FirstProduct):
+            self.rotation_trace(stop, False)
+        with pytest.raises(ValidationError, match=r"needs 27 squarings, above the cap of 26$"):
+            self.rotation_trace(stop, True)
 
-    def test_the_largest_plan_allowed_is_work_cap_substeps(self):
-        nu = core.WORK_CAP * core._TAYLOR_THETA[50]
-        x, grid = np.eye(2, dtype=complex), [0.0, 1.0]
-        with pytest.raises(FirstTerm):
-            core._taylor_trace(first_term, x, grid, nu * (1 - 1e-9))
-        with pytest.raises(ValidationError, match=r"needs 1e\+05 Taylor substeps"):  # 100001, to 4 digits
-            core._taylor_trace(first_term, x, grid, nu * (1 + 1e-9))
-
-    def test_a_substep_applies_the_generator_at_most_m_times(self):
-        # ||G||_1 = nu: a rotation whose terms need the full degree
-        nu = 20 * core._TAYLOR_THETA[50]
-        m, s = core._taylor_plan(nu)
-        calls = []
-
-        def rotation(x):
-            calls.append(1)
-            return 1j * nu * x
-
-        grid = np.array([0.0, 0.3, 1.0])
-        out = core._taylor_trace(rotation, np.ones((1, 1), dtype=complex), grid, nu)
-        assert (m, s) == (50, 20) and 0.9 * m * s <= len(calls) <= m * s
-        np.testing.assert_allclose(out[:, 0, 0], np.exp(1j * nu * grid), atol=1e-12)
+    def test_liouville_bound_refused_before_any_product(self, monkeypatch):
+        # d = 25 (625) is refused before the Liouvillian is built; d = 24
+        # (576) gets as far as building it
+        monkeypatch.setattr(core, "_liouvillian", first_product)
+        message = r"^Liouville space of 25 levels gives 625 states, above the dense-storage cap 576$"
+        with pytest.raises(ValidationError, match=message):
+            evolve_lindblad(herm(np.zeros((25, 25))), [], DensityMatrix(np.eye(25) / 25), [1.0])
+        with pytest.raises(FirstProduct):
+            evolve_lindblad(herm(np.zeros((24, 24))), [], DensityMatrix(np.eye(24) / 24), [1.0])
 
     @pytest.mark.parametrize(
         "period, steps_per_ns, stop, message",
@@ -557,6 +607,8 @@ class TestWorkCap:
             (0.1, 2500.0, 1e300, "needs 1e+301 drive periods"),
             (math.inf, 2500.0, 1e300, "needs 2.5e+303 drive periods"),  # a constant drive
             (1.0, 1e6, 2.0, "needs 1e+06 RK4 steps per drive period, above the cap of 100000"),
+            # one step over the cap reads above it
+            (1.0, 100001.0, 2.0, "needs 100001 RK4 steps per drive period, above the cap of 100000"),
             (0.1, math.inf, 1.0, "needs inf drive periods"),
         ],
     )
@@ -580,18 +632,17 @@ class TestPropagatorProperties:
     @given(**SYSTEMS)
     def test_generator_is_trace_free(self, seed, dim, n_channels):
         h, channels, rho = random_system(seed, dim, n_channels)
-        gen, _ = _lindblad_generator(h, channels)
-        assert abs(np.trace(gen(rho))) <= 1e-12
+        drho = (_liouvillian(h, channels) @ rho.ravel()).reshape(dim, dim)
+        assert abs(np.trace(drho)) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(**SYSTEMS)
     def test_norm_bound_covers_the_superoperator(self, seed, dim, n_channels):
-        # nu bounds the 1-norm of G on vec(x), which sets the Taylor steps
+        # the plan reads ||t L||_1 of the Liouvillian itself: the Kronecker
+        # form, with K shifted by tr H/d, which cancels in K x + x K+
         h, channels, _ = random_system(seed, dim, n_channels)
-        _, nu = _lindblad_generator(h, channels)
-        trace_shift = np.trace(h).real / dim * np.eye(dim)
-        norm = np.linalg.norm(lindblad_superoperator(h - trace_shift, channels), 1)
-        assert norm <= nu * (1 + 1e-12)
+        want = lindblad_superoperator(h - np.trace(h).real / dim * np.eye(dim), channels)
+        assert np.abs(_liouvillian(h, channels) - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -637,11 +688,12 @@ class TestPropagatorProperties:
     )
     @example(seed=15633, dim=2, n_channels=0, stop=2.5692777425732483, zeros=1, inside=[0.5, 0.5])
     def test_grid_times_inside_one_substep(self, seed, dim, n_channels, stop, zeros, inside):
-        # leading zeros, then several times strictly inside the first substep,
-        # each read off that substep's terms, then the last time
+        # a non-uniform grid: leading zeros, then several times strictly
+        # inside the first of the last step's 2^k scaled substeps, each at
+        # its own spacing with its own plan, then the last time
         h, channels, rho = random_system(seed, dim, n_channels)
-        _, nu = _lindblad_generator(h, channels)
-        first = stop / core._taylor_plan(stop * nu)[1]
+        norm = np.linalg.norm(stop * _liouvillian(h, channels), 1)
+        first = stop / 2.0 ** core._expm_plan(norm)[1]
         grid = [0.0] * zeros + sorted(first * u for u in inside) + [stop]
         rhos = evolve_lindblad(HermitianOperator(h), channels, DensityMatrix(rho), grid)
         for t, state in zip(grid, rhos):
@@ -664,7 +716,7 @@ class TestPropagatorProperties:
     @settings(max_examples=60, deadline=None)
     @given(**SYSTEMS)
     def test_evolve_lindblad_states_are_physical(self, seed, dim, n_channels):
-        # the public path with its substep-doubling check on
+        # the public path with its extra-squaring check on
         h, channels, rho = random_system(seed, dim, n_channels)
         grid = [0.4, 1.3]
         rhos = evolve_lindblad(
@@ -892,8 +944,8 @@ class TestStepMatrixPropagator:
         n_channels=st.integers(0, 2),
     )
     def test_evolve_lindblad_at_the_liouville_cap(self, seed, dim, n_channels):
-        # d = 12 and 13, where the d^2 x d^2 Liouville-space generator grows
-        # large: evolve_lindblad acts on d x d matrices and agrees there too
+        # d = 12 and 13, where the d^2 x d^2 step exponentials grow large
+        # (the Liouville bound admits d = 24): they agree there too
         h, channels, rho = random_system(seed, dim, n_channels)
         grid = [0.4, 1.3]
         rhos = evolve_lindblad(HermitianOperator(h), channels, DensityMatrix(rho), grid)
