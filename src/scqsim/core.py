@@ -38,7 +38,7 @@ class ConvergenceError(RuntimeError):
 
 
 class FitError(RuntimeError):
-    """Least-squares extraction failed or the trace is degenerate."""
+    """A linear fit is undetermined or the trace carries no fit (no contrast, no decay)."""
 
 
 def _complex_matrix(entries) -> np.ndarray:
@@ -131,58 +131,12 @@ def _checked_sweep_grid(grid, name: str) -> np.ndarray:
     return g
 
 
-_FIT_MAX_ITER = 200
-_FIT_XTOL = 1e-12
-_FIT_GTOL = 1e-6
-
-
-def _least_squares(model, y, p0, what: str = "least-squares fit") -> np.ndarray:
-    """Levenberg-Marquardt parameters p minimizing ||model(p) - y||^2.
-
-    ``model(p)`` returns ``(values, jacobian)``.  Each iteration solves
-    ``(A + lam diag(A)) s = -J^T r`` with ``A = J^T J``; a step that does
-    not raise the squared residual is taken and lam shrinks tenfold, else
-    lam grows tenfold.  Stops once ``||D s|| <= 1e-12 ||D p||`` with
-    ``D = sqrt(diag(A))`` (MINPACK's scaled step test), provided the
-    gradient ``J^T r`` vanishes there too: its Gauss-Newton step
-    ``A^-1 J^T r`` must satisfy ``||D s_gn|| <= 1e-6 ||D p||``.  A wrong
-    Jacobian stalls the damped step anywhere, so without this test it
-    would return its start value as the fit.  FitError, naming ``what``:
-    no stop in 200 iterations, a stop away from a minimum, a non-finite
-    parameter or model value, or a singular normal matrix.
-    """
-    p = np.array(p0, dtype=float)
-    values, jac = model(p)
-    r = values - y
-    cost, lam = r @ r, 1e-3
-    for _ in range(_FIT_MAX_ITER):
-        a = jac.T @ jac
-        scale = np.sqrt(np.diag(a))
-        try:
-            step = np.linalg.solve(a + lam * np.diag(np.diag(a)), -(jac.T @ r))
-        except np.linalg.LinAlgError:
-            raise FitError(f"{what} failed: singular normal matrix") from None
-        trial = p + step
-        if not np.isfinite(trial).all():
-            raise FitError(f"{what} failed: non-finite parameters {trial}")
-        values, trial_jac = model(trial)
-        trial_r = values - y
-        if not (np.isfinite(trial_r).all() and np.isfinite(trial_jac).all()):
-            raise FitError(f"{what} failed: non-finite model at parameters {trial}")
-        trial_cost = trial_r @ trial_r
-        if trial_cost <= cost:
-            p, r, jac, cost, lam = trial, trial_r, trial_jac, trial_cost, 0.1 * lam
-        else:
-            lam *= 10.0
-        if np.linalg.norm(scale * step) <= _FIT_XTOL * np.linalg.norm(scale * p):
-            scale = np.linalg.norm(jac, axis=0)
-            newton = np.linalg.lstsq(jac, -r, rcond=None)[0]
-            if np.linalg.norm(scale * newton) > _FIT_GTOL * np.linalg.norm(scale * p):
-                raise FitError(
-                    f"{what} failed: stalled at {p}, where the gradient does not vanish"
-                )
-            return p
-    raise FitError(f"{what} did not converge in {_FIT_MAX_ITER} iterations")
+def _linear_fit(a: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
+    """Least-squares x of a x = y; FitError naming ``what`` if a's columns are linearly dependent."""
+    x, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+    if rank < a.shape[1]:
+        raise FitError(f"{what} failed: singular normal matrix")
+    return x
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -637,16 +591,20 @@ def _step_chain(lv, spans, step, rho, extra: int) -> np.ndarray:
     ``spans`` holds the grid's distinct spacings (the first from t = 0) and
     ``step`` each point's index into it.  A spacing's ``_expm(span L,
     extra)`` is taken at its first point and dropped after its last, and
-    each point is one product with it.
+    each point is one product with it.  After the chain, the stack is
+    symmetrized ``_STATE_BLOCK`` states at a time (temporaries of one block).
     """
     last = dict(zip(step.tolist(), range(len(step))))  # the last point of each spacing
     steps, vec = {}, rho.ravel()
-    out = np.empty((len(step),) + rho.shape, dtype=complex)
+    out = np.empty((len(step), rho.size), dtype=complex)
     for i, j in enumerate(step.tolist()):
         if j not in steps:
             steps[j] = _expm(spans[j] * lv, extra)
-        vec = (steps.pop(j) if last[j] == i else steps[j]) @ vec
-        out[i] = _hermitian(vec.reshape(rho.shape))
+        vec = out[i] = (steps.pop(j) if last[j] == i else steps[j]) @ vec
+    out = out.reshape((len(step),) + rho.shape)
+    for a in range(0, len(out), _STATE_BLOCK):
+        block = out[a : a + _STATE_BLOCK]
+        block[...] = 0.5 * (block + block.conj().swapaxes(1, 2))
     return out
 
 
@@ -706,6 +664,7 @@ def evolve_lindblad(
             delta = np.abs(state - again).max()
             if not delta <= 1e-7:
                 raise ConvergenceError(
-                    f"substep-doubling disagreement {delta:.2e} > 1e-7 at t = {tk} ns"
+                    f"step exponentials at one more squaring: disagreement {delta:.2e} > 1e-7 "
+                    f"at t = {tk} ns"
                 )
     return _checked_states(t_grid, states)

@@ -27,7 +27,7 @@ from .core import (
     _check_finite_values,
     _checked_time_grid,
     _driven_trace,
-    _least_squares,
+    _linear_fit,
     _TWO_PI,
     _freeze,
     evolve_lindblad,
@@ -158,26 +158,49 @@ def rabi(
 _RX90 = (np.eye(2, dtype=complex) - 1j * SIGMA_X) / math.sqrt(2.0)
 
 
-def _fit_ramsey(tau: np.ndarray, pop: np.ndarray, t2_ns: float, delta: float) -> np.ndarray:
-    """(T2 in ns, delta) fitted to P_e = (1 + exp(-tau/T2) cos(2 pi delta tau)) / 2."""
+def _fit_t1(t: np.ndarray, y: np.ndarray, w: np.ndarray, what: str = "T1 decay fit") -> float:
+    """T in ns of y = exp(-t/T): ln y = -t/T fitted with rows weighted by w, points y <= 0 dropped.
 
-    def model(q):
-        decay, phase = np.exp(-tau / q[0]), _TWO_PI * q[1] * tau
-        d_t2 = 0.5 * decay * np.cos(phase) * tau / q[0] ** 2
-        d_delta = -math.pi * decay * np.sin(phase) * tau
-        return 0.5 * (1.0 + decay * np.cos(phase)), np.column_stack([d_t2, d_delta])
+    Weights w = y make it least squares in y to first order.  FitError
+    naming ``what`` if the times do not spread (singular) or no decay is
+    resolved (no positive, finite T).
+    """
+    keep = y > 0
+    w = w[keep]
+    slope = float(_linear_fit((w * t[keep])[:, None], w * np.log(y[keep]), what)[0])
+    if not (slope < 0 and math.isfinite(-1.0 / slope)):
+        raise FitError(f"{what} failed: no resolved decay over the trace")
+    return -1.0 / slope
 
-    return _least_squares(model, pop, (t2_ns, delta), "Ramsey fringe fit")
 
+def _fit_ramsey(tau: np.ndarray, pop: np.ndarray) -> tuple[float, float]:
+    """(T2 in ns, delta) fitted to P_e = (1 + exp(-tau/T2) cos(2 pi delta tau)) / 2.
 
-def _fit_t1(t: np.ndarray, pop: np.ndarray, t1_ns: float) -> float:
-    """T1 in ns fitted to P_e = exp(-t/T1)."""
-
-    def model(q):
-        decay = np.exp(-t / q[0])
-        return decay, (decay * t / q[0] ** 2)[:, None]
-
-    return float(_least_squares(model, pop, (t1_ns,), "T1 decay fit")[0])
+    On the uniform grid of spacing h, x = 2 P_e - 1 obeys Prony's linear
+    prediction x_(k+1) = p x_k - q x_(k-1), s = sqrt(q) = exp(-h/T2), p = 2 s
+    cos(2 pi delta h).  It is fitted in difference form, x_(k+1) - 2 x_k +
+    x_(k-1) = a x_k + b (x_k - x_(k-1)) with a = p - q - 1 and b = q - 1,
+    and sin^2(pi delta h) = -(a + (1 - s)^2) / 4s keeps the small a and b's
+    digits.  Rank 1 means delta = 0; q <= 0 is a FitError.  T2 is
+    ``_fit_t1`` of x / cos(2 pi delta tau), rows weighted by |x|.
+    """
+    what = "Ramsey fringe fit"
+    x = 2.0 * pop - 1.0
+    dx = np.diff(x)
+    try:
+        a, b = _linear_fit(np.column_stack([x[1:-1], dx[:-1]]), np.diff(dx), what)
+    except FitError:  # rank 1: a pure decay
+        delta = 0.0
+    else:
+        if not b > -1.0:
+            raise FitError(f"{what} failed: no damped oscillation (q = {1.0 + b:.3g} <= 0)")
+        s = math.sqrt(1.0 + b)
+        half = -(a + (b / (1.0 + s)) ** 2) / (4.0 * s)  # 1 - s = -b / (1 + s)
+        h = float(tau[-1] - tau[0]) / (tau.size - 1)
+        delta = 2.0 * math.asin(math.sqrt(min(max(half, 0.0), 1.0))) / (_TWO_PI * h)
+    c = np.cos(_TWO_PI * delta * tau)
+    ratio = np.divide(x, c, out=np.zeros_like(x), where=c != 0)
+    return _fit_t1(tau, ratio, np.abs(x), what), delta
 
 
 def ramsey(
@@ -189,13 +212,27 @@ def ramsey(
     """Two ideal pi/2 pulses separated by free evolution in the drive frame.
 
     The fringe is P_e(tau) = (1 + exp(-tau/T2) cos(2 pi delta tau)) / 2;
-    a least-squares fit returns the extracted T2 and detuning (FitError
-    if the trace has no contrast or the fit fails).
+    ``_fit_ramsey`` returns T2 and the detuning, exact on this noiseless
+    trace.  Before any trace, ValidationError unless the delays are
+    uniform (spacings within 1e-6 relative of h), resolve the detuning
+    (Nyquist: |detuning| h < 1/2) and number at least 4.  A trace without
+    contrast or a failing fit is a FitError.
     """
-    _check_finite_values(nu01=nu01)
+    _check_finite_values(nu01=nu01, detuning=detuning)
     if nu01 <= 0:
         raise ValidationError("nu01 must be > 0")
     delay_grid = _checked_time_grid(delay_grid)
+    n = delay_grid.size
+    h = (delay_grid[-1] - delay_grid[0]) / max(n - 1, 1)
+    if np.abs(np.diff(delay_grid) - h).max(initial=0.0) > 1e-6 * h:
+        raise ValidationError("Ramsey delays must be uniformly spaced (within 1e-06 relative)")
+    if not abs(detuning) * h < 0.5:
+        raise ValidationError(
+            f"detuning {detuning:g} GHz is at or past the Nyquist limit 1/(2 h) = "
+            f"{0.5 / h:g} GHz of the {h:g} ns delay spacing"
+        )
+    if n < 4:
+        raise ValidationError(f"a Ramsey fit needs at least 4 delays, got {n}")
     h_rot = HermitianOperator(0.5 * detuning * _SZ)
     psi = _RX90 @ np.array([1.0, 0.0], dtype=complex)
     rho0 = DensityMatrix(np.outer(psi, psi.conj()))
@@ -207,9 +244,8 @@ def ramsey(
 
     if np.ptp(pop) < 1e-6:
         raise FitError("degenerate Ramsey trace (no fringe contrast); cannot fit")
-    t2_ns, delta = _fit_ramsey(delay_grid, pop, dec.t2_us * US_TO_NS, max(abs(detuning), 1e-6))
-    t2_fit = abs(float(t2_ns)) / US_TO_NS
-    delta_fit = abs(float(delta))
+    t2_ns, delta_fit = _fit_ramsey(delay_grid, pop)
+    t2_fit = t2_ns / US_TO_NS
     visibility = float(pop.max() - pop.min())
     return ExperimentResult(
         time_grid=delay_grid,
@@ -224,7 +260,7 @@ def ramsey(
 
 
 def t1_decay(dec: DecoherenceParams, t_grid) -> ExperimentResult:
-    """Free decay of the excited state; fits T1 from the trace (FitError if the fit fails)."""
+    """Free decay of the excited state; T1 by ``_fit_t1`` (FitError if it fails) on 3 or more points."""
     t_grid = _checked_time_grid(t_grid)
     h0 = HermitianOperator(np.zeros((2, 2)))
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
@@ -233,7 +269,7 @@ def t1_decay(dec: DecoherenceParams, t_grid) -> ExperimentResult:
 
     t1_fit = None
     if t_grid.size >= 3:  # a 1-2 point trace cannot support a fit
-        t1_fit = abs(_fit_t1(t_grid, pop, dec.t1_us * US_TO_NS)) / US_TO_NS
+        t1_fit = _fit_t1(t_grid, pop, pop) / US_TO_NS
     return ExperimentResult(
         time_grid=t_grid,
         population=pop,

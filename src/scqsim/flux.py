@@ -48,7 +48,7 @@ from .core import (
     _check_integral,
     _check_level_count,
     _checked_sweep_grid,
-    _least_squares,
+    _linear_fit,
 )
 
 # solve_levels_1d: DVR points to start from and level tolerance (GHz)
@@ -472,8 +472,10 @@ def fit_two_level_gap(f_grid, gaps):
 
     Returns (delta, slope c, max relative residual).  Delta realizes the
     tunneling splitting between the circulating-current states.  The
-    squared gap is linear in (Delta^2, c^2); that linear fit starts a
-    least-squares polish of the gap itself (FitError if it fails).
+    squared gap is linear in (Delta^2, c^2): one least-squares fit in
+    (1, (f - 1/2)^2), rows weighted by 1/gap, which to first order is
+    least squares in the gap itself; it is exact on an exact hyperbola.
+    FitError if the flux points do not fix both coefficients.
     """
     f_grid = np.asarray(f_grid, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
@@ -482,14 +484,10 @@ def fit_two_level_gap(f_grid, gaps):
             f"need equal one-dimensional flux and gap arrays of at least 2 points, "
             f"got shapes {f_grid.shape} and {gaps.shape}"
         )
+    if not (np.isfinite(f_grid).all() and np.isfinite(gaps).all() and gaps.min() > 0):
+        raise ValidationError("flux values must be finite and gaps finite and > 0")
     x = (f_grid - 0.5) ** 2
-    start = np.linalg.lstsq(np.column_stack([np.ones_like(x), x]), gaps**2, rcond=None)[0]
-
-    def model(q):
-        g = np.sqrt(q[0] ** 2 + q[1] ** 2 * x)
-        return g, np.column_stack([q[0] / g, q[1] * x / g])
-
-    q = _least_squares(model, gaps, np.sqrt(np.abs(start)), "two-level gap fit")
-    delta, c = float(abs(q[0])), float(abs(q[1]))
-    rel = np.abs(model((delta, c))[0] - gaps) / gaps
-    return delta, c, float(rel.max())
+    a = np.column_stack([np.ones_like(x), x]) / gaps[:, None]
+    delta, c = np.sqrt(np.abs(_linear_fit(a, gaps, "two-level gap fit")))
+    rel = np.abs(np.sqrt(delta**2 + c**2 * x) - gaps) / gaps
+    return float(delta), float(c), float(rel.max())

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -610,6 +611,28 @@ class TestFailurePaths:
         assert_one_line_failure(proc, 2, "numerical failure: T1 decay fit failed: singular")
         assert not out.exists()
 
+    def test_ramsey_past_nyquist_exits_1(self, tmp_path):
+        # 0.19 GHz on the 25 ns grid aliases to 0.01 GHz: the samples cannot
+        # tell the two apart, so the detuning is refused, not fitted
+        cfg = tmp_path / "ramsey.ini"
+        cfg.write_text(LINDBLAD_CONFIGS["ramsey"].replace("detuning = 0.002", "detuning = 0.19"))
+        out = tmp_path / "o.csv"
+        proc = run_cli("ramsey", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(
+            proc, 1, "error: detuning 0.19 GHz is at or past the Nyquist limit 1/(2 h) = 0.02 GHz"
+        )
+        assert not out.exists()
+
+    def test_t1_without_resolved_decay_exits_2(self, tmp_path):
+        # at T1 = 1e300 us every population is exactly 1: a zero slope, named
+        # as such rather than an infinite T1 or an overflow
+        cfg = tmp_path / "t1.ini"
+        cfg.write_text(LINDBLAD_CONFIGS["t1"].replace("t1_us = 2.0\nt2_us = 2.0", "t1_us = 1e300\nt2_us = 1e300"))
+        out = tmp_path / "o.csv"
+        proc = run_cli("t1", "--config", str(cfg), "--out", str(out))
+        assert_one_line_failure(proc, 2, "numerical failure: T1 decay fit failed: no resolved decay")
+        assert not out.exists()
+
     def test_integer_sweep(self, tmp_path):
         cfg = tmp_path / "cut.ini"
         cfg.write_text(
@@ -1028,11 +1051,11 @@ class TestFailurePaths:
                 (),
                 "error: Lindblad trace to t = 1e+300 ns needs 984 squarings, above the cap of 26",
             ),
-            (
+            (  # at zero detuning: any other is past the Nyquist limit of 1e298 ns delays
                 "ramsey",
-                LINDBLAD_CONFIGS["ramsey"].replace("stop = 2500.0", "stop = 1e300"),
+                LINDBLAD_CONFIGS["ramsey"].replace("stop = 2500.0", "stop = 1e300").replace("detuning = 0.002\n", ""),
                 (),
-                "error: Lindblad trace to t = 1e+300 ns needs 987 squarings, above the cap of 26",
+                "error: Lindblad trace to t = 1e+300 ns needs 983 squarings, above the cap of 26",
             ),
             (
                 "jc",
@@ -1130,22 +1153,15 @@ class TestFailurePaths:
         pop = np.array([float(row[1]) for row in read_csv(out)[2]])
         assert pop.size == 5 and pop[0] == 0.0 and 0.0 < pop[1:].min() and pop.max() < 1e-3
 
-    @pytest.mark.parametrize(
-        "command, text",
-        [
-            # the T1 fit's Jacobian overflows: 1/T1^2 at T1 = 1e303 ns
-            ("t1", LINDBLAD_CONFIGS["t1"].replace("t1_us = 2.0\nt2_us = 2.0", "t1_us = 1e300\nt2_us = 1e300")),
-        ],
-        ids=["t1-t1-1e300"],
-    )
-    def test_overflow_in_the_run_exits_2(self, tmp_path, command, text):
+    def test_overflow_in_the_run_exits_2(self, tmp_path, monkeypatch):
         # numpy's overflow raises in the run: one line, no warning ahead of it
-        cfg = tmp_path / "in.ini"
-        cfg.write_text(text)
-        out = tmp_path / "o.csv"
-        proc = run_cli(command, "--config", str(cfg), "--out", str(out))
-        assert_one_line_failure(proc, 2, "numerical failure: overflow encountered in ")
-        assert not out.exists()
+        def overflowing(cfg):
+            return np.float64(1e300) ** 2
+
+        monkeypatch.setitem(cli._COMMANDS, "t1", (overflowing, *cli._COMMANDS["t1"][1:]))
+        code, stderr, csv = run_in_process("t1", LINDBLAD_CONFIGS["t1"])
+        assert code == 2 and csv is None
+        assert re.fullmatch(r"numerical failure: overflow encountered in \w+ power\n", stderr), stderr
 
     @pytest.mark.parametrize(
         "command, text",
@@ -1584,9 +1600,16 @@ class TestConfigFuzz:
         ],
     )
     def test_fast_lindblad_rates_run_at_once(self, sections, key):
-        # a rate of 65536 GHz over 1 ns costs a few squarings more, not minutes
+        # a rate of 65536 GHz over 1 ns costs a few squarings more, not
+        # minutes.  Ramsey's detuning of 65536 GHz lies far past the Nyquist
+        # limit of its 0.5 ns delays and is refused before any trace
+        # (test_core's test_fast_ramsey_hamiltonian_runs_at_once evolves it)
         command = "ramsey" if key[0] == "qubit" else "jc"
         start = time.perf_counter()
         code, stderr, csv = run_in_process(*fuzz_case(command, sections, {key: "65536"}))
         assert time.perf_counter() - start < 1.0
-        assert code == 0 and csv is not None, stderr
+        if command == "ramsey":
+            assert code == 1 and csv is None, stderr
+            assert re.fullmatch(r"error: detuning 65536 GHz is at or past the Nyquist limit .*\n", stderr)
+        else:
+            assert code == 0 and csv is not None, stderr

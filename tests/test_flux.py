@@ -475,6 +475,28 @@ class TestFluxSweep:
         assert resid <= 0.02
         assert delta > 0 and slope > 0
 
+    def test_two_level_fit_matches_a_least_squares_fit_of_the_gap(self):
+        # the weighted linear fit of gap^2 against scipy's converged least
+        # squares of the gap itself, on the spectrum of test_two_level_fit
+        from scipy.optimize import curve_fit
+
+        fg = np.linspace(0.49, 0.51, 9)
+        gaps = flux_spectrum_vs_f(self.params(), fg, k=2).gap()
+
+        def hyperbola(f, delta, c):
+            return np.sqrt(delta**2 + (c * (f - 0.5)) ** 2)
+
+        ref = curve_fit(hyperbola, fg, gaps, p0=(gaps.min(), 30.0), ftol=1e-15, xtol=1e-15, gtol=1e-15)[0]
+        ref_resid = (np.abs(hyperbola(fg, *ref) - gaps) / gaps).max()
+        delta, _, resid = fit_two_level_gap(fg, gaps)
+        assert delta == pytest.approx(abs(ref[0]), rel=1e-4)
+        assert resid <= ref_resid + 1e-4
+
+    @pytest.mark.parametrize("gap", [0.0, -0.1, math.nan, math.inf])
+    def test_two_level_fit_needs_finite_positive_gaps(self, gap):
+        with pytest.raises(ValidationError, match="gaps finite and > 0"):
+            fit_two_level_gap([0.49, 0.5, 0.51], [0.51, gap, 0.51])
+
     @pytest.mark.parametrize("delta, c", [(0.01, 50.0), (0.2, 300.0), (0.5, 10.0)])
     def test_two_level_fit_recovers_exact_hyperbola(self, delta, c):
         fg = np.linspace(0.49, 0.51, 9)
