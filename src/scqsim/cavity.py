@@ -37,7 +37,7 @@ from .core import (
     _unitary_trace,
     evolve_lindblad,
 )
-from .experiments import _LOWER, _SZ, US_TO_NS, DecoherenceParams, ExperimentResult, FittedMetrics
+from .experiments import _LOWER, _SZ, US_TO_NS, DecoherenceParams, ExperimentResult, _result
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,8 @@ def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
     L (x) I restricted to the sector (s- gives |g0><e0|).
     Closed: P_e = 1 - (4 g^2 / W^2) sin^2(pi W t), W = sqrt(D^2 + 4 g^2),
     so resonant P_e = cos^2(2 pi g t), a full revival every 1/(2g) ns.
-    With kappa or qubit decoherence the exchange envelope decays.
+    With kappa or qubit decoherence the exchange envelope decays.  Closed,
+    P_e is one slice of ``core._unitary_trace``'s (points, 3) array.
     """
     t_grid = _checked_time_grid(t_grid)
     ket = np.eye(3, dtype=complex)  # |g0>, |e0>, |g1>
@@ -123,15 +124,11 @@ def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
         sector = np.ix_([0, 2, 1], [0, 2, 1])
         chans += [(np.kron(L, np.eye(2))[sector], rate) for L, rate in p.dec.channels()]
     if not chans:
-        states = _unitary_trace(h_rot, psi0, t_grid)
+        pop = np.abs(_unitary_trace(h_rot, psi0, t_grid)[:, 1]) ** 2
     else:
-        states = evolve_lindblad(h_rot, chans, psi0.density_matrix(), t_grid, verify=False)
-    pop = np.array([s.population(1) for s in states])
-    return ExperimentResult(
-        time_grid=t_grid,
-        population=pop,
-        fitted=FittedMetrics(visibility=float(pop.max() - pop.min())),
-    )
+        rhos = evolve_lindblad(h_rot, chans, psi0.density_matrix(), t_grid, verify=False)
+        pop = np.array([rho.population(1) for rho in rhos])
+    return _result(t_grid, pop)
 
 
 @dataclass(frozen=True)

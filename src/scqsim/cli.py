@@ -337,8 +337,8 @@ def _cmd_evolve(cfg: RunConfig):
     p = _params(cfg, "cpb")
     h = reduced_two_level(p)
     grid = _checked_time_grid(_time_grid(cfg))
-    states = _unitary_trace(h, basis_state(2, 0), grid)
-    return ["t_ns", "p1"], [[t, psi.population(1)] for t, psi in zip(grid.tolist(), states)], []
+    p1 = np.abs(_unitary_trace(h, basis_state(2, 0), grid)[:, 1]) ** 2
+    return ["t_ns", "p1"], _columns(grid, p1), []
 
 
 def _cmd_rabi(cfg: RunConfig):

@@ -298,46 +298,45 @@ def hermitian_eigen(op: HermitianOperator) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
-def propagator(op: HermitianOperator, t: float) -> np.ndarray:
-    """Unitary exp(-i*2*pi*H*t) for time-independent H, via eigendecomposition."""
-    return _eigen_propagator(hermitian_eigen(op), t)
-
-
-def _eigen_propagator(dec: EigenDecomposition, t: float) -> np.ndarray:
-    """exp(-i 2 pi H t) from H's eigendecomposition (ascending eigenvalues).
-
-    Each rounding of a phase 2 pi |w| t below _PHASE_CAP = 2**33 rad, in w
-    and in the product, is at most 2**-20 rad (the phase's ulp at the cap),
-    so the phase is resolved to about 1e-6 rad; past the cap the trace
-    carries no reliable populations and is a ConvergenceError.
-    """
+def evolve_unitary(op: HermitianOperator, psi0: QuantumState, t: float) -> QuantumState:
+    """Evolve a pure state under a time-independent Hamiltonian for t ns."""
     _check_finite_values(t=t)
     if t < 0:
         raise ValidationError("evolution time must be >= 0")
-    w = dec.eigenvalues
-    phase = _TWO_PI * max(abs(float(w[0])), abs(float(w[-1]))) * t
-    if phase > _PHASE_CAP:
-        raise ConvergenceError(
-            f"phase 2 pi |E| t = {phase:.3g} rad at t = {t:.6g} ns is not resolved in double "
-            f"precision (cap 2**33 rad)"
-        )
-    phases = np.exp(-1j * 2.0 * np.pi * dec.eigenvalues * t)
-    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
+    return QuantumState(_unitary_trace(op, psi0, np.array([t], dtype=float))[0])
 
 
-def evolve_unitary(op: HermitianOperator, psi0: QuantumState, t: float) -> QuantumState:
-    """Evolve a pure state under a time-independent Hamiltonian for t ns."""
-    return _unitary_trace(op, psi0, [t])[0]
+def _unitary_trace(op: HermitianOperator, psi0: QuantumState, t_grid: np.ndarray) -> np.ndarray:
+    """States exp(-i 2 pi H t) psi0 at the times of a checked grid, as a (points, d) array.
 
-
-def _unitary_trace(op: HermitianOperator, psi0: QuantumState, t_grid) -> list[QuantumState]:
-    """``evolve_unitary`` at each time of ``t_grid``, from one eigendecomposition."""
+    One eigendecomposition H = V diag(w) V+ and one product, (exp(-2 pi i
+    w t) * (V+ psi0)) V^T, a row per time.  Each rounding of a phase 2 pi
+    |w| t below _PHASE_CAP = 2**33 rad, in w and in the product, is at
+    most 2**-20 rad (the phase's ulp at the cap), so the phase is resolved
+    to about 1e-6 rad; past the cap the trace carries no reliable
+    populations.  That, or a state whose norm drifts from 1 beyond 1e-12,
+    is a ConvergenceError naming its first time.
+    """
     if op.dimension != psi0.dimension:
         raise ValidationError(
             f"dimension mismatch: H is {op.dimension}, state is {psi0.dimension}"
         )
     dec = hermitian_eigen(op)
-    return [QuantumState(_eigen_propagator(dec, float(t)) @ psi0.amplitudes) for t in t_grid]
+    w, v = dec.eigenvalues, dec.eigenvectors
+    phase = _TWO_PI * max(abs(float(w[0])), abs(float(w[-1]))) * t_grid
+    for k in np.flatnonzero(phase > _PHASE_CAP)[:1]:  # the first time past the cap
+        raise ConvergenceError(
+            f"phase 2 pi |E| t = {phase[k]:.3g} rad at t = {t_grid[k]:.6g} ns is not resolved in "
+            f"double precision (cap 2**33 rad)"
+        )
+    phases = np.exp(-1j * 2.0 * np.pi * w * t_grid[:, None])
+    states = (phases * (v.conj().T @ psi0.amplitudes)) @ v.T
+    norm = np.linalg.norm(states, axis=1)
+    for k in np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-12))[:1]:  # the first drifted state
+        raise ConvergenceError(
+            f"state norm {float(norm[k])!r} deviates from 1 beyond 1e-12 at t = {t_grid[k]:.6g} ns"
+        )
+    return states
 
 
 def _jump_terms(shape, channels):
@@ -420,7 +419,7 @@ _CHUNK_STEPS = 256
 
 
 def _rk4_driven(a0, a1, coeff, period, y0, t_grid, steps_per_ns):
-    """RK4 for y' = (A0 + coeff(t) A1) y from t = 0; y at each grid time.
+    """RK4 for y' = (A0 + coeff(t) A1) y from t = 0; y at each grid time, stacked on a leading axis.
 
     ``coeff`` maps an array of times to an array and repeats with
     ``period`` T.  ``math.inf`` means a constant coefficient: any interval
@@ -470,20 +469,28 @@ def _rk4_driven(a0, a1, coeff, period, y0, t_grid, steps_per_ns):
     lead = j * h
     size = r - lead
     partial = _rk4_step_matrix(gen(lead), gen(lead + 0.5 * size), gen(r), size[:, None, None])
-    return [p @ (prefix[jk] @ periods[qk]) for p, jk, qk in zip(partial, j.tolist(), q.tolist())]
+    return np.array([p @ (prefix[a] @ periods[b]) for p, a, b in zip(partial, j.tolist(), q.tolist())])
 
 
-# stacked states per call of ``_density_fault`` in ``_checked_states``
+# stacked states per call of ``_density_fault`` in ``_checked_states``, and
+# per step of ``_symmetrize``: no temporary holds more than one block
 _STATE_BLOCK = 64
 
 
-def _checked_states(t_grid, rhos) -> list[DensityMatrix]:
-    """Propagated (points, d, d) matrices as DensityMatrix; drift raises ConvergenceError.
+def _symmetrize(rhos: np.ndarray) -> np.ndarray:
+    """A (points, d, d) stack made Hermitian in place, (X + X+)/2, ``_STATE_BLOCK`` states a step."""
+    for a in range(0, len(rhos), _STATE_BLOCK):
+        block = rhos[a : a + _STATE_BLOCK]
+        block[...] = 0.5 * (block + block.conj().swapaxes(1, 2))
+    return rhos
+
+
+def _checked_states(t_grid, rhos) -> np.ndarray:
+    """Propagated (points, d, d) matrices, judged and returned as one read-only stack.
 
     ``_density_fault`` judges ``_STATE_BLOCK`` states at a time, trace within
     1e-8 and no eigenvalue below -1e-7 (integrator error); the first failing
-    grid time raises.  The stack is made read-only and the states are views
-    of its rows: a caller that keeps one state keeps the whole trace.
+    grid time raises a ConvergenceError.
     """
     rhos = _freeze(np.asarray(rhos, dtype=complex))
     for a in range(0, len(rhos), _STATE_BLOCK):
@@ -495,23 +502,23 @@ def _checked_states(t_grid, rhos) -> list[DensityMatrix]:
                 drift = abs(np.trace(rhos[a + k]) - 1.0)
                 raise ConvergenceError(f"trace drift {drift:.2e} > 1e-8 at t = {tk} ns")
             raise ConvergenceError(f"propagated state at t = {tk} ns: {message}")
-    return [DensityMatrix._checked(rho) for rho in rhos]
+    return rhos
 
 
 def _driven_trace(h0, v, pulse, y0, t_grid, channels=None):
-    """RK4 trace under H(t) = H0 + c(t) V from t = 0, c = ``pulse.coefficient``.
+    """RK4 trace under H(t) = H0 + c(t) V from t = 0, c = ``pulse.coefficient``, as one stack.
 
     Closed (no channels): y0 holds state columns, and each grid time and
     column must keep its squared norm within 1e-6 of 1.  Open: y0 is a
-    density matrix evolved by ``_liouvillian`` and checked as in
-    ``evolve_lindblad``.  Steps per ns: 250 max(||H0||_2 + A ||V||_2, |nu|,
-    sum_k g_k ||L_k||_2^2 / 2 pi, 1), A and nu the pulse amplitude and
-    frequency, g_k and L_k the channels' rates and operators: the fastest
-    rate in H(t) gets at least 250 steps per cycle, and the dissipator's
-    decay at most 2 pi / 250 per step, inside RK4's stability region.  c
-    repeats every 1/|nu| ns (and is constant at nu = 0, passed as period
-    ``math.inf``), so ``_rk4_driven`` integrates one period and raises it
-    to powers.  Drift is a ConvergenceError.
+    density matrix evolved by ``_liouvillian``, the stack ``_symmetrize``d
+    and checked as in ``evolve_lindblad``.  Steps per ns: 250 max(||H0||_2
+    + A ||V||_2, |nu|, sum_k g_k ||L_k||_2^2 / 2 pi, 1), A and nu the pulse
+    amplitude and frequency, g_k and L_k the channels' rates and operators:
+    the fastest rate in H(t) gets at least 250 steps per cycle, and the
+    dissipator's decay at most 2 pi / 250 per step, inside RK4's stability
+    region.  c repeats every 1/|nu| ns (and is constant at nu = 0, passed
+    as period ``math.inf``), so ``_rk4_driven`` integrates one period and
+    raises it to powers.  Drift is a ConvergenceError.
     """
     rate = np.linalg.norm(h0, 2) + pulse.amplitude * np.linalg.norm(v, 2)
     jumps, _ = _jump_terms(h0.shape, channels or ())
@@ -521,7 +528,7 @@ def _driven_trace(h0, v, pulse, y0, t_grid, channels=None):
     if channels is None:
         a0, a1 = -1j * _TWO_PI * h0, -1j * _TWO_PI * v
         states = _rk4_driven(a0, a1, pulse.coefficient, period, y0, t_grid, steps_per_ns)
-        drift = max(float(np.abs((np.abs(y) ** 2).sum(axis=0) - 1.0).max()) for y in states)
+        drift = float(np.abs((np.abs(states) ** 2).sum(axis=1) - 1.0).max())
         if not drift <= 1e-6:
             raise ConvergenceError(
                 f"pulse integration lost {drift:.2e} of norm at {steps_per_ns:.4g} RK4 steps per ns"
@@ -529,7 +536,7 @@ def _driven_trace(h0, v, pulse, y0, t_grid, channels=None):
         return states
     a0, a1 = _liouvillian(h0, channels), _liouvillian(v, [])
     vecs = _rk4_driven(a0, a1, pulse.coefficient, period, y0.ravel(), t_grid, steps_per_ns)
-    return _checked_states(t_grid, [_hermitian(y.reshape(y0.shape)) for y in vecs])
+    return _checked_states(t_grid, _symmetrize(vecs.reshape((len(vecs),) + y0.shape)))
 
 
 # Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM
@@ -591,8 +598,8 @@ def _step_chain(lv, spans, step, rho, extra: int) -> np.ndarray:
     ``spans`` holds the grid's distinct spacings (the first from t = 0) and
     ``step`` each point's index into it.  A spacing's ``_expm(span L,
     extra)`` is taken at its first point and dropped after its last, and
-    each point is one product with it.  After the chain, the stack is
-    symmetrized ``_STATE_BLOCK`` states at a time (temporaries of one block).
+    each point is one product with it.  After the chain, ``_symmetrize``
+    makes the stack Hermitian.
     """
     last = dict(zip(step.tolist(), range(len(step))))  # the last point of each spacing
     steps, vec = {}, rho.ravel()
@@ -601,11 +608,7 @@ def _step_chain(lv, spans, step, rho, extra: int) -> np.ndarray:
         if j not in steps:
             steps[j] = _expm(spans[j] * lv, extra)
         vec = out[i] = (steps.pop(j) if last[j] == i else steps[j]) @ vec
-    out = out.reshape((len(step),) + rho.shape)
-    for a in range(0, len(out), _STATE_BLOCK):
-        block = out[a : a + _STATE_BLOCK]
-        block[...] = 0.5 * (block + block.conj().swapaxes(1, 2))
-    return out
+    return _symmetrize(out.reshape((len(step),) + rho.shape))
 
 
 def evolve_lindblad(
@@ -645,7 +648,9 @@ def evolve_lindblad(
     ``_SQUARING_CAP`` squarings (counting the check's extra one).  Each
     state is symmetrized once, (X + X+)/2, and judged by
     ``_checked_states``: trace within 1e-8, no eigenvalue below -1e-7,
-    else ConvergenceError naming the first failing grid time.
+    else ConvergenceError naming the first failing grid time.  The states
+    are DensityMatrix views of the rows of that one read-only stack: a
+    caller that keeps one state keeps the whole trace.
     """
     t_grid = _checked_time_grid(list(t_grid))
     if op.dimension != rho0.dimension:
@@ -667,4 +672,4 @@ def evolve_lindblad(
                     f"step exponentials at one more squaring: disagreement {delta:.2e} > 1e-7 "
                     f"at t = {tk} ns"
                 )
-    return _checked_states(t_grid, states)
+    return [DensityMatrix._checked(rho) for rho in _checked_states(t_grid, states)]

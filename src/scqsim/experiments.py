@@ -104,6 +104,11 @@ class ExperimentResult:
         object.__setattr__(self, "population", pop)
 
 
+def _result(t_grid, pop: np.ndarray, **fitted) -> ExperimentResult:
+    """The trace with its fitted metrics: visibility ptp(pop), and ``fitted`` by name."""
+    return ExperimentResult(t_grid, pop, FittedMetrics(visibility=float(np.ptp(pop)), **fitted))
+
+
 def quality_factor(t2_us: float, nu01_ghz: float) -> float:
     """Coherence quality factor Q = pi T2 nu01 (us * GHz = 1e3)."""
     _check_finite_values(t2_us=t2_us, nu01_ghz=nu01_ghz)
@@ -130,7 +135,8 @@ def rabi(
     period and raises that to powers for the later grid times, chooses the
     steps and checks the drift: a closed trace keeps each squared norm
     within 1e-6 of 1, and with decoherence every state is checked as in
-    ``evolve_lindblad`` (trace 1e-8, positivity -1e-7).
+    ``evolve_lindblad`` (trace 1e-8, positivity -1e-7).  The population is
+    one slice of the returned stack of states.
     """
     t_grid = _checked_time_grid(t_grid)
     if qubit.dimension != 2:
@@ -141,18 +147,11 @@ def rabi(
     drive_op = _DRIVE_TARGETS[drive.target]
     if dec is None:
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        states = _driven_trace(h0, drive_op, drive, psi0, t_grid)
-        pop = np.array([abs(s[1]) ** 2 for s in states])
+        pop = np.abs(_driven_trace(h0, drive_op, drive, psi0, t_grid)[:, 1]) ** 2
     else:
         rho0 = np.diag([1.0, 0.0]).astype(complex)
-        rhos = _driven_trace(h0, drive_op, drive, rho0, t_grid, dec.channels())
-        pop = np.array([r.population(1) for r in rhos])
-    visibility = float(pop.max() - pop.min())
-    return ExperimentResult(
-        time_grid=t_grid,
-        population=pop,
-        fitted=FittedMetrics(visibility=visibility),
-    )
+        pop = _driven_trace(h0, drive_op, drive, rho0, t_grid, dec.channels())[:, 1, 1].real.copy()
+    return _result(t_grid, pop)
 
 
 _RX90 = (np.eye(2, dtype=complex) - 1j * SIGMA_X) / math.sqrt(2.0)
@@ -237,25 +236,14 @@ def ramsey(
     psi = _RX90 @ np.array([1.0, 0.0], dtype=complex)
     rho0 = DensityMatrix(np.outer(psi, psi.conj()))
     rhos = evolve_lindblad(h_rot, dec.channels(), rho0, delay_grid, verify=False)
-    pop = np.empty(delay_grid.size)
-    for i, rho in enumerate(rhos):
-        final = _RX90 @ rho.entries @ _RX90.conj().T
-        pop[i] = float(final[1, 1].real)
+    pop = np.array([(_RX90 @ rho.entries @ _RX90.conj().T)[1, 1].real for rho in rhos])
 
     if np.ptp(pop) < 1e-6:
         raise FitError("degenerate Ramsey trace (no fringe contrast); cannot fit")
     t2_ns, delta_fit = _fit_ramsey(delay_grid, pop)
     t2_fit = t2_ns / US_TO_NS
-    visibility = float(pop.max() - pop.min())
-    return ExperimentResult(
-        time_grid=delay_grid,
-        population=pop,
-        fitted=FittedMetrics(
-            t2_us=t2_fit,
-            visibility=visibility,
-            quality=quality_factor(t2_fit, nu01),
-            detuning=delta_fit,
-        ),
+    return _result(
+        delay_grid, pop, t2_us=t2_fit, quality=quality_factor(t2_fit, nu01), detuning=delta_fit
     )
 
 
@@ -270,8 +258,4 @@ def t1_decay(dec: DecoherenceParams, t_grid) -> ExperimentResult:
     t1_fit = None
     if t_grid.size >= 3:  # a 1-2 point trace cannot support a fit
         t1_fit = _fit_t1(t_grid, pop, pop) / US_TO_NS
-    return ExperimentResult(
-        time_grid=t_grid,
-        population=pop,
-        fitted=FittedMetrics(t1_us=t1_fit, visibility=float(pop.max() - pop.min())),
-    )
+    return _result(t_grid, pop, t1_us=t1_fit)

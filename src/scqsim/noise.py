@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .core import ValidationError, _check_finite, _check_integral
+from .core import ValidationError, _check_finite, _check_integral, _linear_fit
 
 
 @dataclass(frozen=True)
@@ -445,7 +445,7 @@ def fit_loglog_slope(freq, psd, band: tuple[float, float]) -> float:
     if mask.sum() < 4:
         raise ValidationError("fit band holds fewer than 4 spectral points")
     a = np.vstack([np.log10(freq[mask]), np.ones(int(mask.sum()))]).T
-    slope, _ = np.linalg.lstsq(a, np.log10(psd[mask]), rcond=None)[0]
+    slope, _ = _linear_fit(a, np.log10(psd[mask]), "log-log slope fit")
     return float(slope)
 
 

@@ -6,8 +6,10 @@ pytest puts ``src`` on ``sys.path`` (``pythonpath`` in pyproject.toml), but
 ``python -m scqsim`` subprocesses only see ``PYTHONPATH``.  A printed
 failing draw can be pinned with ``@example`` from the test log alone, with
 no need for the local ``.hypothesis`` database that replays it.  The
-``src/`` line count (``wc -l`` of its Python files) lets every test log
-show the net lines a change adds or deletes.  Every plan that
+``src/`` line count (``wc -l`` of its Python files) and its code lines
+(``code_lines``: no blank, comment-only or docstring lines) let every
+test log show the net lines a change adds or deletes, and how many of
+them are code.  Every plan that
 ``core._check_work`` admits in this process is recorded by its unit
 (Lindblad squarings, RK4 steps per drive period, drive periods), and so
 is the number of step exponentials (``core._expm`` calls) that each
@@ -16,6 +18,7 @@ tests and the config fuzz; the largest of each, with the test that ran
 it, shows how far the suite stays below its cap.
 """
 
+import ast
 import glob
 import os
 
@@ -64,6 +67,17 @@ def _counting_expm(*args):
 core._check_work, core._expm = _recording_check_work, _counting_expm
 
 
+def code_lines(source: str) -> int:
+    """Lines of Python source that are neither blank, nor comment-only, nor part of a docstring."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        if isinstance(node, scopes) and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = enumerate(source.splitlines(), 1)
+    return sum(1 for n, line in lines if n not in docs and line.strip() and not line.lstrip().startswith("#"))
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
     global _running, _exponentials
@@ -74,10 +88,12 @@ def pytest_runtest_call(item):
 
 def pytest_terminal_summary(terminalreporter):
     files = glob.glob(os.path.join(_SRC, "**", "*.py"), recursive=True)
-    lines = 0
+    lines = code = 0
     for path in files:
         with open(path, "rb") as fh:
-            lines += fh.read().count(b"\n")
-    terminalreporter.write_line(f"scqsim src/: {lines} lines in {len(files)} files")
+            source = fh.read()
+        lines += source.count(b"\n")
+        code += code_lines(source.decode("utf-8"))
+    terminalreporter.write_line(f"scqsim src/: {lines} lines ({code} code lines) in {len(files)} files")
     for unit, (count, node) in sorted(_largest.items()):
         terminalreporter.write_line(f"largest admitted plan: {count:g} {unit} ({node})")

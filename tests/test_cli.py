@@ -1484,8 +1484,12 @@ WORK_VALUES = ("0", "-1", "0.5", "5e-324", "1e300", "2", "16")
 
 def fuzz_case(command, sections, changes=()):
     """(command, config text): the ``SECTION_TEXT`` bodies of ``sections``
-    with each ``(section, key), value`` of ``changes`` set."""
+    with each ``(section, key), value`` of ``changes`` set.  A ramsey case
+    starts from 5 delays, so that a draw that leaves ``[time] points``
+    alone passes the fit's 4-delay rule and reaches the trace and the fit."""
     bodies = {name: dict(line.split(" = ") for line in SECTION_TEXT[name].splitlines()) for name in sections}
+    if command == "ramsey":
+        bodies["time"]["points"] = "5"
     for (name, key), value in dict(changes).items():
         bodies[name][key] = value
     text = "".join(
@@ -1563,7 +1567,9 @@ class TestConfigFuzz:
     @example(case=fuzz_case("rabi", OPEN_RABI, {("decoherence", "t2_us"): "1e-300"}))
     @example(case=fuzz_case("cnot", ["coupled", "pulse"], {("coupled", "ej1"): "1e300"}))
     @example(case=fuzz_case("cnot", ["coupled", "pulse"], {("coupled", "ej1"): "1e100"}))
+    # at 5 delays over 1 ns: no damped oscillation left to fit, one line at exit 2
     @example(case=fuzz_case("ramsey", RAMSEY, {("decoherence", "t2_us"): "1e-9"}))
+    @example(case=fuzz_case("ramsey", RAMSEY))  # the default ramsey case fits and exits 0
     @example(case=fuzz_case("jc", ["jc", "time"], {("jc", "nu_c"): "65536", ("jc", "nu01"): "5"}))
     @example(
         case=fuzz_case(
@@ -1602,7 +1608,7 @@ class TestConfigFuzz:
     def test_fast_lindblad_rates_run_at_once(self, sections, key):
         # a rate of 65536 GHz over 1 ns costs a few squarings more, not
         # minutes.  Ramsey's detuning of 65536 GHz lies far past the Nyquist
-        # limit of its 0.5 ns delays and is refused before any trace
+        # limit of its 0.25 ns delays and is refused before any trace
         # (test_core's test_fast_ramsey_hamiltonian_runs_at_once evolves it)
         command = "ramsey" if key[0] == "qubit" else "jc"
         start = time.perf_counter()
