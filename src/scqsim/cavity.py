@@ -34,8 +34,8 @@ from .core import (
     _check_finite_values,
     _check_integral,
     _checked_time_grid,
+    _lindblad_trace,
     _unitary_trace,
-    evolve_lindblad,
 )
 from .experiments import _LOWER, _SZ, US_TO_NS, DecoherenceParams, ExperimentResult, _result
 
@@ -126,8 +126,7 @@ def vacuum_rabi(p: JaynesCummingsParams, t_grid) -> ExperimentResult:
     if not chans:
         pop = np.abs(_unitary_trace(h_rot, psi0, t_grid)[:, 1]) ** 2
     else:
-        rhos = evolve_lindblad(h_rot, chans, psi0.density_matrix(), t_grid, verify=False)
-        pop = np.array([rho.population(1) for rho in rhos])
+        pop = _lindblad_trace(h_rot, chans, psi0.density_matrix(), t_grid)[:, 1, 1].real.copy()
     return _result(t_grid, pop)
 
 

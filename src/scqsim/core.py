@@ -653,6 +653,11 @@ def evolve_lindblad(
     caller that keeps one state keeps the whole trace.
     """
     t_grid = _checked_time_grid(list(t_grid))
+    return [DensityMatrix._checked(rho) for rho in _lindblad_trace(op, channels, rho0, t_grid, verify)]
+
+
+def _lindblad_trace(op, channels, rho0, t_grid: np.ndarray, verify: bool = False) -> np.ndarray:
+    """``evolve_lindblad`` on a checked grid, as the read-only (points, d, d) stack it judged."""
     if op.dimension != rho0.dimension:
         raise ValidationError("Hamiltonian and state dimensions differ")
     d = op.dimension
@@ -672,4 +677,4 @@ def evolve_lindblad(
                     f"step exponentials at one more squaring: disagreement {delta:.2e} > 1e-7 "
                     f"at t = {tk} ns"
                 )
-    return [DensityMatrix._checked(rho) for rho in _checked_states(t_grid, states)]
+    return _checked_states(t_grid, states)

@@ -30,7 +30,7 @@ from .core import (
     _linear_fit,
     _TWO_PI,
     _freeze,
-    evolve_lindblad,
+    _lindblad_trace,
 )
 from .coupled import _DRIVE_TARGETS, DrivePulse
 
@@ -235,8 +235,8 @@ def ramsey(
     h_rot = HermitianOperator(0.5 * detuning * _SZ)
     psi = _RX90 @ np.array([1.0, 0.0], dtype=complex)
     rho0 = DensityMatrix(np.outer(psi, psi.conj()))
-    rhos = evolve_lindblad(h_rot, dec.channels(), rho0, delay_grid, verify=False)
-    pop = np.array([(_RX90 @ rho.entries @ _RX90.conj().T)[1, 1].real for rho in rhos])
+    rhos = _lindblad_trace(h_rot, dec.channels(), rho0, delay_grid)
+    pop = (_RX90 @ rhos @ _RX90.conj().T)[:, 1, 1].real.copy()
 
     if np.ptp(pop) < 1e-6:
         raise FitError("degenerate Ramsey trace (no fringe contrast); cannot fit")
@@ -252,8 +252,7 @@ def t1_decay(dec: DecoherenceParams, t_grid) -> ExperimentResult:
     t_grid = _checked_time_grid(t_grid)
     h0 = HermitianOperator(np.zeros((2, 2)))
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
-    rhos = evolve_lindblad(h0, dec.channels(), rho0, t_grid, verify=False)
-    pop = np.array([r.entries[1, 1].real for r in rhos])
+    pop = _lindblad_trace(h0, dec.channels(), rho0, t_grid)[:, 1, 1].real.copy()
 
     t1_fit = None
     if t_grid.size >= 3:  # a 1-2 point trace cannot support a fit

@@ -14,7 +14,12 @@ by one ``SeedSequence`` per path.  On a path with many flips, a flip's
 grid index is read off a uniform model of the grid and verified against
 the two grid points around it; only a flip that fails goes to a binary
 search.  The ensemble calls check their grid once and draw every
-trajectory from it.
+trajectory from it; the last small grid that passed is kept by its
+bytes, so many per-trajectory calls on one grid check it once.
+
+The Welch PSD takes its segments in bounded chunks and adds their powers
+in order, so it agrees with ``scipy.signal.welch`` bit for bit up to 7
+segments and to rounding beyond.
 
 By default the noise couples along sz (pure dephasing); the trajectory
 generator returns the bare frequency-shift trace xi(t) in GHz, which a
@@ -83,29 +88,51 @@ class FluctuatorEnsemble:
         return np.asarray(self.coupling, dtype=float)
 
 
+# grids of at most this many points are remembered by ``_check_grid``: on a
+# 2-vCPU VM, up to 4096 points a byte comparison cost 0.2-1.6 us against
+# 5-7.5 us for the check, while at 16384 it cost 9 us of 13 (and a miss
+# pays it on top)
+_MEMO_POINTS = 4096
+# (bytes, read-only steps, largest step) of the last grid that passed:
+# read and replaced as one tuple, like ``_block``
+_grid = (None, None, None)
+
+
 def _check_grid(ens: FluctuatorEnsemble, t_grid: np.ndarray) -> np.ndarray:
-    """The grid steps; a grid that is not 1-D, finite, ascending with two or
-    more points and fine enough for the fastest rate is a ValidationError.
+    """The grid steps (read-only); a grid that is not 1-D, finite, ascending
+    with two or more points and fine enough for the fastest rate is a
+    ValidationError.
 
     Strictly ascending times between finite end points are all finite, so
     a valid grid costs one comparison, one subtraction and two reductions;
-    the finiteness of every time is read only to name a failure.
+    the finiteness of every time is read only to name a failure.  The last
+    grid that passed, if it has at most ``_MEMO_POINTS`` points, is kept by
+    its bytes: a grid of the same bytes, such as the one grid of many
+    per-trajectory calls, skips that work, and its largest step is still
+    compared with this ensemble's fastest rate.
     """
+    global _grid
     if t_grid.ndim != 1:
         raise ValidationError(f"time grid must be one-dimensional, got shape {t_grid.shape}")
-    lo, hi = t_grid[:-1], t_grid[1:]
-    if not (t_grid.size > 1 and math.isfinite(t_grid[0]) and math.isfinite(t_grid[-1])
-            and (hi > lo).all()):
-        if not np.isfinite(t_grid).all():
-            raise ValidationError("time grid has non-finite times")
-        raise ValidationError("t_grid must be ascending with at least two points")
-    dt = hi - lo
-    step = dt.max()
+    key = t_grid.tobytes() if t_grid.size <= _MEMO_POINTS else None
+    memo, dt, step = _grid
+    if key is None or key != memo:
+        lo, hi = t_grid[:-1], t_grid[1:]
+        if not (t_grid.size > 1 and math.isfinite(t_grid[0]) and math.isfinite(t_grid[-1])
+                and (hi > lo).all()):
+            if not np.isfinite(t_grid).all():
+                raise ValidationError("time grid has non-finite times")
+            raise ValidationError("t_grid must be ascending with at least two points")
+        dt = hi - lo
+        dt.setflags(write=False)
+        step = dt.max()
     if step > (0.1 / ens.gamma_max) * (1.0 + 1e-9):
         raise ValidationError(
             f"grid step {step:.3g} ns under-resolves the fastest fluctuator; "
             f"need <= {0.1 / ens.gamma_max:.3g} ns"
         )
+    if key is not None:
+        _grid = (key, dt, step)
     return dt
 
 
@@ -334,8 +361,10 @@ def _rtn_trace(ens: FluctuatorEnsemble, t_grid: np.ndarray, trajectory: int, gro
                 steps.append(w)
         at.append([0])  # the sum of the initial signs, at index 0
         steps.append([start])
-        diff = np.bincount(np.concatenate(at), weights=np.concatenate(steps), minlength=n + 1)
-        xi += v * np.cumsum(diff[:n])
+        diff = np.bincount(np.concatenate(at), weights=np.concatenate(steps), minlength=n + 1)[:n]
+        np.cumsum(diff, out=diff)  # in place: no third full-size array beside xi and diff
+        diff *= v
+        xi += diff
     return xi
 
 
@@ -417,22 +446,47 @@ def _welch_window(nperseg: int, fs: float) -> np.ndarray:
     return win * (1 / np.sqrt(np.cumsum(win * win)[-1] / (1 / fs)))
 
 
+# segments per chunk of ``_welch_density``: as many as fit in this many
+# samples, one when a segment is longer.  Of 4096, 8192, 16384 and 32768,
+# 16384 was fastest or within noise of it on every tested segment length
+# (65536 samples at nperseg 16, 1024 and 32768; 40000 at 512).  From
+# nperseg 8193 on every chunk is one segment, whatever this value
+_WELCH_CHUNK = 16384
+
+
 def _welch_density(x: np.ndarray, win: np.ndarray) -> np.ndarray:
     """One-sided Welch PSD of x: segments of len(win) points, half-overlapping.
 
     Each segment loses its mean before windowing by ``win`` (from
-    ``_welch_window``).  The operations and their order follow
-    ``scipy.signal.welch`` (scipy 1.17, Hann window, density scaling), so
-    the two agree to rounding without importing scipy.
+    ``_welch_window``).  The per-segment operations and their order follow
+    ``scipy.signal.welch`` (scipy 1.17, Hann window, density scaling).
+    The segments go through in chunks of at most ``_WELCH_CHUNK`` samples,
+    and their powers are added one segment after another into one
+    spectrum, so no temporary holds the whole trace.  scipy's mean over
+    segments is the same sequential sum up to 7 segments (numpy sums
+    pairwise from 8 terms on), so the two agree bit for bit there and to
+    rounding beyond.
     """
     nperseg = win.size
     hop = nperseg - nperseg // 2
     count = (x.size - nperseg // 2) // hop
-    seg = np.lib.stride_tricks.sliding_window_view(x, nperseg)[: count * hop : hop]
-    spec = np.fft.rfft((seg - seg.mean(axis=-1, keepdims=True)) * win)
-    p = spec.real**2 + spec.imag**2
-    p[:, 1 : None if nperseg % 2 else -1] *= 2
-    return np.ascontiguousarray(p.T).mean(axis=-1)
+    segs = np.lib.stride_tricks.sliding_window_view(x, nperseg)[: count * hop : hop]
+    per = max(1, _WELCH_CHUNK // nperseg)
+    spectrum = np.zeros(nperseg // 2 + 1)
+    rows = np.empty((min(per, count) + 1, spectrum.size))  # row 0 carries the running sum
+    for a in range(0, count, per):
+        seg = segs[a : a + per]
+        d = seg - seg.mean(axis=-1, keepdims=True)
+        d *= win
+        spec = np.fft.rfft(d)
+        p = rows[: len(seg) + 1]
+        p[0] = spectrum
+        np.square(spec.real, out=p[1:])
+        p[1:] += np.square(spec.imag, out=spec.imag)
+        p.sum(axis=0, out=spectrum)  # axis 0 adds the rows in order
+    spectrum[1 : None if nperseg % 2 else -1] *= 2  # exact: the same as doubling every term
+    spectrum /= count
+    return spectrum
 
 
 def fit_loglog_slope(freq, psd, band: tuple[float, float]) -> float:

@@ -166,7 +166,7 @@ class TestVacuumRabi:
     @pytest.mark.parametrize("kappa", [0.0, 2.0], ids=["closed", "open"])
     def test_solver_gets_three_states_at_the_largest_cutoff(self, kappa, monkeypatch):
         dims = []
-        for name in ("_unitary_trace", "evolve_lindblad"):
+        for name in ("_unitary_trace", "_lindblad_trace"):
             solve = getattr(cavity, name)
             monkeypatch.setattr(
                 cavity, name, lambda op, *args, solve=solve, **kw: dims.append(op.dimension) or solve(op, *args, **kw)

@@ -239,7 +239,7 @@ class TestRamsey:
         def no_trace(*args, **kwargs):
             raise AssertionError("evolved before checking nu01")
 
-        monkeypatch.setattr(experiments, "evolve_lindblad", no_trace)
+        monkeypatch.setattr(experiments, "_lindblad_trace", no_trace)
         with pytest.raises(ValidationError, match="nu01 must be finite"):
             ramsey(nu01, 0.002, DecoherenceParams(t1_us=10.0, t2_us=1.0), [0.0, 10.0])
 
@@ -262,12 +262,12 @@ class TestRamsey:
     @pytest.mark.parametrize("detuning", [0.02, -0.02, 0.19])
     def test_detuning_past_nyquist_rejected(self, detuning, monkeypatch):
         # on 25 ns delays 0.19 GHz aliases to 0.01 GHz; 0.02 GHz is the limit itself
-        monkeypatch.setattr(experiments, "evolve_lindblad", None)
+        monkeypatch.setattr(experiments, "_lindblad_trace", None)
         with pytest.raises(ValidationError, match=r"^detuning \S+ GHz is at or past the Nyquist limit 1/\(2 h\) = 0.02 GHz of the 25 ns delay spacing$"):
             ramsey(NU01, detuning, DecoherenceParams(t1_us=10.0, t2_us=1.0), np.linspace(0.0, 2500.0, 101))
 
     def test_non_uniform_delays_rejected(self, monkeypatch):
-        monkeypatch.setattr(experiments, "evolve_lindblad", None)
+        monkeypatch.setattr(experiments, "_lindblad_trace", None)
         grid = np.linspace(0.0, 2500.0, 101)
         grid[50] += 1e-3
         with pytest.raises(ValidationError, match=r"^Ramsey delays must be uniformly spaced \(within 1e-06 relative\)$"):
@@ -282,7 +282,7 @@ class TestRamsey:
 
     @pytest.mark.parametrize("points", [1, 2, 3])
     def test_fewer_than_four_delays_rejected(self, points, monkeypatch):
-        monkeypatch.setattr(experiments, "evolve_lindblad", None)
+        monkeypatch.setattr(experiments, "_lindblad_trace", None)
         with pytest.raises(ValidationError, match=f"^a Ramsey fit needs at least 4 delays, got {points}$"):
             ramsey(NU01, 0.002, DecoherenceParams(t1_us=10.0, t2_us=1.0), np.linspace(0.0, 100.0, points))
 

@@ -1,6 +1,7 @@
 """Telegraph-noise generator and 1/f dephasing tests."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -164,6 +165,57 @@ class TestEnsemble:
         sizes.clear()
         dephasing_under_rtn(10.0, ens, 100, np.arange(2000) * 0.01)
         assert sizes == [2000]
+
+
+class TestGridMemo:
+    """The last grid that passed is kept by its bytes; nothing else changes what passes."""
+
+    def test_grid_mutated_after_a_pass_is_checked_again(self):
+        ens = FluctuatorEnsemble.single(0.2, 1.0)
+        grid = np.arange(0.0, 2.01, 0.05)
+        fluctuator_states(ens, grid, 0)
+        grid[20] = grid[19]  # no longer ascending
+        with pytest.raises(ValidationError, match="^t_grid must be ascending with at least two points$"):
+            fluctuator_states(ens, grid, 0)
+        grid[20] = 1.0
+        fluctuator_states(ens, grid, 0)
+        grid[-1] = 2.55  # the last step widened to 0.6 ns, past 0.1 / gamma = 0.5 ns
+        with pytest.raises(ValidationError, match="^grid step 0.6 ns under-resolves"):
+            fluctuator_states(ens, grid, 0)
+
+    def test_same_grid_under_a_faster_rate_is_refused(self):
+        grid = np.arange(0.0, 2.01, 0.05)
+        fluctuator_states(FluctuatorEnsemble.single(0.2, 1.0), grid, 0)
+        assert noise._grid[0] == grid.tobytes()
+        with pytest.raises(ValidationError, match="^grid step 0.05 ns under-resolves .* need <= 0.01 ns$"):
+            fluctuator_states(FluctuatorEnsemble.single(10.0, 1.0), grid, 0)
+
+    @pytest.mark.parametrize(
+        "grid, gamma", [([0.0, 1.0, 0.5], 0.1), ([0.0, math.nan, 1.0], 0.1), ([0.0, 0.5, 1.0], 10.0)],
+        ids=["descending", "non-finite", "under-resolved"],
+    )
+    def test_failing_grid_never_enters_the_memo(self, grid, gamma):
+        ens = FluctuatorEnsemble.single(gamma, 1.0)
+        kept = np.arange(0.0, 2.01, 0.05)
+        fluctuator_states(FluctuatorEnsemble.single(0.2, 1.0), kept, 0)
+        with pytest.raises(ValidationError):
+            fluctuator_states(ens, grid, 0)
+        assert noise._grid[0] == kept.tobytes()
+
+    def test_grid_above_the_bound_is_not_kept(self):
+        ens = FluctuatorEnsemble.single(0.2, 1.0)
+        at_bound = np.arange(noise._MEMO_POINTS) * 0.05
+        fluctuator_states(ens, at_bound, 0)
+        assert noise._grid[0] == at_bound.tobytes()
+        fluctuator_states(ens, np.arange(noise._MEMO_POINTS + 1) * 0.05, 0)
+        assert noise._grid[0] == at_bound.tobytes()
+
+    def test_kept_steps_are_read_only(self):
+        grid = np.arange(0.0, 2.01, 0.05)
+        ens = FluctuatorEnsemble.single(0.2, 1.0)
+        dt = noise._check_grid(ens, grid)
+        assert not dt.flags.writeable
+        assert np.array_equal(noise._check_grid(ens, grid.copy()), np.diff(grid))
 
 
 class TestGridIndex:
@@ -397,6 +449,83 @@ class TestWelch:
         f, p = psd_welch(ens, dt=0.01, n_samples=n, n_trajectories=4, nperseg=nperseg)
         np.testing.assert_allclose(f, refs[0][0], rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(p, sum(r[1] for r in refs) / 4, rtol=1e-13, atol=0.0)
+
+
+def _whole_trace_welch(x, win):
+    """The Welch density over all segments at once, their mean over the
+    transposed powers: the form ``_welch_density`` had before it took the
+    segments in chunks."""
+    nperseg = win.size
+    hop = nperseg - nperseg // 2
+    count = (x.size - nperseg // 2) // hop
+    seg = np.lib.stride_tricks.sliding_window_view(x, nperseg)[: count * hop : hop]
+    spec = np.fft.rfft((seg - seg.mean(axis=-1, keepdims=True)) * win)
+    p = spec.real**2 + spec.imag**2
+    p[:, 1 : None if nperseg % 2 else -1] *= 2
+    return np.ascontiguousarray(p.T).mean(axis=-1), count
+
+
+class TestWelchChunks:
+    """Chunked segments against the whole-trace form, in memory and in time."""
+
+    @pytest.mark.parametrize("n, nperseg", WELCH_CASES + [(65536, 16), (101, 3)])
+    def test_matches_the_whole_trace_form(self, n, nperseg):
+        # numpy's mean sums in order below 8 terms and pairwise from 8 on, and
+        # the chunks add in order: equal bits up to 7 segments, and beyond
+        # within the (count - 1) u bound of either order on positive terms
+        rng = np.random.default_rng(n + nperseg)
+        win = _welch_window(nperseg, 100.0)
+        for offset in (-0.3, 0.0, 0.3, 1.0):
+            x = offset + 1e-3 * rng.standard_normal(n)
+            want, count = _whole_trace_welch(x, win)
+            got = _welch_density(x, win)
+            if count <= 7:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=(count - 1) * np.finfo(float).eps, atol=0.0)
+
+    @pytest.mark.parametrize("n, nperseg", [(65536, 32768), (65536, 65536), (4096, 1024), (3001, 777)])
+    def test_equals_scipy_up_to_seven_segments(self, n, nperseg):
+        from scipy.signal import welch
+
+        x = 0.3 + 1e-3 * np.random.default_rng(n - nperseg).standard_normal(n)
+        assert np.array_equal(_welch_density(x, _welch_window(nperseg, 100.0)),
+                              welch(x, fs=100.0, window="hann", nperseg=nperseg)[1])
+
+    @pytest.mark.parametrize("n, nperseg", [(65536, 32768), (65536, 1024)])
+    def test_memory_is_bounded_by_one_chunk(self, n, nperseg):
+        # a chunk's centred segments, its complex spectrum, the row buffer
+        # and the FFT's working copy are 8 bytes a chunk sample each, and the
+        # running spectrum half that: 4.5 x 8 bytes a chunk sample measured.
+        # The whole-trace form held every segment at once: 6.5 x at nperseg
+        # 32768 (three segments), 262 x at 1024
+        x = np.random.default_rng(n + nperseg).standard_normal(n)
+        win = _welch_window(nperseg, 100.0)
+        chunk = max(1, noise._WELCH_CHUNK // nperseg) * nperseg
+        _welch_density(x, win)  # numpy's FFT keeps its plan for this length
+        tracemalloc.start()
+        try:
+            _welch_density(x, win)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * chunk
+
+    def test_short_segments_go_in_chunks(self, monkeypatch):
+        # 8191 segments of 16 points take one FFT call per chunk of 1024
+        # segments, not one per segment
+        calls = []
+        rfft = np.fft.rfft
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        _welch_density(np.random.default_rng(4).standard_normal(65536), _welch_window(16, 100.0))
+        per = noise._WELCH_CHUNK // 16
+        assert len(calls) == math.ceil(8191 / per)
+        assert calls[0] == (per, 16) and calls[-1] == (8191 - (len(calls) - 1) * per, 16)
 
 
 class TestDephasing:
