@@ -35,6 +35,7 @@ import configparser
 import dataclasses
 import importlib
 import io
+import itertools
 import math
 import sys
 from dataclasses import MISSING, dataclass
@@ -281,8 +282,9 @@ def _write_csv(path: str, cfg: RunConfig, columns, rows, extra_comments=()):
     for line in extra_comments:
         buf.write(f"# {line}\n")
     buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(_format(x) for x in row) + "\n")
+    if rows:  # each column holds one type, so the first row's types format every row
+        fmt = ",".join("{:.15g}" if isinstance(x, float) else "{}" for x in rows[0]) + "\n"
+        buf.writelines(itertools.starmap(fmt.format, rows))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(buf.getvalue())
 

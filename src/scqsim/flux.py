@@ -21,7 +21,8 @@ so it is solved in the charge basis ``|n1, n2>``, ``n = -N..N``
 S: (n1, n2) -> (-n2, -n1) and with P.K, charge inversion n -> -n followed
 by complex conjugation, so it is solved as two real symmetric blocks, the
 S-even and S-odd sectors of (m^2 + m)/2 and (m^2 - m)/2 states
-(m = 2N + 1), assembled straight from H's nonzero terms.
+(m = 2N + 1), assembled straight from H's nonzero terms through index
+gathers built once per cutoff.
 
 Each search owns its limits: ``solve_three_junction`` bounds the level
 count by the (2N + 1)^2 charge states, ``solve_levels_1d`` chooses its
@@ -31,6 +32,7 @@ potential; callers pass only the physics and k.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -312,37 +314,46 @@ def three_junction_potential(phi1, phi2, p: ThreeJunctionParams):
     )
 
 
-def _three_junction_terms(p: ThreeJunctionParams):
-    """H's nonzero terms as ``(rows, columns, values)`` on the row-major |n1, n2> index.
+def _term_positions(cutoff: int):
+    """``(rows, columns)`` of H's nonzero terms on the row-major |n1, n2> index.
+
+    The diagonal, then each hop and its reverse: those of ``cos p1`` and
+    ``cos p2``, and the ``(n1 + 1, n2 - 1)`` hop of ``e^{i(p1 - p2)}``; no
+    position repeats.
+    """
+    m = 2 * cutoff + 1
+    idx = np.arange(m * m).reshape(m, m)
+    pairs = [(idx, idx)]
+    for up, down in (
+        (idx[1:, :], idx[:-1, :]),
+        (idx[:, 1:], idx[:, :-1]),
+        (idx[1:, :-1], idx[:-1, 1:]),
+    ):
+        pairs += [(up, down), (down, up)]
+    return tuple(np.concatenate([pair[i].ravel() for pair in pairs]) for i in (0, 1))
+
+
+def _term_values(p: ThreeJunctionParams) -> np.ndarray:
+    """H's nonzero terms, in ``_term_positions`` order.
 
     ``Ec (n1^2 + n2^2) + Ej (2 + a)`` on the diagonal, ``-Ej/2`` on the hops of
     ``cos p1`` and ``cos p2``, and ``-a Ej/2 e^{+-2 pi i f}`` on the
-    ``(n1 +- 1, n2 -+ 1)`` hops of ``cos(2 pi f + p1 - p2)``; no position repeats.
+    ``(n1 +- 1, n2 -+ 1)`` hops of ``cos(2 pi f + p1 - p2)``.
     """
     m = 2 * p.cutoff + 1
     n = np.arange(-p.cutoff, p.cutoff + 1)
-    idx = np.arange(m * m).reshape(m, m)
     hop = -0.5 * p.alpha * p.ej * np.exp(2j * math.pi * p.f)
-    terms = [(idx, idx, p.ec * (n[:, None] ** 2 + n[None, :] ** 2) + p.ej * (2.0 + p.alpha))]
-    # cos p1, cos p2, and e^{i(p1 - p2)}, which takes |n1, n2> to |n1 + 1, n2 - 1>
-    for up, down, v in (
-        (idx[1:, :], idx[:-1, :], -0.5 * p.ej),
-        (idx[:, 1:], idx[:, :-1], -0.5 * p.ej),
-        (idx[1:, :-1], idx[:-1, 1:], hop),
-    ):
-        terms += [(up, down, v), (down, up, np.conj(v))]
-    rows = np.concatenate([r.ravel() for r, _, _ in terms])
-    cols = np.concatenate([c.ravel() for _, c, _ in terms])
-    vals = np.concatenate([np.broadcast_to(v, r.shape).ravel() for r, _, v in terms])
-    return rows, cols, vals
+    hops = np.array([-0.5 * p.ej] * 4 + [hop, np.conj(hop)])
+    diagonal = p.ec * (n[:, None] ** 2 + n[None, :] ** 2) + p.ej * (2.0 + p.alpha)
+    repeats = [m * (m - 1)] * 4 + [(m - 1) ** 2] * 2
+    return np.concatenate([diagonal.ravel(), np.repeat(hops, repeats)])
 
 
 def _three_junction_hamiltonian(p: ThreeJunctionParams) -> np.ndarray:
-    """Dense view of ``_three_junction_terms``: the (2N + 1)^2 square complex matrix."""
-    rows, cols, vals = _three_junction_terms(p)
+    """Dense view of H's terms: the (2N + 1)^2 square complex matrix."""
     d = (2 * p.cutoff + 1) ** 2
     h = np.zeros((d, d), dtype=complex)
-    h[rows, cols] = vals
+    h[_term_positions(p.cutoff)] = _term_values(p)
     return h
 
 
@@ -387,15 +398,36 @@ def _symmetry_sectors(cutoff: int):
     return sectors
 
 
-def _sector_blocks(p: ThreeJunctionParams, sectors):
-    """The real symmetric block of H on each sector, scattered from H's terms."""
-    rows, cols, vals = _three_junction_terms(p)
-    blocks = []
-    for column, coef in sectors:
+@functools.lru_cache(maxsize=4)
+def _sector_gathers(cutoff: int):
+    """Per sector, ``(column, coefficient, flat, conj(A), B)``: all of it a cutoff fixes.
+
+    ``(column, coefficient)`` is the sector of ``_symmetry_sectors``.  Term t
+    of ``_term_positions`` enters the block at ``flat`` from the product
+    ``conj(A) vals[t] B`` of its row's and its column's coefficients, shaped
+    for broadcasting to (terms, 2, 2).  The arrays are read-only: the cache
+    hands the same ones to every call.
+    """
+    rows, cols = _term_positions(cutoff)
+    gathers = []
+    for column, coef in _symmetry_sectors(cutoff):
         dim = int(column.max()) + 1
-        terms = coef[rows].conj()[:, :, None] * vals[:, None, None] * coef[cols][:, None, :]
-        flat = column[rows][:, :, None] * dim + column[cols][:, None, :]
-        block = np.bincount(flat.ravel(), terms.real.ravel(), minlength=dim * dim)
+        flat = (column[rows][:, :, None] * dim + column[cols][:, None, :]).ravel()
+        arrays = (column, coef, flat, coef[rows].conj()[:, :, None], coef[cols][:, None, :])
+        for a in arrays:
+            a.setflags(write=False)
+        gathers.append(arrays)
+    return tuple(gathers)
+
+
+def _sector_blocks(p: ThreeJunctionParams):
+    """The real symmetric block of H on each sector, scattered from H's terms."""
+    vals = _term_values(p)[:, None, None]
+    blocks = []
+    for column, _, flat, a, b in _sector_gathers(p.cutoff):
+        dim = int(column.max()) + 1
+        terms = a * vals * b
+        block = np.bincount(flat, terms.real.ravel(), minlength=dim * dim)
         blocks.append(block.reshape(dim, dim))
     return blocks
 
@@ -413,8 +445,7 @@ def solve_three_junction(
     two lowest levels are the localized circulating-current states.
     """
     _check_level_count(k, p.cutoff, (2 * p.cutoff + 1) ** 2)
-    sectors = _symmetry_sectors(p.cutoff)
-    blocks = _sector_blocks(p, sectors)
+    blocks = _sector_blocks(p)
     if not want_states:
         w = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
         return Levels2D(energies=np.sort(w)[:k], states=None)
@@ -423,7 +454,7 @@ def solve_three_junction(
     order = np.argsort(w, kind="stable")[:k]
     states = np.empty(((2 * p.cutoff + 1) ** 2, k), dtype=complex)
     start = 0
-    for (column, coef), (e, v) in zip(sectors, solved):
+    for (column, coef, *_), (e, v) in zip(_sector_gathers(p.cutoff), solved):
         mine = (order >= start) & (order < start + e.size)
         states[:, mine] = np.einsum("it,itj->ij", coef, v[:, order[mine] - start][column])
         start += e.size

@@ -2,16 +2,25 @@
 
 ``U(phi) = -Ej (cos phi + s phi)`` with bias ratio ``s = I/Ic``.  Levels
 are solved on the single well containing ``phi = arcsin(s)``, hard-clipped
-at the two adjacent barrier maxima.  A level counts as bound when it lies
-below the (lower, right-hand) barrier top and at least 99% of its
-probability sits in the well region, where U lies below that barrier top.
-Tunneling escape is out of scope; readout is represented by the
-|1> -> |2> transition frequency.
+on the right at the lower barrier maximum, which is part of the model.  A
+level counts as bound when it lies below that (lower, right-hand) barrier
+top and at least 99% of its probability sits in the well region, where U
+lies below that barrier top.  Tunneling escape is out of scope; readout is
+represented by the |1> -> |2> transition frequency.
 
-Levels come from the sine DVR shared with the rf-SQUID
-(``flux._sine_dvr``).  To resolve the levels below an energy E_top it takes
-``n = ceil(1.4 L k_max / pi) + 32`` points on the well's width L, where
-``k_max = sqrt((E_top - U_min)/Ec)`` is the largest classical momentum:
+The left wall x_c is not the higher barrier maximum but the first point
+left of the turning point x_t at the barrier-top energy where the WKB
+exponent ``integral of sqrt((U - U_barrier)/Ec)`` from x_c to x_t reaches
+``ln(2^53)/2``: there the density of the barrier-top state, and of every
+level below it, has fallen below 2^-53 of its value at x_t, beyond double
+rounding of anything the solve returns.  The exponent is taken as a lower
+sum, a lower bound for this monotone integrand, so the wall is never
+closer than that; where the exponent never gets there (s = 0, and small s
+at small Ej/Ec) the wall stays at the barrier maximum.  Levels come from
+the sine DVR shared with the rf-SQUID (``flux._sine_dvr``) on [x_c, the
+right barrier maximum].  To resolve the levels below an energy E_top it
+takes ``n = ceil(1.4 L k_max / pi) + 32`` points on that reduced width L,
+where ``k_max = sqrt((E_top - U_min)/Ec)`` is the largest classical momentum:
 1.4 box modes per momentum quantum, plus 32 for the momentum tails of
 shallow wells, whose few levels are far from the semiclassical limit.  One
 refinement to about 1.5 n must reproduce the returned energies within
@@ -21,7 +30,8 @@ box-mode coefficients and ``S_well`` the closed-form overlap of the box
 modes over the well region.  ``S_well`` is a Toeplitz-minus-Hankel matrix
 like the DVR's kinetic matrix and is built by the same helper
 (``flux._toeplitz_minus_hankel``) from a 2n + 1 entry table; the turning
-point that bounds the well region is bisected once per ``well_levels`` call.
+point that bounds the well region, and the wall with it, are found once per
+``well_levels`` call.
 """
 
 from __future__ import annotations
@@ -37,6 +47,10 @@ from .flux import _sine_dvr, _toeplitz_minus_hankel
 
 _POINT_FACTOR = 1.4  # box modes per classical momentum quantum pi/L at E_top
 _POINT_MARGIN = 32  # extra modes for the momentum tails of shallow wells
+# the left wall: where the barrier-top WKB exponent reaches ln(2^53)/2, a
+# density of 2^-53 against the turning point's, summed on this many panels
+_WALL_DECAY = 0.5 * math.log(2.0**53)
+_WALL_PANELS = 512
 
 
 @dataclass(frozen=True)
@@ -94,23 +108,36 @@ def plasma_spacing(p: PhaseQubitParams) -> float:
     return (1.0 - p.s**2) ** 0.25 * math.sqrt(2.0 * p.ec * p.ej)
 
 
-def _turning_angle(p: PhaseQubitParams) -> float:
-    """``pi (x - lo)/L`` of the left turning point x at the barrier-top energy."""
-    lo, hi = well_domain(p)
-    barrier = float(washboard_potential(hi, p))
-    left, right = lo, math.asin(p.s)  # U falls from the left wall to the minimum
+def _left_wall(p: PhaseQubitParams, barrier: float) -> tuple[float, float]:
+    """``(x_c, x_t)``: the DVR's left wall and the left turning point at the barrier top.
+
+    x_t is bisected on math scalars.  U falls strictly from the left barrier
+    maximum lo to the minimum (``U' = Ej (sin phi - s) < 0`` there), so the
+    decay rate ``kappa = sqrt((U - U_barrier)/Ec)`` grows from x_t to lo and
+    its sum over ``_WALL_PANELS`` equal panels, each at its end nearest x_t,
+    is a lower bound of the WKB exponent.  x_c is the first panel end where
+    that sum reaches ``_WALL_DECAY``, so the exact exponent from x_c to x_t is
+    at least as large and the wall is never closer than that rule; lo if the
+    sum never gets there, as at s = 0.
+    """
+    a = math.asin(p.s)
+    lo = -math.pi - a
+    left, right = lo, a
     for _ in range(60):
         mid = 0.5 * (left + right)
-        left, right = (mid, right) if washboard_potential(mid, p) > barrier else (left, mid)
-    return math.pi * (left - lo) / (hi - lo)
+        left, right = (mid, right) if -p.ej * (math.cos(mid) + p.s * mid) > barrier else (left, mid)
+    x = np.linspace(left, lo, _WALL_PANELS + 1)
+    kappa = np.sqrt(np.maximum(washboard_potential(x[:-1], p) - barrier, 0.0) / p.ec)
+    j = int(np.searchsorted((left - lo) / _WALL_PANELS * np.cumsum(kappa), _WALL_DECAY))
+    return (float(x[j + 1]) if j < _WALL_PANELS else lo), left
 
 
 def _well_overlap(theta: float, n: int) -> np.ndarray:
     """``S_mn = integral of phi_m phi_n`` over the well region, n box modes.
 
     The region runs from the left turning point at the barrier-top energy,
-    ``theta = pi x / L`` from the left wall (``_turning_angle``), to the
-    right wall.  There ``phi_m phi_n = (cos((m - n) theta) - cos((m + n)
+    ``theta = pi x / L`` from the left wall (both from ``_left_wall``), to
+    the right wall.  There ``phi_m phi_n = (cos((m - n) theta) - cos((m + n)
     theta)) / L``, so ``S_mn = (F(|m - n|) - F(m + n)) / pi`` with ``F(j)``
     the integral of ``cos(j theta)`` from theta to pi: the
     Toeplitz-minus-Hankel form of the DVR kinetic matrix.
@@ -131,20 +158,21 @@ def well_levels(p: PhaseQubitParams, k: int = 3) -> WellLevels:
     level by more than 5e-6 plasma spacings or changes any level's
     bound/unbound verdict.  ``_check_dense`` refuses a refinement of more
     than DIMENSION_CAP points (exhaustive counts above Ej/Ec of about 4e5
-    at s = 0).
+    at s = 0; later for s > 0, whose left wall moves in: 4.8e6 at s = 0.5).
     """
     _check_integral(k=k)
     if k < 1:
         raise ValidationError("k must be >= 1")
-    lo, hi = well_domain(p)
+    hi = well_domain(p)[1]
     u_min = float(washboard_potential(math.asin(p.s), p))
     barrier = float(washboard_potential(hi, p))
     spacing = plasma_spacing(p)
     tol = max(0.5e-5 * spacing, 1e-10)
-    theta = _turning_angle(p)
+    wall, turn = _left_wall(p, barrier)
+    theta = math.pi * (turn - wall) / (hi - wall)
 
     for e_top in (min(u_min + (k + 4) * spacing, barrier), barrier):
-        modes = (hi - lo) * math.sqrt((e_top - u_min) / p.ec) / math.pi
+        modes = (hi - wall) * math.sqrt((e_top - u_min) / p.ec) / math.pi
         n = math.ceil(_POINT_FACTOR * modes) + _POINT_MARGIN
         sizes = (n, n + n // 2)
         _check_dense(
@@ -153,7 +181,7 @@ def well_levels(p: PhaseQubitParams, k: int = 3) -> WellLevels:
             f"(Ej/Ec = {p.ej / p.ec:.3g})",
         )
         solved = [
-            _sine_dvr(lambda x: washboard_potential(x, p), p.ec, lo, hi, size)[1:]
+            _sine_dvr(lambda x: washboard_potential(x, p), p.ec, wall, hi, size)[1:]
             for size in sizes
         ]
         m = max(int(np.count_nonzero(w < e_top)) for _, w, _ in solved)

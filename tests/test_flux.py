@@ -329,12 +329,28 @@ class TestSymmetrySectors:
     def test_merged_spectrum_is_the_dense_spectrum(self, ej, ec, alpha, f, cutoff):
         p = ThreeJunctionParams(ej, ec, alpha, f, cutoff)
         m = 2 * cutoff + 1
-        even, odd = flux._sector_blocks(p, flux._symmetry_sectors(cutoff))
+        even, odd = flux._sector_blocks(p)
         assert even.shape == ((m * m + m) // 2,) * 2 and odd.shape == ((m * m - m) // 2,) * 2
         h = _three_junction_hamiltonian(p)
         w = solve_three_junction(p, k=m * m).energies
         tol = 1e-10 * max(np.linalg.norm(h, 2), 1.0)
         np.testing.assert_allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**SECTOR_BASIS)
+    def test_cached_blocks_equal_the_direct_formula(self, ej, ec, alpha, f, cutoff):
+        # the per-cutoff gathers keep the product order (conj(A) vals) B, so
+        # every block is bit-identical to the one scattered without them
+        p = ThreeJunctionParams(ej, ec, alpha, f, cutoff)
+        rows, cols = flux._term_positions(cutoff)
+        vals = flux._term_values(p)
+        for (column, coef), block in zip(flux._symmetry_sectors(cutoff), flux._sector_blocks(p)):
+            dim = int(column.max()) + 1
+            terms = coef[rows].conj()[:, :, None] * vals[:, None, None] * coef[cols][:, None, :]
+            flat = column[rows][:, :, None] * dim + column[cols][:, None, :]
+            want = np.bincount(flat.ravel(), terms.real.ravel(), minlength=dim * dim)
+            assert np.array_equal(block, want.reshape(dim, dim))
+        assert not any(a.flags.writeable for g in flux._sector_gathers(cutoff) for a in g)
 
     @settings(max_examples=20, deadline=None)
     @given(**dict(CHARGE_BASIS, cutoff=st.just(2)))

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scqsim import phase
 from scqsim.core import ConvergenceError, ValidationError
+from scqsim.flux import _sine_dvr
 from scqsim.phase import (
     PhaseQubitParams,
     bound_state_count,
@@ -174,12 +177,84 @@ class TestWellLevels:
         left = lo
         if s > 0.0:  # the left turning point at the barrier-top energy
             left = brentq(lambda x: washboard_potential(x, p) - barrier, lo, math.asin(s))
+        wall, turn = phase._left_wall(p, barrier)
+        assert turn == pytest.approx(left, abs=1e-12)
+        width = hi - wall
         x = np.linspace(left, hi, 40001)
         m = np.arange(1, 13)
-        modes = math.sqrt(2.0 / (hi - lo)) * np.sin(np.pi * np.outer(m, x - lo) / (hi - lo))
+        modes = math.sqrt(2.0 / width) * np.sin(np.pi * np.outer(m, x - wall) / width)
         quad = simpson(modes[:, None, :] * modes[None, :, :], x=x)
-        overlap = phase._well_overlap(phase._turning_angle(p), 12)
+        overlap = phase._well_overlap(math.pi * (turn - wall) / width, 12)
         np.testing.assert_allclose(overlap, quad, atol=1e-12)
+
+
+def _solves(p):
+    """The k = 3 and k = 5 levels and the exhaustive count's levels of the well."""
+    return [well_levels(p, k) for k in (3, 5, 1 << 20)]
+
+
+def _assert_same_solves(got, want, p):
+    for a, b in zip(got, want):
+        assert a.bound_count == b.bound_count
+        assert a.energies.shape == b.energies.shape
+        assert np.abs(a.energies - b.energies).max(initial=0.0) <= 1e-8 * plasma_spacing(p)
+
+
+class TestLeftWall:
+    """The left DVR wall sits where the barrier-top WKB decay reaches double rounding."""
+
+    @pytest.mark.parametrize("s", [0.0, 0.1, 0.3, 0.5, 0.7, 0.85, 0.9])
+    def test_matches_the_full_domain(self, s, monkeypatch):
+        p = params(s=s)
+        got = _solves(p)
+        # an exponent that is never reached keeps the wall at the left barrier maximum
+        monkeypatch.setattr(phase, "_WALL_DECAY", math.inf)
+        lo, hi = well_domain(p)
+        assert phase._left_wall(p, float(washboard_potential(hi, p)))[0] == lo
+        _assert_same_solves(got, _solves(p), p)
+
+    @pytest.mark.parametrize("s", [0.3, 0.6])
+    def test_wider_wall_changes_nothing(self, s, monkeypatch):
+        p = params(s=s)
+        got = _solves(p)
+        monkeypatch.setattr(phase, "_WALL_DECAY", 2.0 * phase._WALL_DECAY)
+        _assert_same_solves(got, _solves(p), p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(0.0, 0.99), ratio=st.floats(1e3, 1e6))
+    def test_never_closer_than_the_decay_rule(self, s, ratio):
+        # the exponent at the wall, by adaptive quadrature, reaches ln(2^53)/2,
+        # also for s > 0.915, where the integrand is not concave
+        from scipy.integrate import quad
+
+        p = params(s=s, ratio=ratio)
+        lo, hi = well_domain(p)
+        barrier = float(washboard_potential(hi, p))
+        wall, turn = phase._left_wall(p, barrier)
+        assert lo <= wall <= turn < math.asin(s)
+
+        def kappa(x):
+            return math.sqrt(max(float(washboard_potential(x, p)) - barrier, 0.0) / p.ec)
+
+        decay = quad(kappa, wall, turn, epsabs=1e-10, epsrel=1e-12, limit=200)[0]
+        rule = 0.5 * math.log(2.0**53)
+        # at the maximum, the lower sum missed the rule and trails the exponent by under 1 %
+        assert decay >= rule if wall > lo else decay < 1.01 * rule
+
+    @pytest.mark.parametrize("s, most", [(0.6, (140, 210)), (0.0, (428, 642))])
+    def test_exhaustive_count_points(self, s, most, monkeypatch):
+        # a structural guard on the solved sizes, not a timing
+        sizes = []
+
+        def recording(potential, ec, lo, hi, n):
+            sizes.append(n)
+            return _sine_dvr(potential, ec, lo, hi, n)
+
+        monkeypatch.setattr(phase, "_sine_dvr", recording)
+        bound_state_count(params(s=s))
+        assert len(sizes) == 2 and all(n <= m for n, m in zip(sizes, most))
+        if s == 0.0:
+            assert tuple(sizes) == most
 
 
 class TestReadout:
